@@ -2,16 +2,14 @@
 seeds and CSV/JSON emission.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (a numeric
-invariant violated at run time).  All output is deterministic for a fixed
-(argv, seed); ENTROPIA_THREADS only caps internal parallelism and never
-changes output bytes (the current implementation is single-threaded).
+invariant violated at run time); any other error ends in a traceback.
+All output is deterministic for a fixed (argv, seed).
 """
 
 import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -29,7 +27,8 @@ from .convex_body import (
     sigma_starshapedness,
     volume,
 )
-from .reeb_collapse import MappingTorusSpec, build_profiles
+from .reeb_collapse import FormsError, MappingTorusSpec, build_profiles
+from .reeb_collapse.profiles import ProfileError
 from .reeb_collapse.sweep import collapse_sweep
 
 
@@ -87,18 +86,28 @@ class ValidationFailure(Exception):
     pass
 
 
+class UsageError(ValueError):
+    """Bad command-line input (exit 1)."""
+
+
+# numeric invariants that the collapse and estimate layers check at run time
+_VALIDATION_ERRORS = (ValidationFailure, FormsError, ProfileError,
+                      ee.EstimatorError)
+
+
 def run(config: RunConfig) -> int:
-    """Dispatch a RunConfig; returns the process exit code."""
+    """Dispatch a RunConfig; returns the process exit code.  Any exception
+    other than a usage error or a validation failure propagates."""
     try:
         rows = _dispatch(config)
         _emit(config, rows)
         return 0
-    except ValidationFailure as exc:
-        _fail(config, str(exc))
-        return 2
-    except (eb.BoundsError, ValueError, KeyError) as exc:
+    except UsageError as exc:
         _fail(config, f"usage error: {exc}")
         return 1
+    except _VALIDATION_ERRORS as exc:
+        _fail(config, str(exc))
+        return 2
 
 
 def _fail(config, message):
@@ -118,33 +127,32 @@ def _parse_range(text: str):
 def _dispatch(config: RunConfig) -> list:
     cmd = config.subcommand
     a = config.args
-    if cmd == "constants":
-        return _report_rows(eb.constants_report(_parse_range(a.get("n", "2..6"))))
-    if cmd == "bounds":
-        return _report_rows(eb.floors_report(_parse_range(a.get("genus", "2..5"))))
-    if cmd == "verovic":
-        return _report_rows(eb.verovic_report(int(a.get("k_max", 6))))
-    if cmd == "sl3":
-        return _report_rows(eb.sl3_report())
-    if cmd == "spectrum":
-        v, h, n, c = (float(a["v_bar"]), float(a["h"]), int(a["n"]),
-                      float(a["c"]))
-        try:
-            delta = eb.spectrum_tuner(v, h, n, c)
-        except eb.TargetBelowRange as exc:
-            raise ValidationFailure(str(exc)) from exc
-        check = eb.spectrum_value(v, h, n, delta)
-        return [{"name": "delta", "value": repr(delta),
-                 "inputs": json.dumps({"v_bar": v, "h": h, "n": n, "c": c}),
-                 "formula_id": "spectrum_tuner",
-                 "tolerance": abs(check - c) / c}]
-    if cmd == "bodies":
-        return _bodies_rows(a)
     if cmd == "collapse":
         return _collapse_rows(a, config.seed)
     if cmd == "estimate":
         return _estimate_rows(a, config.seed)
-    raise KeyError(f"unknown subcommand {cmd}")
+    if cmd not in _REPORTS:
+        raise UsageError(f"unknown subcommand {cmd}")
+    # the report layers check their own inputs: every error they raise
+    # short of a validation failure is a usage error
+    try:
+        return _REPORTS[cmd](a)
+    except (eb.BoundsError, ValueError, KeyError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _spectrum_rows(a) -> list:
+    v, h, n, c = (float(a["v_bar"]), float(a["h"]), int(a["n"]),
+                  float(a["c"]))
+    try:
+        delta = eb.spectrum_tuner(v, h, n, c)
+    except eb.TargetBelowRange as exc:
+        raise ValidationFailure(str(exc)) from exc
+    check = eb.spectrum_value(v, h, n, delta)
+    return [{"name": "delta", "value": repr(delta),
+             "inputs": json.dumps({"v_bar": v, "h": h, "n": n, "c": c}),
+             "formula_id": "spectrum_tuner",
+             "tolerance": abs(check - c) / c}]
 
 
 def _bodies_rows(a) -> list:
@@ -181,28 +189,51 @@ def _bodies_rows(a) -> list:
     return rows
 
 
+_REPORTS = {
+    "constants": lambda a: _report_rows(
+        eb.constants_report(_parse_range(a.get("n", "2..6")))),
+    "bounds": lambda a: _report_rows(
+        eb.floors_report(_parse_range(a.get("genus", "2..5")))),
+    "verovic": lambda a: _report_rows(eb.verovic_report(int(a.get("k_max", 6)))),
+    "sl3": lambda a: _report_rows(eb.sl3_report()),
+    "spectrum": _spectrum_rows,
+    "bodies": _bodies_rows,
+}
+
+
 def _collapse_rows(a, seed) -> list:
-    if a.get("spec"):
-        with open(a["spec"]) as fh:
-            spec = MappingTorusSpec.from_json(json.load(fh))
-    else:
-        spec = MappingTorusSpec(k_twists=int(a.get("twists", 1)))
-    steps = int(a.get("steps", 8))
     s_min = a.get("s_min")
     s_max = a.get("s_max")
-    s_list = None
-    if s_min is not None and s_max is not None:
-        s_list = list(np.linspace(float(s_min), float(s_max), steps))
+    if (s_min is None) != (s_max is None):
+        raise UsageError("--s-min and --s-max must be given together")
     try:
-        rows, fit, meta = collapse_sweep(
-            spec, s_list=s_list, n_steps=steps,
-            n_returns=int(a.get("returns", 32)),
-            gamma_horizon=int(a.get("horizon", 16)),
-            gamma_states=int(a.get("states", 24)), seed=seed,
-            grid=int(a.get("grid", 256)),
-            fit_tol=float(a.get("tol", {}).get("fit", 0.01)))
-    except Exception as exc:  # FitPoor and friends are validation failures
-        raise ValidationFailure(str(exc)) from exc
+        if a.get("spec"):
+            with open(a["spec"]) as fh:
+                spec = MappingTorusSpec.from_json(json.load(fh))
+        else:
+            spec = MappingTorusSpec(k_twists=int(a.get("twists", 1)))
+        steps, returns, grid, horizon, states = (
+            int(a.get(key, default)) for key, default in
+            (("steps", 8), ("returns", 32), ("grid", 256), ("horizon", 16),
+             ("states", 24)))
+        fit_tol = float(a.get("tol", {}).get("fit", 0.01))
+        s_bounds = None if s_min is None else (float(s_min), float(s_max))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
+    if min(steps, returns, grid) < 1:
+        raise UsageError("--steps, --returns and --grid must be at least 1")
+    if horizon < 8:
+        raise UsageError(f"collapse needs --horizon 8 or more, got {horizon}")
+    s_list = None
+    if s_bounds is not None:
+        for flag, value in zip(("--s-min", "--s-max"), s_bounds):
+            if not value > 0.0:
+                raise UsageError(f"{flag} must be positive, got {value}")
+        s_list = list(np.linspace(*s_bounds, steps))
+    rows, fit, meta = collapse_sweep(
+        spec, s_list=s_list, n_steps=steps,
+        n_returns=returns, gamma_horizon=horizon,
+        gamma_states=states, seed=seed, grid=grid, fit_tol=fit_tol)
     out = []
     for row in rows:
         out.append({k: repr(float(v)) for k, v in row.items()})
@@ -221,11 +252,16 @@ _SYSTEMS = {
 def _estimate_rows(a, seed) -> list:
     what = a.get("what", "gamma")
     name = a.get("system", "cat")
-    horizon = int(a.get("horizon", 48))
+    try:
+        horizon = int(a.get("horizon", 48))
+        deltas = [float(x) for x in a.get("delta", "0.3,0.2").split(",")]
+        cloud = int(a.get("cloud", 20000))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
     rows = []
     if what == "hvol":
         if name != "hyperbolic":
-            raise KeyError("hvol estimates support the hyperbolic geometry")
+            raise UsageError("hvol estimates support the hyperbolic geometry")
         est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
     else:
         if name == "reeb-solid-torus":
@@ -236,16 +272,22 @@ def _estimate_rows(a, seed) -> list:
         elif name in _SYSTEMS:
             sys_ = _SYSTEMS[name]()
         else:
-            raise KeyError(f"unknown system {name}")
+            raise UsageError(f"unknown system {name}")
         if what == "gamma":
+            if horizon < 8:
+                raise UsageError(f"gamma needs --horizon 8 or more, got {horizon}")
             est = ee.gamma_plus(sys_, horizon, seed=seed)
         elif what == "htop":
-            deltas = [float(x) for x in a.get("delta", "0.3,0.2").split(",")]
-            est = ee.htop_separated(sys_, deltas, min(horizon, 8),
-                                    n_candidates=int(a.get("cloud", 20000)),
-                                    seed=seed)
+            if not 1 <= horizon <= 8:
+                raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
+            try:
+                est = ee.htop_separated(sys_, deltas, horizon,
+                                        n_candidates=cloud, seed=seed)
+            except ee.BudgetExceeded as exc:
+                # the budget caps --cloud x --delta x --horizon: an input size
+                raise UsageError(str(exc)) from exc
         else:
-            raise KeyError(f"unknown estimate {what}")
+            raise UsageError(f"unknown estimate {what}")
     rows.append({
         "name": f"{what}({name})", "value": repr(est.value),
         "inputs": json.dumps({"horizon": est.horizon, "samples": est.samples,
@@ -268,7 +310,6 @@ def _estimate_rows(a, seed) -> list:
 @click.pass_context
 def main(ctx, seed, out, fmt, tol):
     """Entropy machinery: constants, bounds, bodies, collapse, estimates."""
-    os.environ.setdefault("ENTROPIA_THREADS", "0")
     overrides = {}
     for item in tol:
         key, _, value = item.partition("=")
@@ -364,13 +405,16 @@ def collapse(ctx, s_min, s_max, steps, twists, returns, horizon, grid,
 @click.option("--system", default="cat", show_default=True)
 @click.option("--what", default="gamma", show_default=True,
               type=click.Choice(["htop", "hvol", "gamma"]))
-@click.option("--horizon", default=48, show_default=True)
+@click.option("--horizon", default=None, type=int,
+              help="Steps or radius [default: 48; 8 for htop].")
 @click.option("--delta", default="0.3,0.2", show_default=True)
 @click.option("--cloud", default=20000, show_default=True,
               help="Candidate cloud size for separated-set estimates.")
 @click.pass_context
 def estimate(ctx, system, what, horizon, delta, cloud):
     """Finite-horizon entropy and norm-growth estimates."""
+    if horizon is None:
+        horizon = 8 if what == "htop" else 48
     _run_and_exit(ctx, "estimate",
                   {"system": system, "what": what, "horizon": horizon,
                    "delta": delta, "cloud": cloud})

@@ -65,11 +65,14 @@ def torus_metric(a, b):
 
 @dataclass
 class DiscreteSystem:
-    """A map or flow with enough structure to estimate growth rates.
+    """A map with enough structure to estimate growth rates.
 
-    step      states (m, d) -> states (maps), or the vector field (flows)
+    step      states (m, d) -> image states (m, d)
     jacobian  states (m, d) -> (m, d, d); None means central differences
               with step 1e-6 on the time-one map
+    step_jacobian
+              optional states -> (image, jacobian) from one evaluation,
+              for maps whose image and Jacobian share their work
     metric    (a, b) -> distances; defaults to the unit-torus metric
     sampler   (m, rng) -> seed states; defaults to uniform on [0,1)^d
     inverse   optional DiscreteSystem factory for the inverse dynamics
@@ -77,21 +80,18 @@ class DiscreteSystem:
               the separated-set search)
     """
 
-    kind: str
     state_dim: int
     step: callable
     jacobian: callable = None
     metric: callable = None
     sampler: callable = None
     inverse: callable = None
-    flow_dt: float = 0.05
     period: float = 1.0
     name: str = ""
+    step_jacobian: callable = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("map", "flow"):
-            raise EstimatorError("kind must be 'map' or 'flow'")
         if self.metric is None:
             self.metric = torus_metric
         if self.sampler is None:
@@ -100,21 +100,7 @@ class DiscreteSystem:
     # -- dynamics -------------------------------------------------------------
 
     def time_one(self, states):
-        if self.kind == "map":
-            return self.step(states)
-        return self._integrate(states, 1.0)
-
-    def _integrate(self, states, t):
-        y = np.asarray(states, float)
-        n = max(1, int(round(abs(t) / self.flow_dt)))
-        h = t / n
-        for _ in range(n):
-            k1 = self.step(y)
-            k2 = self.step(y + 0.5 * h * k1)
-            k3 = self.step(y + 0.5 * h * k2)
-            k4 = self.step(y + h * k3)
-            y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
+        return self.step(states)
 
     def time_one_jacobian(self, states):
         if self.jacobian is not None:
@@ -162,7 +148,7 @@ def rotation_system(alpha: float = 0.3) -> DiscreteSystem:
         return np.ones((len(x), 1, 1))
 
     return DiscreteSystem(
-        "map", 1, step, jac, name=f"rotation({alpha})",
+        1, step, jac, name=f"rotation({alpha})",
         inverse=lambda: rotation_system(-alpha))
 
 
@@ -173,7 +159,7 @@ def doubling_system() -> DiscreteSystem:
     def jac(x):
         return np.full((len(x), 1, 1), 2.0)
 
-    return DiscreteSystem("map", 1, step, jac, name="doubling")
+    return DiscreteSystem(1, step, jac, name="doubling")
 
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -190,7 +176,7 @@ def _linear_torus_system(mat, name) -> DiscreteSystem:
         return np.tile(mat, (len(x), 1, 1))
 
     return DiscreteSystem(
-        "map", mat.shape[0], step, jac, name=name,
+        mat.shape[0], step, jac, name=name,
         inverse=lambda: _linear_torus_system(inv, name + "^-1"))
 
 
@@ -207,9 +193,6 @@ def conjugated_cat_system(shear: float = 1.0) -> DiscreteSystem:
 
 
 def power_system(sys: DiscreteSystem, m: int) -> DiscreteSystem:
-    if sys.kind != "map":
-        raise EstimatorError("power_system expects a map")
-
     def step(x):
         for _ in range(m):
             x = sys.step(x)
@@ -226,7 +209,7 @@ def power_system(sys: DiscreteSystem, m: int) -> DiscreteSystem:
     inv = None
     if sys.inverse is not None:
         inv = lambda: power_system(sys.inverse(), m)
-    return DiscreteSystem("map", sys.state_dim, step, jac,
+    return DiscreteSystem(sys.state_dim, step, jac,
                           name=f"{sys.name}^{m}", inverse=inv)
 
 
@@ -248,7 +231,7 @@ def product_system(a: DiscreteSystem, b: DiscreteSystem) -> DiscreteSystem:
     inv = None
     if a.inverse is not None and b.inverse is not None:
         inv = lambda: product_system(a.inverse(), b.inverse())
-    return DiscreteSystem("map", da + db, step, jac,
+    return DiscreteSystem(da + db, step, jac,
                           name=f"{a.name}x{b.name}", inverse=inv)
 
 
@@ -286,7 +269,7 @@ def union_system(pieces) -> DiscreteSystem:
         return np.concatenate([lab[:, None].astype(float),
                                rng.random((m, d))], axis=1)
 
-    return DiscreteSystem("map", d + 1, step, jac, sampler=sampler,
+    return DiscreteSystem(d + 1, step, jac, sampler=sampler,
                           name="union(" + ",".join(p.name for p in pieces) + ")")
 
 
@@ -354,6 +337,9 @@ def suspension_cat_system(amplitude: float = 0.0, t_sample: float = 1.0
         jac[:, 2, 2] = dtau_dtau
         return np.concatenate([x_out, tau_out[:, None]], axis=1), jac
 
+    def step_jacobian(states):
+        return flow(states, t_sample)
+
     def step(states):
         return flow(states, t_sample)[0]
 
@@ -365,8 +351,9 @@ def suspension_cat_system(amplitude: float = 0.0, t_sample: float = 1.0
         s[:, 2] = 0.2 + 0.6 * s[:, 2]  # keep seeds away from the page seam
         return s
 
-    sys = DiscreteSystem("map", 3, step, jac, sampler=sampler,
-                         name=f"suspension_cat(a={amplitude},t={t_sample})")
+    sys = DiscreteSystem(3, step, jac, sampler=sampler,
+                         name=f"suspension_cat(a={amplitude},t={t_sample})",
+                         step_jacobian=step_jacobian)
     sys.meta["speed_sup"] = 1.0 + abs(amplitude)
     return sys
 
@@ -383,6 +370,8 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
     log of the scale is tracked), so arbitrarily long products never
     overflow; ||d phi^n||_infty is the max over a seeded state grid of the
     operator norm.  An optional SPD weight changes the Riemannian norm.
+    A system with a `step_jacobian` advances the states and the cocycle
+    from one evaluation per step.
     """
     if horizon < 8:
         raise EstimatorError("horizon must be at least 8")
@@ -399,7 +388,10 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
     log_norms = np.empty(horizon)
     x = states
     for n in range(1, horizon + 1):
-        jac = sys.time_one_jacobian(x)
+        if sys.step_jacobian is not None:
+            x_next, jac = sys.step_jacobian(x)
+        else:
+            jac, x_next = sys.time_one_jacobian(x), sys.time_one(x)
         if not np.all(np.isfinite(jac)):
             raise JacobianOverflow("non-finite Jacobian encountered")
         cocycle = np.einsum("mij,mjk->mik", jac, cocycle)
@@ -412,7 +404,7 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
             mat = np.einsum("ij,mjk,kl->mil", w_half, cocycle, w_inv)
         ops = np.linalg.norm(mat, ord=2, axis=(1, 2))
         log_norms[n - 1] = float((log_scale + np.log(ops)).max())
-        x = sys.time_one(x)
+        x = x_next
     slope, resid = _tail_slope(np.arange(1, horizon + 1), log_norms)
     est = GrowthEstimate(slope, float(horizon), n_states, resid)
     if return_curve:
@@ -451,9 +443,6 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
     log nu(T, delta); greedy counts are lower bounds, so the estimate is
     biased down.
     """
-    if sys.kind != "map":
-        raise EstimatorError("htop_separated expects map systems "
-                             "(time-sample flows first)")
     deltas = sorted(delta_list, reverse=True)
     if n_candidates * len(deltas) * (horizon + 1) > HTOP_BUDGET:
         raise BudgetExceeded("separated-set search exceeds budget")

@@ -369,7 +369,9 @@ def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
     rows = []
     for s in s_arr:
         vol_mt = mapping_torus_volume(spec, s, grid)
-        vol_st = solid_torus_volume(profiles, s)
+        # solid_torus_volume(profiles, s) with the s-independent int h dr
+        # taken once
+        vol_st = s * TWO_PI ** 2 * h_int
         rows.append({"s": float(s), "vol_mt": vol_mt, "vol_st": vol_st,
                      "vol_total": vol_mt + vol_st})
     totals = np.array([row["vol_total"] for row in rows])

@@ -4,7 +4,7 @@ the glued contact forms over a range of s."""
 import numpy as np
 
 from ..entropy_estimators import DiscreteSystem, gamma_plus
-from .duals import Dual, poly_smoothstep7, smooth_step_on
+from .duals import Dual, smooth_step_on
 from .forms import (
     MappingTorusSpec,
     collapse_volumes,
@@ -66,9 +66,19 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
             profiles, st[:, 1], -1.0, s)
         return inv
 
-    return DiscreteSystem("map", 3, step, jac, metric=metric, sampler=sampler,
+    return DiscreteSystem(3, step, jac, metric=metric, sampler=sampler,
                           inverse=inverse, period=TWO_PI,
                           name=f"reeb_solid_torus(s={s})")
+
+
+def _chi_derivatives(theta):
+    """chi' and chi'' of the mapping-torus cutoff chi(theta) =
+    poly_smoothstep7(theta / 2 pi) for theta in [0, 2 pi), in closed form:
+    with u = theta / 2 pi the smoothstep has slope 140 u^3 (1-u)^3 and
+    second derivative 420 u^2 (1-u)^2 (1-2u)."""
+    u = theta * (1.0 / TWO_PI)
+    w = u * (1.0 - u)
+    return (140.0 / TWO_PI) * w ** 3, (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
 
 
 def mapping_torus_system(spec: MappingTorusSpec, s: float,
@@ -76,66 +86,69 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float,
     """Time-one map of the mapping-torus Reeb flow with the variational
     Jacobian integrated alongside (RK4, analytic field derivatives)."""
 
-    def field_and_grad(states):
-        th, r = states[:, 0] % TWO_PI, states[:, 1]
-        thd = Dual.variable(th)
-        chi_p = poly_smoothstep7(thd * (1.0 / TWO_PI))
-        rd = Dual.variable(r)
-        tau = smooth_step_on(rd, *spec.tau_support) * (TWO_PI * spec.k_twists)
-        lam = 2.0 - r
-        # y = -chi' lam tau', with theta and r derivatives
-        y = -chi_p.d1 * lam * tau.d1
-        dy_dth = -chi_p.d2 * lam * tau.d1
-        dy_dr = -chi_p.d1 * (-tau.d1 + lam * tau.d2)
-        denom = 1.0 + s * lam * y
-        dden_dth = s * lam * dy_dth
-        dden_dr = s * (-y + lam * dy_dr)
-        vth = 1.0 / denom
-        vx = y / denom
-        grad = np.zeros((len(th), 3, 3))
-        grad[:, 0, 0] = -dden_dth / denom ** 2
-        grad[:, 0, 1] = -dden_dr / denom ** 2
-        grad[:, 2, 0] = (dy_dth * denom - y * dden_dth) / denom ** 2
-        grad[:, 2, 1] = (dy_dr * denom - y * dden_dr) / denom ** 2
-        vel = np.zeros((len(th), 3))
-        vel[:, 0] = vth
-        vel[:, 2] = vx
-        return vel, grad
-
-    def advance(states, t_total, with_jac):
+    def advance(states, t_total):
         y = states.copy().astype(float)
-        jac = np.tile(np.eye(3), (len(y), 1, 1))
+        m = len(y)
+        th, r, x = y[:, 0], y[:, 1], y[:, 2]
+        # the flow preserves r, so tau and lambda are constant on each orbit
+        tau = smooth_step_on(Dual.variable(r), *spec.tau_support) * (
+            TWO_PI * spec.k_twists)
+        lam = 2.0 - r
+
+        def field(theta):
+            """(theta_dot, x_dot) and their gradient in (theta, r) as a
+            (m, 3, 3) matrix field."""
+            chi1, chi2 = _chi_derivatives(theta % TWO_PI)
+            # Y = y_x d_x with y_x = -chi' lam tau', and its theta and r
+            # derivatives
+            yx = -chi1 * lam * tau.d1
+            denom = 1.0 + s * lam * yx
+            vth = 1.0 / denom
+            vx = yx / denom
+            dy_dth = -chi2 * lam * tau.d1
+            dy_dr = -chi1 * (-tau.d1 + lam * tau.d2)
+            dden_dth = s * lam * dy_dth
+            dden_dr = s * (-yx + lam * dy_dr)
+            grad = np.zeros((m, 3, 3))
+            grad[:, 0, 0] = -dden_dth / denom ** 2
+            grad[:, 0, 1] = -dden_dr / denom ** 2
+            grad[:, 2, 0] = (dy_dth * denom - yx * dden_dth) / denom ** 2
+            grad[:, 2, 1] = (dy_dr * denom - yx * dden_dr) / denom ** 2
+            return vth, vx, grad
+
+        jac = np.tile(np.eye(3), (m, 1, 1))
         n = max(1, int(round(abs(t_total) / dt)))
         h = t_total / n
         for _ in range(n):
-            k1, g1 = field_and_grad(y)
+            k1, l1, g1 = field(th)
+            k2, l2, g2 = field(th + 0.5 * h * k1)
+            k3, l3, g3 = field(th + 0.5 * h * k2)
+            k4, l4, g4 = field(th + h * k3)
+            th = th + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = x + h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
             j1 = np.einsum("mij,mjk->mik", g1, jac)
-            k2, g2 = field_and_grad(y + 0.5 * h * k1)
             j2 = np.einsum("mij,mjk->mik", g2, jac + 0.5 * h * j1)
-            k3, g3 = field_and_grad(y + 0.5 * h * k2)
             j3 = np.einsum("mij,mjk->mik", g3, jac + 0.5 * h * j2)
-            k4, g4 = field_and_grad(y + h * k3)
             j4 = np.einsum("mij,mjk->mik", g4, jac + h * j3)
-            y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             jac = jac + h / 6.0 * (j1 + 2 * j2 + 2 * j3 + j4)
-            # monodromy gluing when theta passes 2 pi
-            wrap = y[:, 0] >= TWO_PI
+            # monodromy gluing when theta passes 2 pi: x gains tau(r), so the
+            # differential adds tau' times the r row to the x row
+            wrap = th >= TWO_PI
             if wrap.any():
                 idx = np.flatnonzero(wrap)
-                y[idx, 0] -= TWO_PI
-                rd = Dual.variable(y[idx, 1])
-                tau = smooth_step_on(rd, *spec.tau_support) * (TWO_PI * spec.k_twists)
-                y[idx, 2] = y[idx, 2] + tau.v
-                glue = np.tile(np.eye(3), (len(idx), 1, 1))
-                glue[:, 2, 1] = tau.d1
-                jac[idx] = np.einsum("mij,mjk->mik", glue, jac[idx])
-        return y, jac
+                th[idx] -= TWO_PI
+                x[idx] = x[idx] + tau.v[idx]
+                jac[idx, 2] += tau.d1[idx, None] * jac[idx, 1]
+        return np.stack([th, r, x], axis=1), jac
+
+    def step_jacobian(states):
+        return advance(states, 1.0)
 
     def step(states):
-        return advance(states, 1.0, False)[0]
+        return step_jacobian(states)[0]
 
     def jacfn(states):
-        return advance(states, 1.0, True)[1]
+        return step_jacobian(states)[1]
 
     def sampler(m, rng):
         st = np.empty((m, 3))
@@ -144,9 +157,10 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float,
         st[:, 2] = rng.random(m) * TWO_PI
         return st
 
-    return DiscreteSystem("map", 3, step, jacfn, metric=_chart_metric,
+    return DiscreteSystem(3, step, jacfn, metric=_chart_metric,
                           sampler=sampler, period=TWO_PI,
-                          name=f"reeb_mapping_torus(s={s})")
+                          name=f"reeb_mapping_torus(s={s})",
+                          step_jacobian=step_jacobian)
 
 
 def collapse_sweep(spec: MappingTorusSpec, s_list=None, n_steps: int = 8,

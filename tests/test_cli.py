@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "entropia.cli"]
 
 
@@ -93,3 +95,52 @@ def test_out_file(tmp_path):
     res = run_cli("--out", str(out), "constants", "--n", "2..3")
     assert res.returncode == 0
     assert out.read_text().startswith("name,")
+
+
+def _one_line_error(res, code, text):
+    assert res.returncode == code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and text in lines[0], res.stderr
+
+
+@pytest.mark.parametrize("args, text", [
+    (("--s-min", "-1", "--s-max", "1"), "--s-min must be positive"),
+    (("--s-min", "0.1"), "--s-min and --s-max must be given together"),
+    (("--horizon", "4"), "--horizon 8 or more"),
+    (("--grid", "0"), "must be at least 1"),
+    (("--steps", "0"), "must be at least 1"),
+])
+def test_collapse_bad_sweep_is_usage_error(args, text):
+    res = run_cli("collapse", "--steps", "2", *args)
+    _one_line_error(res, 1, text)
+
+
+def test_estimate_gamma_short_horizon_is_usage_error():
+    res = run_cli("estimate", "--what", "gamma", "--horizon", "4")
+    _one_line_error(res, 1, "--horizon 8 or more")
+
+
+def test_estimate_htop_long_horizon_is_usage_error():
+    res = run_cli("estimate", "--what", "htop", "--horizon", "64",
+                  "--cloud", "100")
+    _one_line_error(res, 1, "--horizon from 1 to 8")
+
+
+def test_estimate_htop_over_budget_is_usage_error():
+    res = run_cli("estimate", "--what", "htop", "--horizon", "8",
+                  "--cloud", "10000000")
+    _one_line_error(res, 1, "exceeds budget")
+
+
+def test_collapse_numeric_value_error_is_not_usage_error(monkeypatch):
+    from entropia import cli
+
+    def broken_sweep(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "collapse_sweep", broken_sweep)
+    config = cli.RunConfig("collapse", args={"steps": 2, "horizon": 8})
+    with pytest.raises(ValueError) as info:
+        cli.run(config)
+    assert type(info.value) is ValueError
