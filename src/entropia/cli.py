@@ -1,7 +1,14 @@
 """Command-line interface: every module as a subcommand with reproducible
 seeds and CSV/JSON emission.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure (a numeric
+Click is the only argument layer: it types and defaults every option once
+and hands the typed values to the subcommand, which builds its rows from
+them.  The `--n`/`--genus` ranges and the `--delta` list are parsed once,
+in their subcommands.  `--tol fit=X` overrides the volume-fit tolerance of
+`collapse` and is accepted with `collapse` only.
+
+Exit codes: 0 success, 1 usage error (every argument error, click's
+included, reported as one line on stderr), 2 validation failure (a numeric
 invariant violated at run time); any other error ends in a traceback.
 All output is deterministic for a fixed (argv, seed).
 """
@@ -15,10 +22,12 @@ from dataclasses import dataclass, field
 
 import click
 import numpy as np
+from click import UsageError
 
 from . import entropy_bounds as eb
 from . import entropy_estimators as ee
 from .convex_body import (
+    BodyError,
     StarBody,
     inner_loewner,
     irreversibility_ratio,
@@ -31,13 +40,21 @@ from .reeb_collapse import FormsError, MappingTorusSpec, build_profiles
 from .reeb_collapse.profiles import ProfileError
 from .reeb_collapse.sweep import collapse_sweep
 
+# relative residual allowed to the collapse volume fit, unless --tol fit=X
+_FIT_TOL = 0.01
+# trajectories per Gamma estimate in a collapse sweep
+_GAMMA_STATES = 24
+
 
 @dataclass
 class RunConfig:
+    """What the `config` column hashes: the subcommand, the seed and the
+    typed option values in args."""
+
     subcommand: str
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
+    seed: int
+    out: str | None
+    fmt: str
     args: dict = field(default_factory=dict)
 
     def digest(self) -> str:
@@ -47,8 +64,10 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _emit(config: RunConfig, rows: list):
-    """Serialize rows (list of dicts) as CSV or JSON with the config hash."""
+def _emit(config: RunConfig, rows: list, **args):
+    """Serialize rows (list of dicts) as CSV or JSON with the config hash;
+    args are the subcommand's option values."""
+    config.args.update(args)
     cfg = config.digest()
     for row in rows:
         row["config"] = cfg
@@ -73,7 +92,61 @@ def _emit(config: RunConfig, rows: list):
         sys.stdout.write(payload)
 
 
-def _report_rows(reports):
+class ValidationFailure(Exception):
+    pass
+
+
+# numeric invariants that the collapse and estimate layers check at run time
+_VALIDATION_ERRORS = (ValidationFailure, FormsError, ProfileError,
+                      ee.EstimatorError)
+
+
+def run(argv) -> int:
+    """Parse argv, run the subcommand and emit its rows; returns the process
+    exit code.  Any exception other than a usage error or a validation
+    failure propagates."""
+    fmt = None  # errors before --format is parsed are plain text
+    try:
+        with main.make_context("entropia", list(argv)) as ctx:
+            fmt = ctx.params["fmt"]
+            main.invoke(ctx)
+        return 0
+    except click.exceptions.Exit as exc:  # --help
+        return exc.exit_code
+    except UsageError as exc:
+        _fail(fmt, f"usage error: {exc.format_message()}")
+        return 1
+    except _VALIDATION_ERRORS as exc:
+        _fail(fmt, str(exc))
+        return 2
+
+
+def _fail(fmt, message):
+    if fmt == "json":
+        sys.stderr.write(json.dumps({"error": message}) + "\n")
+    else:
+        sys.stderr.write(message + "\n")
+
+
+def _parse_range(flag: str, text: str) -> list:
+    """'LO..HI' (inclusive) or 'N' as a non-empty list of ints."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise UsageError(f"{flag} expects N or LO..HI, got {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} range {text} is empty")
+    return values
+
+
+def _report_rows(report, *args) -> list:
+    """Rows of an entropy_bounds report.  The report layer checks its own
+    inputs, so every error it raises is a usage error."""
+    try:
+        reports = report(*args)
+    except (eb.BoundsError, ValueError, KeyError) as exc:
+        raise UsageError(str(exc)) from exc
     return [
         {"name": r.name, "value": repr(r.value),
          "inputs": json.dumps(r.inputs, sort_keys=True),
@@ -82,279 +155,78 @@ def _report_rows(reports):
     ]
 
 
-class ValidationFailure(Exception):
-    pass
+class _FitTolerance(click.ParamType):
+    """`fit=VALUE`, the one tolerance `--tol` overrides."""
+
+    name = "fit=VALUE"
+
+    def convert(self, value, param, ctx):
+        key, _, number = value.partition("=")
+        if key != "fit":
+            self.fail(f"only fit=VALUE is known, got {value!r}", param, ctx)
+        return click.FLOAT.convert(number, param, ctx)
 
 
-class UsageError(ValueError):
-    """Bad command-line input (exit 1)."""
+class _Entropia(click.Group):
+    """The `entropia` group.  Every invocation goes through run(), so
+    click's own usage errors exit 1 with one line, as ours do, with or
+    without click's standalone mode."""
 
-
-# numeric invariants that the collapse and estimate layers check at run time
-_VALIDATION_ERRORS = (ValidationFailure, FormsError, ProfileError,
-                      ee.EstimatorError)
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a RunConfig; returns the process exit code.  Any exception
-    other than a usage error or a validation failure propagates."""
-    try:
-        rows = _dispatch(config)
-        _emit(config, rows)
-        return 0
-    except UsageError as exc:
-        _fail(config, f"usage error: {exc}")
-        return 1
-    except _VALIDATION_ERRORS as exc:
-        _fail(config, str(exc))
-        return 2
-
-
-def _fail(config, message):
-    if config.fmt == "json":
-        sys.stderr.write(json.dumps({"error": message}) + "\n")
-    else:
-        sys.stderr.write(message + "\n")
-
-
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
-
-
-def _dispatch(config: RunConfig) -> list:
-    cmd = config.subcommand
-    a = config.args
-    if cmd == "collapse":
-        return _collapse_rows(a, config.seed)
-    if cmd == "estimate":
-        return _estimate_rows(a, config.seed)
-    if cmd not in _REPORTS:
-        raise UsageError(f"unknown subcommand {cmd}")
-    # the report layers check their own inputs: every error they raise
-    # short of a validation failure is a usage error
-    try:
-        return _REPORTS[cmd](a)
-    except (eb.BoundsError, ValueError, KeyError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _spectrum_rows(a) -> list:
-    v, h, n, c = (float(a["v_bar"]), float(a["h"]), int(a["n"]),
-                  float(a["c"]))
-    try:
-        delta = eb.spectrum_tuner(v, h, n, c)
-    except eb.TargetBelowRange as exc:
-        raise ValidationFailure(str(exc)) from exc
-    check = eb.spectrum_value(v, h, n, delta)
-    return [{"name": "delta", "value": repr(delta),
-             "inputs": json.dumps({"v_bar": v, "h": h, "n": n, "c": c}),
-             "formula_id": "spectrum_tuner",
-             "tolerance": abs(check - c) / c}]
-
-
-def _bodies_rows(a) -> list:
-    path = a.get("body")
-    if path:
-        with open(path) as fh:
-            body = StarBody.from_json(fh.read())
-    else:
-        body = StarBody.ball(2)
-    rows = []
-
-    def add(name, value, formula, tol):
-        rows.append({"name": name, "value": repr(float(value)),
-                     "inputs": json.dumps({"dim": body.dim}),
-                     "formula_id": formula, "tolerance": tol})
-
-    vol_method = "exact2d" if body.dim == 2 else "radial_quadrature"
-    add("volume", volume(body, vol_method), vol_method, 0.0)
-    sigma, _ = sigma_starshapedness(body)
-    add("sigma_upper", sigma, "sigma_starshapedness", 0.0)
-    from .convex_body import is_convex
-
-    if is_convex(body):
-        add("theta", irreversibility_ratio(body), "irreversibility_ratio", 0.0)
-        outer = outer_loewner(body)
-        add("outer_loewner_volume", outer.volume, "outer_loewner", 1e-6)
-        if body.is_symmetric(tol=1e-7):
-            inner = inner_loewner(body)
-            add("inner_loewner_volume", inner.volume, "inner_loewner", 1e-6)
-        dual = polar_dual(body)
-        add("santalo_product",
-            volume(body, vol_method) * volume(dual, vol_method),
-            "santalo", 1e-3)
-    return rows
-
-
-_REPORTS = {
-    "constants": lambda a: _report_rows(
-        eb.constants_report(_parse_range(a.get("n", "2..6")))),
-    "bounds": lambda a: _report_rows(
-        eb.floors_report(_parse_range(a.get("genus", "2..5")))),
-    "verovic": lambda a: _report_rows(eb.verovic_report(int(a.get("k_max", 6)))),
-    "sl3": lambda a: _report_rows(eb.sl3_report()),
-    "spectrum": _spectrum_rows,
-    "bodies": _bodies_rows,
-}
-
-
-def _collapse_rows(a, seed) -> list:
-    s_min = a.get("s_min")
-    s_max = a.get("s_max")
-    if (s_min is None) != (s_max is None):
-        raise UsageError("--s-min and --s-max must be given together")
-    try:
-        if a.get("spec"):
-            with open(a["spec"]) as fh:
-                spec = MappingTorusSpec.from_json(json.load(fh))
-        else:
-            spec = MappingTorusSpec(k_twists=int(a.get("twists", 1)))
-        steps, returns, grid, horizon, states = (
-            int(a.get(key, default)) for key, default in
-            (("steps", 8), ("returns", 32), ("grid", 256), ("horizon", 16),
-             ("states", 24)))
-        fit_tol = float(a.get("tol", {}).get("fit", 0.01))
-        s_bounds = None if s_min is None else (float(s_min), float(s_max))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-    if min(steps, returns, grid) < 1:
-        raise UsageError("--steps, --returns and --grid must be at least 1")
-    if horizon < 8:
-        raise UsageError(f"collapse needs --horizon 8 or more, got {horizon}")
-    s_list = None
-    if s_bounds is not None:
-        for flag, value in zip(("--s-min", "--s-max"), s_bounds):
-            if not value > 0.0:
-                raise UsageError(f"{flag} must be positive, got {value}")
-        s_list = list(np.linspace(*s_bounds, steps))
-    rows, fit, meta = collapse_sweep(
-        spec, s_list=s_list, n_steps=steps,
-        n_returns=returns, gamma_horizon=horizon,
-        gamma_states=states, seed=seed, grid=grid, fit_tol=fit_tol)
-    out = []
-    for row in rows:
-        out.append({k: repr(float(v)) for k, v in row.items()})
-        out[-1]["formula_id"] = "collapse_sweep"
-        out[-1]["tolerance"] = fit["residual"]
-    return out
-
-
-_SYSTEMS = {
-    "cat": ee.cat_system,
-    "rotation": lambda: ee.rotation_system(0.37),
-    "doubling": ee.doubling_system,
-}
-
-
-def _estimate_rows(a, seed) -> list:
-    what = a.get("what", "gamma")
-    name = a.get("system", "cat")
-    try:
-        horizon = int(a.get("horizon", 48))
-        deltas = [float(x) for x in a.get("delta", "0.3,0.2").split(",")]
-        cloud = int(a.get("cloud", 20000))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-    rows = []
-    if what == "hvol":
-        if name != "hyperbolic":
-            raise UsageError("hvol estimates support the hyperbolic geometry")
-        est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
-    else:
-        if name == "reeb-solid-torus":
-            from .reeb_collapse.sweep import solid_torus_system
-
-            profiles = build_profiles(1.0, 0.1, "dim3")
-            sys_ = solid_torus_system(profiles, s=0.05)
-        elif name in _SYSTEMS:
-            sys_ = _SYSTEMS[name]()
-        else:
-            raise UsageError(f"unknown system {name}")
-        if what == "gamma":
-            if horizon < 8:
-                raise UsageError(f"gamma needs --horizon 8 or more, got {horizon}")
-            est = ee.gamma_plus(sys_, horizon, seed=seed)
-        elif what == "htop":
-            if not 1 <= horizon <= 8:
-                raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
-            try:
-                est = ee.htop_separated(sys_, deltas, horizon,
-                                        n_candidates=cloud, seed=seed)
-            except ee.BudgetExceeded as exc:
-                # the budget caps --cloud x --delta x --horizon: an input size
-                raise UsageError(str(exc)) from exc
-        else:
-            raise UsageError(f"unknown estimate {what}")
-    rows.append({
-        "name": f"{what}({name})", "value": repr(est.value),
-        "inputs": json.dumps({"horizon": est.horizon, "samples": est.samples,
-                              "delta": est.delta}),
-        "formula_id": what, "tolerance": est.fit_residual,
-    })
-    return rows
+    def main(self, args=None, **_):
+        sys.exit(run(sys.argv[1:] if args is None else args))
 
 
 # ------------------------------------------------------------------- click
 
-@click.group()
+@click.group(cls=_Entropia, no_args_is_help=False)
 @click.option("--seed", default=0, type=int, show_default=True,
               help="Seed for every stochastic component.")
 @click.option("--out", default=None, type=str, help="Output path (default stdout).")
 @click.option("--format", "fmt", default="csv",
               type=click.Choice(["csv", "json"]), show_default=True)
-@click.option("--tol", multiple=True, metavar="KEY=VALUE",
-              help="Tolerance overrides, e.g. --tol fit=0.02 (repeatable).")
+@click.option("--tol", multiple=True, type=_FitTolerance(), metavar="fit=VALUE",
+              help="collapse only: the volume fit's relative residual bound "
+                   f"[default: fit={_FIT_TOL}]; the last one given wins.")
 @click.pass_context
 def main(ctx, seed, out, fmt, tol):
     """Entropy machinery: constants, bounds, bodies, collapse, estimates."""
-    overrides = {}
-    for item in tol:
-        key, _, value = item.partition("=")
-        overrides[key] = float(value)
-    ctx.obj = {"seed": seed, "out": out, "fmt": fmt, "tol": overrides}
-
-
-def _run_and_exit(ctx, subcommand, args):
-    args = dict(args)
-    if ctx.obj["tol"]:
-        args["tol"] = ctx.obj["tol"]
-    config = RunConfig(subcommand, ctx.obj["seed"], ctx.obj["out"],
-                       ctx.obj["fmt"], args)
-    sys.exit(run(config))
+    ctx.obj = RunConfig(ctx.invoked_subcommand, seed, out, fmt)
+    if tol:
+        if ctx.invoked_subcommand != "collapse":
+            raise UsageError("--tol applies to collapse only")
+        ctx.obj.args["tol"] = {"fit": tol[-1]}
 
 
 @main.command()
 @click.option("--n", default="2..6", show_default=True)
-@click.pass_context
-def constants(ctx, n):
+@click.pass_obj
+def constants(config, n):
     """Dimension constants c_n."""
-    _run_and_exit(ctx, "constants", {"n": n})
+    _emit(config, _report_rows(eb.constants_report, _parse_range("--n", n)), n=n)
 
 
 @main.command()
 @click.option("--genus", default="2..5", show_default=True)
-@click.pass_context
-def bounds(ctx, genus):
+@click.pass_obj
+def bounds(config, genus):
     """Katok and Finsler entropy floors."""
-    _run_and_exit(ctx, "bounds", {"genus": genus})
+    _emit(config, _report_rows(eb.floors_report, _parse_range("--genus", genus)),
+          genus=genus)
 
 
 @main.command()
-@click.option("--k-max", default=6, show_default=True)
-@click.pass_context
-def verovic(ctx, k_max):
+@click.option("--k-max", default=6, show_default=True, type=click.IntRange(min=2))
+@click.pass_obj
+def verovic(config, k_max):
     """Rank-k symmetric-space constants."""
-    _run_and_exit(ctx, "verovic", {"k_max": k_max})
+    _emit(config, _report_rows(eb.verovic_report, k_max), k_max=k_max)
 
 
 @main.command()
-@click.pass_context
-def sl3(ctx):
+@click.pass_obj
+def sl3(config):
     """SL(3)/SO(3) hexagon constants."""
-    _run_and_exit(ctx, "sl3", {})
+    _emit(config, _report_rows(eb.sl3_report))
 
 
 @main.command()
@@ -362,19 +234,63 @@ def sl3(ctx):
 @click.option("--h", required=True, type=float)
 @click.option("--n", required=True, type=int)
 @click.option("--c", required=True, type=float)
-@click.pass_context
-def spectrum(ctx, v_bar, h, n, c):
+@click.pass_obj
+def spectrum(config, v_bar, h, n, c):
     """Solve the entropy-spectrum tuning equation for delta."""
-    _run_and_exit(ctx, "spectrum", {"v_bar": v_bar, "h": h, "n": n, "c": c})
+    try:
+        delta = eb.spectrum_tuner(v_bar, h, n, c)
+    except eb.TargetBelowRange as exc:
+        raise ValidationFailure(str(exc)) from exc
+    except eb.BoundsError as exc:
+        raise UsageError(str(exc)) from exc
+    check = eb.spectrum_value(v_bar, h, n, delta)
+    _emit(config, [{"name": "delta", "value": repr(delta),
+                    "inputs": json.dumps({"v_bar": v_bar, "h": h, "n": n, "c": c}),
+                    "formula_id": "spectrum_tuner",
+                    "tolerance": abs(check - c) / c}],
+          v_bar=v_bar, h=h, n=n, c=c)
 
 
 @main.command()
 @click.option("--body", default=None, type=str,
               help="Path to a body JSON file (default: unit disk).")
-@click.pass_context
-def bodies(ctx, body):
+@click.pass_obj
+def bodies(config, body):
     """Convex-geometric summary of a star body."""
-    _run_and_exit(ctx, "bodies", {"body": body})
+    if body:
+        try:
+            with open(body) as fh:
+                star = StarBody.from_json(fh.read())
+        except (OSError, ValueError, KeyError, TypeError, BodyError) as exc:
+            raise UsageError(
+                f"cannot read --body {body}: {type(exc).__name__}: {exc}") from exc
+    else:
+        star = StarBody.ball(2)
+    rows = []
+
+    def add(name, value, formula, tol):
+        rows.append({"name": name, "value": repr(float(value)),
+                     "inputs": json.dumps({"dim": star.dim}),
+                     "formula_id": formula, "tolerance": tol})
+
+    vol_method = "exact2d" if star.dim == 2 else "radial_quadrature"
+    add("volume", volume(star, vol_method), vol_method, 0.0)
+    sigma, _ = sigma_starshapedness(star)
+    add("sigma_upper", sigma, "sigma_starshapedness", 0.0)
+    from .convex_body import is_convex
+
+    if is_convex(star):
+        add("theta", irreversibility_ratio(star), "irreversibility_ratio", 0.0)
+        outer = outer_loewner(star)
+        add("outer_loewner_volume", outer.volume, "outer_loewner", 1e-6)
+        if star.is_symmetric(tol=1e-7):
+            inner = inner_loewner(star)
+            add("inner_loewner_volume", inner.volume, "inner_loewner", 1e-6)
+        dual = polar_dual(star)
+        add("santalo_product",
+            volume(star, vol_method) * volume(dual, vol_method),
+            "santalo", 1e-3)
+    _emit(config, rows, body=body)
 
 
 @main.command()
@@ -386,19 +302,56 @@ def bodies(ctx, body):
 @click.option("--horizon", default=16, show_default=True)
 @click.option("--grid", default=256, show_default=True,
               help="Quadrature grid per axis for the volume integrals.")
-@click.option("--spec", "spec_file", default=None, type=str,
+@click.option("--spec", default=None, type=str,
               help="Path to a MappingTorusSpec JSON file.")
-@click.pass_context
-def collapse(ctx, s_min, s_max, steps, twists, returns, horizon, grid,
-             spec_file):
+@click.pass_obj
+def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
     """Entropy-collapse sweep over the contact parameter s."""
     args = {"steps": steps, "twists": twists, "returns": returns,
-            "horizon": horizon, "grid": grid, "spec": spec_file}
+            "horizon": horizon, "grid": grid, "spec": spec}
+    if (s_min is None) != (s_max is None):
+        raise UsageError("--s-min and --s-max must be given together")
+    if spec:
+        try:
+            with open(spec) as fh:
+                mt_spec = MappingTorusSpec.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(
+                f"cannot read --spec {spec}: {type(exc).__name__}: {exc}") from exc
+    else:
+        mt_spec = MappingTorusSpec(k_twists=twists)
+    if min(steps, returns, grid) < 1:
+        raise UsageError("--steps, --returns and --grid must be at least 1")
+    if steps < 2:
+        raise UsageError("collapse fits vol(s) = a s + b s^2 and needs --steps 2 or more")
+    if horizon < 8:
+        raise UsageError(f"collapse needs --horizon 8 or more, got {horizon}")
+    s_list = None
     if s_min is not None:
-        args["s_min"] = s_min
-    if s_max is not None:
-        args["s_max"] = s_max
-    _run_and_exit(ctx, "collapse", args)
+        for flag, value in (("--s-min", s_min), ("--s-max", s_max)):
+            if not value > 0.0:
+                raise UsageError(f"{flag} must be positive, got {value}")
+        s_list = list(np.linspace(s_min, s_max, steps))
+        # an omitted --s-min/--s-max stays out of the config hash
+        args.update(s_min=s_min, s_max=s_max)
+    fit_tol = config.args["tol"]["fit"] if "tol" in config.args else _FIT_TOL
+    rows, fit, _ = collapse_sweep(
+        mt_spec, s_list=s_list, n_steps=steps,
+        n_returns=returns, gamma_horizon=horizon,
+        gamma_states=_GAMMA_STATES, seed=config.seed, grid=grid, fit_tol=fit_tol)
+    out = []
+    for row in rows:
+        out.append({k: repr(float(v)) for k, v in row.items()})
+        out[-1]["formula_id"] = "collapse_sweep"
+        out[-1]["tolerance"] = fit["residual"]
+    _emit(config, out, **args)
+
+
+_SYSTEMS = {
+    "cat": ee.cat_system,
+    "rotation": lambda: ee.rotation_system(0.37),
+    "doubling": ee.doubling_system,
+}
 
 
 @main.command()
@@ -410,14 +363,53 @@ def collapse(ctx, s_min, s_max, steps, twists, returns, horizon, grid,
 @click.option("--delta", default="0.3,0.2", show_default=True)
 @click.option("--cloud", default=20000, show_default=True,
               help="Candidate cloud size for separated-set estimates.")
-@click.pass_context
-def estimate(ctx, system, what, horizon, delta, cloud):
+@click.pass_obj
+def estimate(config, system, what, horizon, delta, cloud):
     """Finite-horizon entropy and norm-growth estimates."""
     if horizon is None:
         horizon = 8 if what == "htop" else 48
-    _run_and_exit(ctx, "estimate",
-                  {"system": system, "what": what, "horizon": horizon,
-                   "delta": delta, "cloud": cloud})
+    try:
+        deltas = [float(x) for x in delta.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"--delta expects comma-separated numbers, got {delta!r}") from None
+    if not all(d > 0.0 for d in deltas):
+        raise UsageError(f"--delta values must be positive, got {delta!r}")
+    if what == "hvol":
+        if system != "hyperbolic":
+            raise UsageError("hvol estimates support the hyperbolic geometry")
+        est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
+    else:
+        if system == "reeb-solid-torus":
+            from .reeb_collapse.sweep import solid_torus_system
+
+            profiles = build_profiles(1.0, 0.1, "dim3")
+            sys_ = solid_torus_system(profiles, s=0.05)
+        elif system in _SYSTEMS:
+            sys_ = _SYSTEMS[system]()
+        else:
+            raise UsageError(f"unknown system {system}")
+        if what == "gamma":
+            if horizon < 8:
+                raise UsageError(f"gamma needs --horizon 8 or more, got {horizon}")
+            est = ee.gamma_plus(sys_, horizon, seed=config.seed)
+        else:
+            if not 1 <= horizon <= 8:
+                raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
+            try:
+                est = ee.htop_separated(sys_, deltas, horizon,
+                                        n_candidates=cloud, seed=config.seed)
+            except ee.BudgetExceeded as exc:
+                # the budget caps --cloud x --delta x --horizon: an input size
+                raise UsageError(str(exc)) from exc
+    rows = [{
+        "name": f"{what}({system})", "value": repr(est.value),
+        "inputs": json.dumps({"horizon": est.horizon, "samples": est.samples,
+                              "delta": est.delta}),
+        "formula_id": what, "tolerance": est.fit_residual,
+    }]
+    _emit(config, rows, system=system, what=what, horizon=horizon,
+          delta=delta, cloud=cloud)
 
 
 if __name__ == "__main__":

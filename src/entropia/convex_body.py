@@ -183,6 +183,16 @@ def _hull(points: np.ndarray) -> ConvexHull:
         raise DegenerateBody(f"point cloud is degenerate: {exc}") from exc
 
 
+def _min_over_facets(x: np.ndarray, normals: np.ndarray, value) -> np.ndarray:
+    """Row minima of value(x @ normals.T), in chunks of about 4e6 entries."""
+    out = np.empty(len(x))
+    chunk = max(1, int(4e6) // max(len(normals), 1))
+    for lo in range(0, len(x), chunk):
+        sl = slice(lo, min(lo + chunk, len(x)))
+        out[sl] = value(x[sl] @ normals.T).min(axis=1)
+    return out
+
+
 def hull_radial(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Radial function of conv(points) (origin interior) by facet ray casting."""
     hull = _hull(points)
@@ -190,14 +200,8 @@ def hull_radial(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     b = hull.equations[:, -1]
     if np.any(b >= 0.0):
         raise OriginNotInterior("origin is not interior to the hull")
-    rad = np.empty(len(directions))
-    chunk = max(1, int(4e6) // max(len(A), 1))
-    for lo in range(0, len(directions), chunk):
-        sl = slice(lo, min(lo + chunk, len(directions)))
-        denom = directions[sl] @ A.T
-        t = np.where(denom > 1e-300, -b[None, :] / np.where(denom > 0, denom, 1.0), np.inf)
-        rad[sl] = t.min(axis=1)
-    return rad
+    return _min_over_facets(directions, A, lambda denom: np.where(
+        denom > 1e-300, -b[None, :] / np.where(denom > 0, denom, 1.0), np.inf))
 
 
 def is_convex(body: StarBody) -> bool:
@@ -211,11 +215,7 @@ def is_convex(body: StarBody) -> bool:
     A = hull.equations[:, :-1]
     b = hull.equations[:, -1]
     # distance of each sample to the hull boundary (samples are inside by def)
-    depth = np.empty(len(pts))
-    chunk = max(1, int(4e6) // max(len(A), 1))
-    for lo in range(0, len(pts), chunk):
-        sl = slice(lo, min(lo + chunk, len(pts)))
-        depth[sl] = (-(pts[sl] @ A.T) - b[None, :]).min(axis=1)
+    depth = _min_over_facets(pts, A, lambda prod: -prod - b[None, :])
     ok = bool(depth.max() <= max(EPS_HULL_REL * diam, 1e-12))
     body.convex_flag = ok
     return ok
@@ -268,13 +268,8 @@ def difference_body(body: StarBody) -> StarBody:
     h_plus = (pts @ cand.T).max(axis=0)
     h_minus = (pts @ (-cand.T)).max(axis=0)
     hsum = h_plus + h_minus
-    rad = np.empty(len(body.directions))
-    chunk = max(1, int(4e6) // max(len(cand), 1))
-    for lo in range(0, len(body.directions), chunk):
-        sl = slice(lo, min(lo + chunk, len(body.directions)))
-        denom = body.directions[sl] @ cand.T
-        q = np.where(denom > 1e-12, hsum[None, :] / np.where(denom > 0, denom, 1.0), np.inf)
-        rad[sl] = q.min(axis=1)
+    rad = _min_over_facets(body.directions, cand, lambda denom: np.where(
+        denom > 1e-12, hsum[None, :] / np.where(denom > 0, denom, 1.0), np.inf))
     out = StarBody(body.dim, body.directions, rad, convex_flag=True)
     out.meta["op"] = "difference_body"
     return out

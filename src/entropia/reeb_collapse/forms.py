@@ -70,32 +70,26 @@ class FlowState:
 
 # --------------------------------------------------------------- mapping torus
 
-@dataclass
-class MappingTorusSpec:
-    """Annulus page [1, 3] x S^1, lambda = (2 - r) dx, k-fold Dehn twist.
+class _TwistedPage:
+    """The monodromy and cutoff shared by the page instances, which carry
+    `k_twists` and `tau_support`.
 
-    tau is a smooth monotone step of total increment 2 pi k supported in
-    the middle of the annulus; chi is the 7th-order polynomial smoothstep
-    in theta / 2 pi (chi' vanishes to third order at the ends).
+    tau is the k-fold Dehn-twist angle, a smooth monotone step of total
+    increment 2 pi k on tau_support; chi is the 7th-order polynomial
+    smoothstep in theta / 2 pi (chi' vanishes to third order at the ends).
     """
 
-    k_twists: int = 1
-    s: float = 0.01
-    r_range: tuple = (1.0, 3.0)
-    tau_support: tuple = (1.3, 2.7)
-    meta: dict = field(default_factory=dict, compare=False)
-
-    # -- building blocks ----------------------------------------------------
-
-    def _tau_dual(self, r) -> Dual:
+    def tau_dual(self, r) -> Dual:
+        """tau(r) with its first and second derivatives in r."""
         a, b = self.tau_support
-        return smooth_step_on(r, a, b) * (TWO_PI * self.k_twists)
+        return smooth_step_on(Dual.variable(np.asarray(r, float)), a, b) * (
+            TWO_PI * self.k_twists)
 
     def tau(self, r):
-        return self._tau_dual(Dual.variable(np.asarray(r, float))).v
+        return self.tau_dual(r).v
 
     def tau_prime(self, r):
-        return self._tau_dual(Dual.variable(np.asarray(r, float))).d1
+        return self.tau_dual(r).d1
 
     def _chi_dual(self, theta) -> Dual:
         td = Dual.variable(np.asarray(theta, float))
@@ -106,6 +100,18 @@ class MappingTorusSpec:
 
     def chi_prime(self, theta):
         return self._chi_dual(theta).d1
+
+
+@dataclass
+class MappingTorusSpec(_TwistedPage):
+    """Annulus page [1, 3] x S^1, lambda = (2 - r) dx, k-fold Dehn twist
+    tau supported in the middle of the annulus."""
+
+    k_twists: int = 1
+    s: float = 0.01
+    r_range: tuple = (1.0, 3.0)
+    tau_support: tuple = (1.3, 2.7)
+    meta: dict = field(default_factory=dict, compare=False)
 
     def lam(self, r):
         """Coefficient of dx in the primitive lambda."""
@@ -163,12 +169,14 @@ def mapping_torus_reeb(spec: MappingTorusSpec, state, s: float | None = None):
 
 def contact_threshold(spec: MappingTorusSpec, grid: int = 64,
                       tol: float = 1e-4, cap: float = S_SCAN_CAP):
-    """(s0, s1): contactness and bounded-speed thresholds, by bisection.
+    """(s0, s1): contactness and bounded-speed thresholds.
 
-    s0 is the largest grid-verified s with alpha_s ^ dalpha_s > 0 on a
-    grid^3 lattice; s1 the largest s with 1/2 <= theta_dot <= 2 there.
-    The instance is x-independent, so the x-axis of the lattice carries
-    identical values.  tau' == 0 yields the scan cap for both.
+    s0 is (1 - tol) times the largest s with alpha_s ^ dalpha_s > 0 on a
+    grid^3 lattice (refined around the extremum of lambda_theta(Y)); s1 is
+    (1 - tol) times the largest s with 1/2 <= theta_dot <= 2 there, at most
+    s0.  The instance is x-independent, so the x-axis of the lattice
+    carries identical values.  tau' == 0 yields the scan cap for both.
+    Raises GridTooCoarse when a threshold fails the lattice test.
     """
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     r = np.linspace(spec.r_range[0], spec.r_range[1], grid)
@@ -198,36 +206,20 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64,
     neg = max(float(-lam_y.min()), refine(-1.0))  # kills contactness
     pos = max(float(lam_y.max()), refine(+1.0))
 
-    def bisect(limit):
-        if limit <= 0.0:
-            return cap
-        lo, hi = 0.0, 1.0 / limit
-        return hi * (1.0 - tol)
+    def below(limit):
+        return cap if limit <= 0.0 else 1.0 / limit * (1.0 - tol)
 
     # contactness: 1 + s lam_y > 0  <=>  s < 1/neg
-    s0 = bisect(neg)
+    s0 = below(neg)
     # speed: 1/2 <= 1/(1 + s lam_y) <= 2  <=>  s <= 1/(2 neg) and s <= 1/(2 pos)
-    s1 = min(bisect(2.0 * neg), bisect(2.0 * pos), s0)
-    # bisection refinement against the grid test keeps the contract honest
-    def verify(s, bound):
-        q = 1.0 + s * lam_y
-        return bool(q.min() > 0.0) if bound == "contact" else bool(
-            q.min() >= 0.5 and q.max() <= 2.0)
-
-    for name, guess, kind in (("s0", s0, "contact"), ("s1", s1, "speed")):
-        if guess < cap and not verify(guess, kind):
-            lo, hi = 0.0, guess
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if verify(mid, kind):
-                    lo = mid
-                else:
-                    hi = mid
-            if name == "s0":
-                s0 = lo
-            else:
-                s1 = lo
-    return s0, min(s1, s0)
+    s1 = min(below(2.0 * neg), below(2.0 * pos), s0)
+    # neg and pos bound the lattice extrema, so for tol in (0, 1) both tests
+    # hold with room to spare
+    q0, q1 = 1.0 + s0 * lam_y, 1.0 + s1 * lam_y
+    if (s0 < cap and not q0.min() > 0.0) or (
+            s1 < cap and not (q1.min() >= 0.5 and q1.max() <= 2.0)):
+        raise GridTooCoarse(f"thresholds s0={s0}, s1={s1} fail the lattice test")
+    return s0, s1
 
 
 def return_map_and_time(spec: MappingTorusSpec, start, s: float | None = None,
@@ -400,7 +392,7 @@ def normalize_form(vol: float, n: int, gamma_or_h: float):
 # --------------------------------------------------------------- open book 3d
 
 @dataclass
-class OpenBook3D:
+class OpenBook3D(_TwistedPage):
     """The one-dimensional-binding instance of the general construction.
 
     Page (0, R] x S^1 with ideal primitive lambda = (eps_hat / r) dx,
@@ -423,17 +415,6 @@ class OpenBook3D:
     @property
     def eps_hat(self) -> float:
         return self.eps / TWO_PI
-
-    def _tau_dual(self, r) -> Dual:
-        a, b = self.tau_support
-        return smooth_step_on(r, a, b) * (TWO_PI * self.k_twists)
-
-    def tau_prime(self, r):
-        return self._tau_dual(Dual.variable(np.asarray(r, float))).d1
-
-    def chi_prime(self, theta):
-        td = Dual.variable(np.asarray(theta, float))
-        return poly_smoothstep7(td * (1.0 / TWO_PI)).d1
 
     def lambda_theta_of_y(self, theta, r):
         """lambda_theta(Y) = -eps_hat chi'(theta) tau'(r)."""

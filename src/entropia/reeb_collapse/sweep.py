@@ -4,7 +4,6 @@ the glued contact forms over a range of s."""
 import numpy as np
 
 from ..entropy_estimators import DiscreteSystem, gamma_plus
-from .duals import Dual, smooth_step_on
 from .forms import (
     MappingTorusSpec,
     collapse_volumes,
@@ -91,8 +90,7 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float,
         m = len(y)
         th, r, x = y[:, 0], y[:, 1], y[:, 2]
         # the flow preserves r, so tau and lambda are constant on each orbit
-        tau = smooth_step_on(Dual.variable(r), *spec.tau_support) * (
-            TWO_PI * spec.k_twists)
+        tau = spec.tau_dual(r)
         lam = 2.0 - r
 
         def field(theta):

@@ -140,7 +140,72 @@ def test_collapse_numeric_value_error_is_not_usage_error(monkeypatch):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(cli, "collapse_sweep", broken_sweep)
-    config = cli.RunConfig("collapse", args={"steps": 2, "horizon": 8})
     with pytest.raises(ValueError) as info:
-        cli.run(config)
+        cli.run(["collapse", "--steps", "2", "--horizon", "8"])
     assert type(info.value) is ValueError
+
+
+# `config` values recorded before click became the only argument layer
+@pytest.mark.parametrize("args, digest", [
+    (("constants",), "3e3582a67e32"),
+    (("--tol", "fit=0.01", "collapse", "--steps", "2", "--returns", "6",
+      "--horizon", "8", "--grid", "96"), "a51408642a92"),
+    (("estimate", "--what", "htop", "--system", "rotation", "--cloud", "200",
+      "--delta", "0.1,0.05"), "fde974b43109"),
+    (("bodies",), "a3d471067846"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "1", "--c", "2.0"),
+     "46cb5587b10e"),
+])
+def test_config_digest_golden(args, digest):
+    res = run_cli("--format", "json", *args)
+    assert res.returncode == 0, res.stderr
+    assert {row["config"] for row in json.loads(res.stdout)} == {digest}
+
+
+@pytest.mark.parametrize("args, text", [
+    (("collapse", "--steps", "abc"), "'abc' is not a valid integer"),
+    (("estimate", "--what", "bogus"), "'bogus' is not one of"),
+    (("spectrum", "--v-bar", "0.5", "--n", "1", "--c", "2.0"),
+     "Missing option '--h'"),
+    (("--tol", "foo", "collapse"), "only fit=VALUE is known"),
+    (("--tol", "fit=0.02", "constants"), "--tol applies to collapse only"),
+    (("--tol", "bogus=1", "collapse"), "only fit=VALUE is known"),
+    (("constants", "--n", "3..1"), "--n range 3..1 is empty"),
+    (("bounds", "--genus", "5..2"), "--genus range 5..2 is empty"),
+    (("verovic", "--k-max", "1"), "not in the range x>=2"),
+    (("verovic", "--k-max", "0"), "not in the range x>=2"),
+    (("collapse", "--steps", "1"), "needs --steps 2 or more"),
+    (("estimate", "--what", "htop", "--delta", "0.3,"), "comma-separated numbers"),
+    (("estimate", "--what", "htop", "--delta", "0.3,0"), "must be positive"),
+])
+def test_usage_error_is_one_line(args, text):
+    _one_line_error(run_cli(*args), 1, text)
+
+
+@pytest.mark.parametrize("content, text", [
+    (None, "FileNotFoundError"),
+    ("not json", "JSONDecodeError"),
+    ('{"dim": 2}', "KeyError: 'radial'"),
+    ('{"dim": 2, "radial": [1.0, 0.0, 1.0, 1.0]}', "OriginNotInterior"),
+])
+def test_bad_body_file_is_usage_error(tmp_path, content, text):
+    path = tmp_path / "body.json"
+    if content is not None:
+        path.write_text(content)
+    _one_line_error(run_cli("bodies", "--body", str(path)), 1, text)
+
+
+def test_usage_error_in_process_exits_1():
+    from entropia import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main.main(args=["collapse", "--steps", "abc"], prog_name="entropia",
+                      standalone_mode=False)
+    assert info.value.code == 1
+
+
+@pytest.mark.parametrize("args", [("--help",), ("collapse", "--help")])
+def test_help_exits_0(args):
+    res = run_cli(*args)
+    assert res.returncode == 0
+    assert res.stdout.startswith("Usage: ") and res.stderr == ""
