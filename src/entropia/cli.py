@@ -86,8 +86,12 @@ def _emit(config: RunConfig, rows: list, **args):
             writer.writerow(row)
         payload = buf.getvalue()
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {config.out}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -326,6 +330,10 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         raise UsageError("collapse fits vol(s) = a s + b s^2 and needs --steps 2 or more")
     if horizon < 8:
         raise UsageError(f"collapse needs --horizon 8 or more, got {horizon}")
+    if s_min is None and mt_spec.k_twists == 0:
+        # trivial monodromy: no contact threshold bounds the default sweep
+        raise UsageError("collapse with k_twists 0 has no contact threshold "
+                         "to sweep up to; give --s-min and --s-max")
     s_list = None
     if s_min is not None:
         for flag, value in (("--s-min", s_min), ("--s-max", s_max)):
@@ -362,6 +370,7 @@ _SYSTEMS = {
               help="Steps or radius [default: 48; 8 for htop].")
 @click.option("--delta", default="0.3,0.2", show_default=True)
 @click.option("--cloud", default=20000, show_default=True,
+              type=click.IntRange(min=1),
               help="Candidate cloud size for separated-set estimates.")
 @click.pass_obj
 def estimate(config, system, what, horizon, delta, cloud):
@@ -378,6 +387,8 @@ def estimate(config, system, what, horizon, delta, cloud):
     if what == "hvol":
         if system != "hyperbolic":
             raise UsageError("hvol estimates support the hyperbolic geometry")
+        if horizon < 1:
+            raise UsageError(f"hvol needs --horizon 1 or more, got {horizon}")
         est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
     else:
         if system == "reeb-solid-torus":

@@ -297,6 +297,8 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
         raise BoundsError("v_bar must lie in (0, 1)")
     if h <= 0:
         raise BoundsError("h must be positive")
+    if n < 1:
+        raise BoundsError(f"n must be at least 1, got {n}")
     gap = (c / h) ** (n + 1) - v_bar
     if gap <= 0.0:
         raise TargetBelowRange(

@@ -20,6 +20,12 @@ All coordinates are (theta, r, x) with theta the open-book angle and x the
 fiber/binding angle.  Everything is x-independent, so flows reduce to
 (theta, r)-dependent quadratures, but the public ops integrate the actual
 ODEs as a cross-check.
+
+Each part of the glued form (chi and its derivatives, tau, y_x, the page
+midpoint rule, int h dr, and in profiles.py the solid-torus speeds) has
+one definition, which the systems in sweep.py call too.  Only the
+mapping-torus time-one map keeps its own fused field-and-gradient code,
+built on `_chi_derivatives` and `tau_dual`.
 """
 
 import math
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .duals import Dual, poly_smoothstep7, smooth_step_on
+from .duals import Dual, smooth_step_on
 from .profiles import ProfileFunctions
 
 TWO_PI = 2.0 * math.pi
@@ -63,12 +69,18 @@ class FlowState:
     coords: tuple  # (theta, r, x)
     time: float = 0.0
 
-    def reduced(self) -> "FlowState":
-        th, r, x = self.coords
-        return FlowState(self.chart, (th % TWO_PI, r, x % TWO_PI), self.time)
-
 
 # --------------------------------------------------------------- mapping torus
+
+def _chi_derivatives(theta):
+    """chi' and chi'' of the cutoff chi(theta) = smoothstep7(theta / 2 pi)
+    for theta in [0, 2 pi], in closed form: with u = theta / 2 pi the
+    smoothstep 35u^4 - 84u^5 + 70u^6 - 20u^7 has slope 140 u^3 (1-u)^3 and
+    second derivative 420 u^2 (1-u)^2 (1-2u)."""
+    u = theta * (1.0 / TWO_PI)
+    w = u * (1.0 - u)
+    return (140.0 / TWO_PI) * w ** 3, (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
+
 
 class _TwistedPage:
     """The monodromy and cutoff shared by the page instances, which carry
@@ -76,7 +88,8 @@ class _TwistedPage:
 
     tau is the k-fold Dehn-twist angle, a smooth monotone step of total
     increment 2 pi k on tau_support; chi is the 7th-order polynomial
-    smoothstep in theta / 2 pi (chi' vanishes to third order at the ends).
+    smoothstep in theta / 2 pi, 0 for theta <= 0 and 1 for theta >= 2 pi
+    (chi' vanishes to third order at the ends).
     """
 
     def tau_dual(self, r) -> Dual:
@@ -91,15 +104,15 @@ class _TwistedPage:
     def tau_prime(self, r):
         return self.tau_dual(r).d1
 
-    def _chi_dual(self, theta) -> Dual:
-        td = Dual.variable(np.asarray(theta, float))
-        return poly_smoothstep7(td * (1.0 / TWO_PI))
-
     def chi(self, theta):
-        return self._chi_dual(theta).v
+        u = np.clip(np.asarray(theta, float) * (1.0 / TWO_PI), 0.0, 1.0)
+        u2 = u * u
+        return u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 + u * (-20.0))))
 
     def chi_prime(self, theta):
-        return self._chi_dual(theta).d1
+        theta = np.asarray(theta, float)
+        inside = (theta > 0.0) & (theta < TWO_PI)
+        return np.where(inside, _chi_derivatives(theta)[0], 0.0)
 
 
 @dataclass
@@ -235,8 +248,7 @@ def return_map_and_time(spec: MappingTorusSpec, start, s: float | None = None,
     r, x0 = float(start[0]), float(start[1])
     h = TWO_PI / n_steps
     nodes = np.arange(2 * n_steps + 1) * (0.5 * h)
-    chi_p = spec.chi_prime(nodes)
-    y = -chi_p * spec.lam(r) * spec.tau_prime(np.array([r]))[0]
+    y = spec.y_x(nodes, r)
     dt = 1.0 + s * spec.lam(r) * y
     if np.any(dt[::2] <= 0.0):
         raise NoReturn("Reeb field not positively transverse to the pages")
@@ -250,16 +262,21 @@ def return_map_and_time(spec: MappingTorusSpec, start, s: float | None = None,
     return t_acc, (r_im, x_im % TWO_PI)
 
 
-def mapping_torus_volume(spec: MappingTorusSpec, s: float,
-                         grid: int = 256) -> float:
-    """int alpha_s ^ dalpha_s over the mapping torus by midpoint quadrature
-    (the x direction contributes a factor 2 pi exactly)."""
-    r0, r1 = spec.r_range
+def _page_volume(density, r0: float, r1: float, grid: int) -> float:
+    """int of density(theta, r) dtheta dr dx over [0, 2 pi) x [r0, r1] x S^1
+    by the grid x grid midpoint rule (the x direction contributes a factor
+    2 pi exactly)."""
     theta = (np.arange(grid) + 0.5) * TWO_PI / grid
     r = r0 + (np.arange(grid) + 0.5) * (r1 - r0) / grid
     th, rr = np.meshgrid(theta, r, indexing="ij")
-    dens = spec.contact_density(s, th, rr)
-    return TWO_PI * float(dens.mean()) * TWO_PI * (r1 - r0)
+    return TWO_PI * float(density(th, rr).mean()) * TWO_PI * (r1 - r0)
+
+
+def mapping_torus_volume(spec: MappingTorusSpec, s: float,
+                         grid: int = 256) -> float:
+    """int alpha_s ^ dalpha_s over the mapping torus by midpoint quadrature."""
+    return _page_volume(lambda th, rr: spec.contact_density(s, th, rr),
+                        *spec.r_range, grid)
 
 
 # --------------------------------------------------------------- solid torus
@@ -272,10 +289,8 @@ def solid_torus_reeb(profiles: ProfileFunctions, state, s: float):
     if r <= 1e-12:
         core = 0.5 / s if profiles.family == "dim3" else 1.0 / s
         return np.array([0.0, 0.0, core])
-    rr = np.asarray([r], float)
-    ang = profiles.angular_speed(rr)[0]
-    fib = profiles.fiber_speed(rr)[0] / s
-    return np.array([ang, 0.0, fib])
+    ang, fib = profiles.speeds(np.asarray([r], float))
+    return np.array([ang[0], 0.0, fib[0] / s])
 
 
 def solid_torus_flow(profiles: ProfileFunctions, state, t: float, s: float,
@@ -356,14 +371,12 @@ def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
     s_arr = np.asarray(sorted(s_list), float)
     if np.any(s_arr <= 0):
         raise FormsError("s values must be positive")
-    h_int, _ = integrate.quad(lambda r: profiles.h(np.array([r]))[0],
-                              0.0, profiles.r_eps, limit=200)
+    # solid_torus_volume is linear in s: one quadrature serves every s
+    vol_st_unit = solid_torus_volume(profiles, 1.0)
     rows = []
     for s in s_arr:
         vol_mt = mapping_torus_volume(spec, s, grid)
-        # solid_torus_volume(profiles, s) with the s-independent int h dr
-        # taken once
-        vol_st = s * TWO_PI ** 2 * h_int
+        vol_st = s * vol_st_unit
         rows.append({"s": float(s), "vol_mt": vol_mt, "vol_st": vol_st,
                      "vol_total": vol_mt + vol_st})
     totals = np.array([row["vol_total"] for row in rows])
@@ -372,7 +385,7 @@ def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
     a, b = float(coef[0]), float(coef[1])
     resid = float(np.sqrt(np.mean((design @ coef - totals) ** 2))
                   / np.mean(np.abs(totals)))
-    predicted = TWO_PI * spec.dlambda_page_integral() + TWO_PI ** 2 * h_int
+    predicted = TWO_PI * spec.dlambda_page_integral() + vol_st_unit
     if resid > fit_tol:
         raise FitPoor(f"volume fit residual {resid} exceeds {fit_tol}")
     fit = {"a": a, "b": b, "residual": resid, "a_predicted": predicted,
@@ -426,12 +439,10 @@ class OpenBook3D(_TwistedPage):
 
     def mapping_torus_volume(self, s: float, r_lo: float,
                              grid: int = 256) -> float:
-        theta = (np.arange(grid) + 0.5) * TWO_PI / grid
-        r = r_lo + (np.arange(grid) + 0.5) * (self.page_r_max - r_lo) / grid
-        th, rr = np.meshgrid(theta, r, indexing="ij")
-        dens = s * (self.eps_hat / rr ** 2) * (
-            1.0 + s * self.lambda_theta_of_y(th, rr))
-        return TWO_PI * float(dens.mean()) * TWO_PI * (self.page_r_max - r_lo)
+        return _page_volume(
+            lambda th, rr: s * (self.eps_hat / rr ** 2) * (
+                1.0 + s * self.lambda_theta_of_y(th, rr)),
+            r_lo, self.page_r_max, grid)
 
     def total_volume(self, profiles: ProfileFunctions, s: float) -> float:
         if profiles.family != "higher" or profiles.r_eps != self.r_eps:

@@ -16,6 +16,10 @@ higher  on [0, r_eps], parameters 0 < s < r_eps/2: f = 1 near 0, passes
 The constructions are closed-form blends of smooth steps.  A validator
 samples the profiles densely and asserts every required property; the
 construction itself carries no proofs.
+
+h, the solid-torus Reeb speeds (-f'/h, g'/h) and their r derivatives all
+come from one evaluation of f and g (`ProfileFunctions._fgh`), which the
+validators share.
 """
 
 from dataclasses import dataclass, field
@@ -102,36 +106,25 @@ class ProfileFunctions:
     def gp(self, r):
         return self._g_dual(Dual.variable(r)).d1
 
+    def _fgh(self, r):
+        """f and g as Duals at r, and h = f g' - f' g: the one evaluation
+        behind h, the Reeb speeds and their derivatives."""
+        rd = Dual.variable(np.asarray(r, dtype=float))
+        f, g = self._f_dual(rd), self._g_dual(rd)
+        return f, g, f.v * g.d1 - f.d1 * g.v
+
     def h(self, r):
-        rd = Dual.variable(r)
-        f, g = self._f_dual(rd), self._g_dual(rd)
-        return (f * Dual(g.d1, g.d2, 0.0) - Dual(f.d1, f.d2, 0.0) * g).v
+        return self._fgh(r)[2]
 
-    def h_dual(self, r) -> Dual:
-        """h and h' (second derivative not propagated)."""
-        rd = Dual.variable(r)
-        f, g = self._f_dual(rd), self._g_dual(rd)
-        hv = f.v * g.d1 - f.d1 * g.v
-        hp = f.v * g.d2 - f.d2 * g.v
-        return Dual(hv, hp, np.zeros_like(hv))
-
-    def angular_speed(self, r):
-        """-f'/h, the theta component of the Reeb field."""
-        rd = Dual.variable(np.asarray(r, dtype=float))
-        f, g = self._f_dual(rd), self._g_dual(rd)
-        return -f.d1 / (f.v * g.d1 - f.d1 * g.v)
-
-    def fiber_speed(self, r):
-        """g'/h, the base-direction component before the 1/s factor."""
-        rd = Dual.variable(np.asarray(r, dtype=float))
-        f, g = self._f_dual(rd), self._g_dual(rd)
-        return g.d1 / (f.v * g.d1 - f.d1 * g.v)
+    def speeds(self, r):
+        """(-f'/h, g'/h): the theta component of the Reeb field and its x
+        component before the 1/s factor."""
+        f, g, h = self._fgh(r)
+        return -f.d1 / h, g.d1 / h
 
     def speed_derivatives(self, r):
         """d/dr of (-f'/h) and of (g'/h), for flow Jacobians."""
-        rd = Dual.variable(np.asarray(r, dtype=float))
-        f, g = self._f_dual(rd), self._g_dual(rd)
-        h = f.v * g.d1 - f.d1 * g.v
+        f, g, h = self._fgh(r)
         hp = f.v * g.d2 - f.d2 * g.v
         d_ang = -(f.d2 * h - f.d1 * hp) / h ** 2
         d_fib = (g.d2 * h - g.d1 * hp) / h ** 2
@@ -154,8 +147,7 @@ _FLAT_SKIN = 0.995
 
 def _validate_dim3(p: ProfileFunctions):
     r = np.linspace(1e-9, 1.0, _N_VALIDATE)
-    rd = Dual.variable(r)
-    f, g = p._f_dual(rd), p._g_dual(rd)
+    f, g, h = p._fgh(r)
     _check(np.all(f.d1 < 0.0), "dim3: f' must be negative on (0, 1]")
     near1 = r >= 0.9
     _check(np.max(np.abs(f.v[near1] - (2.0 - r[near1]))) < 1e-12,
@@ -172,7 +164,6 @@ def _validate_dim3(p: ProfileFunctions):
     _check(np.max(np.abs(g.v[near0] - r[near0] ** 2 / 2)) < 1e-12,
            "dim3: g must equal r^2/2 near 0")
     small = r <= 0.05
-    h = p.h(r)
     _check(np.max(np.abs(h[small] - r[small] * (2.0 + r[small] ** 4))) < 1e-10,
            "dim3: h must equal r(2 + r^4) near 0")
     _check(np.all(h > 0.0), "dim3: h must be positive on (0, 1]")
@@ -182,8 +173,7 @@ def _validate_higher(p: ProfileFunctions):
     r_eps, s = p.r_eps, p.s
     b1, b2, _ = p._f_zones()
     r = np.linspace(1e-12 * r_eps, r_eps, _N_VALIDATE)
-    rd = Dual.variable(r)
-    f, g = p._f_dual(rd), p._g_dual(rd)
+    f, g, h = p._fgh(r)
     near_end = r >= b2
     _check(np.max(np.abs(f.v[near_end] - s / r[near_end])) < 1e-12,
            "higher: f must equal s/r near r_eps")
@@ -205,7 +195,6 @@ def _validate_higher(p: ProfileFunctions):
            "higher: g = 1 on [r_eps/2, r_eps]")
     _check(np.max(np.abs(g.v[near0] - r[near0] ** 2 / 2)) < 1e-12,
            "higher: g = r^2/2 near 0")
-    h = p.h(r)
     _check(np.all(h > 0.0), "higher: h > 0 on (0, r_eps]")
     near0_h = r <= 0.04 * r_eps
     _check(np.max(np.abs(h[near0_h] - r[near0_h])) < 1e-10, "higher: h = r near 0")

@@ -6,6 +6,7 @@ import numpy as np
 from ..entropy_estimators import DiscreteSystem, gamma_plus
 from .forms import (
     MappingTorusSpec,
+    _chi_derivatives,
     collapse_volumes,
     contact_threshold,
     normalize_form,
@@ -33,9 +34,9 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
 
     def step(states):
         out = states.copy()
-        r = states[:, 1]
-        out[:, 0] = (states[:, 0] + profiles.angular_speed(r)) % TWO_PI
-        out[:, 2] = (states[:, 2] + profiles.fiber_speed(r) / s) % TWO_PI
+        ang, fib = profiles.speeds(states[:, 1])
+        out[:, 0] = (states[:, 0] + ang) % TWO_PI
+        out[:, 2] = (states[:, 2] + fib / s) % TWO_PI
         return out
 
     def jac(states):
@@ -48,36 +49,8 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
         st[:, 2] = rng.random(m) * TWO_PI
         return st
 
-    metric = _chart_metric
-
-    def inverse():
-        inv = solid_torus_system(profiles, s)
-
-        def back(states):
-            out = states.copy()
-            r = states[:, 1]
-            out[:, 0] = (states[:, 0] - profiles.angular_speed(r)) % TWO_PI
-            out[:, 2] = (states[:, 2] - profiles.fiber_speed(r) / s) % TWO_PI
-            return out
-
-        inv.step = back
-        inv.jacobian = lambda st: solid_torus_time_one_jacobian(
-            profiles, st[:, 1], -1.0, s)
-        return inv
-
-    return DiscreteSystem(3, step, jac, metric=metric, sampler=sampler,
-                          inverse=inverse, period=TWO_PI,
-                          name=f"reeb_solid_torus(s={s})")
-
-
-def _chi_derivatives(theta):
-    """chi' and chi'' of the mapping-torus cutoff chi(theta) =
-    poly_smoothstep7(theta / 2 pi) for theta in [0, 2 pi), in closed form:
-    with u = theta / 2 pi the smoothstep has slope 140 u^3 (1-u)^3 and
-    second derivative 420 u^2 (1-u)^2 (1-2u)."""
-    u = theta * (1.0 / TWO_PI)
-    w = u * (1.0 - u)
-    return (140.0 / TWO_PI) * w ** 3, (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
+    return DiscreteSystem(3, step, jac, metric=_chart_metric, sampler=sampler,
+                          period=TWO_PI, name=f"reeb_solid_torus(s={s})")
 
 
 def mapping_torus_system(spec: MappingTorusSpec, s: float,

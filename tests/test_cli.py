@@ -177,6 +177,18 @@ def test_config_digest_golden(args, digest):
     (("collapse", "--steps", "1"), "needs --steps 2 or more"),
     (("estimate", "--what", "htop", "--delta", "0.3,"), "comma-separated numbers"),
     (("estimate", "--what", "htop", "--delta", "0.3,0"), "must be positive"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "-1", "--c", "2.0"),
+     "n must be at least 1"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "0", "--c", "2.0"),
+     "n must be at least 1"),
+    (("estimate", "--system", "cat", "--what", "htop", "--cloud", "0"),
+     "not in the range x>=1"),
+    (("estimate", "--system", "cat", "--what", "htop", "--cloud", "-5"),
+     "not in the range x>=1"),
+    (("estimate", "--system", "hyperbolic", "--what", "hvol", "--horizon", "-3"),
+     "hvol needs --horizon 1 or more"),
+    (("estimate", "--system", "hyperbolic", "--what", "hvol", "--horizon", "0"),
+     "hvol needs --horizon 1 or more"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
@@ -209,3 +221,21 @@ def test_help_exits_0(args):
     res = run_cli(*args)
     assert res.returncode == 0
     assert res.stdout.startswith("Usage: ") and res.stderr == ""
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    _one_line_error(run_cli("--out", str(out), "sl3"), 1,
+                    f"cannot write --out {out}")
+
+
+def test_collapse_without_twist_needs_explicit_range(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"k_twists": 0}))
+    sweep = ("--steps", "2", "--returns", "2", "--horizon", "8", "--grid", "32")
+    for args in (("--twists", "0"), ("--spec", str(spec))):
+        _one_line_error(run_cli("collapse", *sweep, *args), 1,
+                        "give --s-min and --s-max")
+    res = run_cli("collapse", *sweep, "--twists", "0",
+                  "--s-min", "0.01", "--s-max", "0.02")
+    assert res.returncode == 0, res.stderr
