@@ -27,6 +27,7 @@ class JacobianOverflow(EstimatorError):
 
 HTOP_CLOUD = 20_000       # default candidate cloud (N_c)
 HTOP_BUDGET = 40_000_000  # cap on cloud * deltas * steps
+HTOP_PAIRS = 16_384       # near pairs a separated-set block holds at once
 FD_STEP = 1e-6
 
 
@@ -76,8 +77,13 @@ class DiscreteSystem:
     metric    (a, b) -> distances; defaults to the unit-torus metric
     sampler   (m, rng) -> seed states; defaults to uniform on [0,1)^d
     inverse   optional DiscreteSystem factory for the inverse dynamics
-    period    coordinate period of the chart (spatial hashing scale for
-              the separated-set search)
+    period    coordinate period of the chart.  The separated-set search
+              buckets the first min(d, 2) coordinates in cells of side
+              period / floor(period / delta), adjacent cyclically, and tests
+              only pairs in adjacent cells.  When the metric bounds each of
+              those coordinates' cyclic differences, no pair closer than
+              delta is missed; a coordinate that does not wrap (the
+              solid-torus r) only adds pairs that the metric then rejects.
     """
 
     state_dim: int
@@ -426,9 +432,14 @@ def gamma(sys: DiscreteSystem, horizon: int, n_states: int = 128,
 
 # ------------------------------------------------------------ separated sets
 
-def _bucket_key(point, cell, n_cells):
-    idx = np.floor(point / cell).astype(int) % n_cells
-    return tuple(idx[:2])  # bucket on at most two coordinates
+def _expand(lo, hi):
+    """(row, position) for every position in [lo, hi) of each row of the
+    (m, n) range arrays lo and hi, row by row."""
+    sizes = hi - lo
+    rows = np.repeat(np.arange(len(lo)), sizes.sum(axis=1))
+    sizes = sizes.ravel()
+    starts = np.repeat(lo.ravel() - np.cumsum(sizes) + sizes, sizes)
+    return rows, np.arange(len(starts)) + starts
 
 
 def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
@@ -436,12 +447,24 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
                    return_counts: bool = False):
     """Topological entropy from maximal (T, delta)-separated sets.
 
-    Greedy maximal construction over a seeded candidate cloud, nested in T
-    (the accepted set at T seeds the search at T+1, so counts are exactly
-    non-decreasing in T) and in delta (large delta seeds smaller).  The
-    reported value is the max over delta of the tail-half slope of
-    log nu(T, delta); greedy counts are lower bounds, so the estimate is
-    biased down.
+    Greedy maximal construction over a seeded candidate cloud, nested in T:
+    the set accepted at T seeds the search at T+1, so for each delta the
+    counts are non-decreasing in T (checked).  Every delta starts from an
+    empty set, so counts need not be monotone in delta.  The reported value
+    is the max over delta of the tail-half slope of log nu(T, delta); greedy
+    counts are lower bounds, so the estimate is biased down.
+
+    At step T each candidate not yet accepted is accepted, in index order,
+    unless it conflicts with a point accepted before it.  Only near pairs
+    are tested: at slice T the two points lie in the same or cyclically
+    adjacent cells of side period / floor(period / delta) on the first
+    min(d, 2) coordinates.  A near pair conflicts when `sys.metric` is below
+    delta on every slice 0..T, slice T first.  The candidates go in blocks:
+    a block is tested against every accepted point with array work, and its
+    survivors are resolved against each other in index order, so the counts
+    are those of the one-at-a-time greedy.  A block holds at most HTOP_PAIRS
+    near pairs (more only when one candidate alone has more), which bounds
+    the memory of the search beyond the trajectories.
     """
     deltas = sorted(delta_list, reverse=True)
     if n_candidates * len(deltas) * (horizon + 1) > HTOP_BUDGET:
@@ -453,56 +476,103 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
     traj[0] = states
     for k in range(1, horizon + 1):
         traj[k] = sys.step(traj[k - 1])
-
-    period = sys.period
+    metric = sys.metric
+    dims = min(d, 2)  # bucketed coordinates
 
     def run_delta(delta):
-        n_cells = max(1, int(math.floor(period / delta)))
-        cell = period / n_cells
-        acc = np.empty((n_candidates, horizon + 1, d))
-        cnt = 0
+        n_cells = max(1, int(math.floor(sys.period / delta)))
+        if n_cells ** dims >= 2 ** 62:
+            raise EstimatorError(f"delta {delta} is too small for the cell grid")
+        cell = sys.period / n_cells
+        # -1, 0, +1 modulo n_cells: they coincide below three cells
+        offsets = np.array(sorted({-1 % n_cells, 0, 1 % n_cells}))
+
+        def conflicts(a, b, t):
+            """Positions of the pairs (a[i], b[i]) closer than delta at
+            every slice 0..t."""
+            live = np.arange(len(a))
+            for s in (t, *range(t)):
+                if not len(live):
+                    break
+                x = traj[s]
+                near = metric(x.take(a.take(live), axis=0),
+                              x.take(b.take(live), axis=0)) < delta
+                live = live[near]
+            return live
+
         accepted = np.zeros(n_candidates, bool)
         counts = []
         for t in range(1, horizon + 1):
-            sub = traj[: t + 1]
-            buckets = {}
-            for j in range(cnt):
-                key = _bucket_key(acc[j, t], cell, n_cells)
-                buckets.setdefault(key, []).append(j)
-            for i in range(n_candidates):
-                if accepted[i]:
-                    continue
-                c = sub[:, i, :]
-                base = np.floor(c[t] / cell).astype(int)
-                cands = []
-                for off in _NEIGHBOR_OFFSETS[min(d, 2)]:
-                    key = tuple((base[:2] + off) % n_cells)
-                    cands.extend(buckets.get(key, ()))
-                ok = True
-                if cands:
-                    block = acc[cands, : t + 1, :]
-                    d_t = sys.metric(c[None, :, :], block).max(axis=1)
-                    ok = bool((d_t >= delta).all())
-                if ok:
-                    acc[cnt, : t + 1] = c
-                    if t < horizon:
-                        acc[cnt, t + 1:] = traj[t + 1:, i, :]
-                    key = _bucket_key(c[t], cell, n_cells)
-                    buckets.setdefault(key, []).append(cnt)
-                    cnt += 1
-                    accepted[i] = True
-            counts.append(cnt)
+            idx = np.floor(traj[t, :, :dims] / cell).astype(int) % n_cells
+            cell_id = idx[:, 0] if dims == 1 else idx[:, 0] * n_cells + idx[:, 1]
+
+            def by_cell(ids):
+                ids = ids[np.argsort(cell_id[ids], kind="stable")]
+                return ids, cell_id[ids]
+
+            acc_ids, acc_cells = by_cell(np.flatnonzero(accepted))
+            pending = np.flatnonzero(~accepted)
+            start, width = 0, 256
+            while start < len(pending):
+                block = pending[start:start + width]
+                nb = (idx[block, 0, None] + offsets) % n_cells
+                if dims == 2:
+                    nb = (nb[:, :, None] * n_cells
+                          + (idx[block, 1, None, None] + offsets) % n_cells)
+                    nb = nb.reshape(len(block), -1)
+                a_lo = np.searchsorted(acc_cells, nb)
+                a_hi = np.searchsorted(acc_cells, nb, "right")
+                load = np.cumsum((a_hi - a_lo).sum(axis=1))
+                b = max(1, int(np.searchsorted(load, HTOP_PAIRS, "right")))
+                block, nb = block[:b], nb[:b]
+                rows, pos = _expand(a_lo[:b], a_hi[:b])
+                free = np.ones(b, bool)
+                free[rows[conflicts(block[rows], acc_ids[pos], t)]] = False
+                surv = np.flatnonzero(free)
+                take = []
+                if len(surv):
+                    # survivors against the lower-index survivors of the
+                    # block: sorted by (cell, index), a cell's run of lower
+                    # indices is a range of the keys seg * m + index
+                    m = len(surv)
+                    order = np.argsort(cell_id[block[surv]], kind="stable")
+                    own = cell_id[block[surv]][order]
+                    seg = np.concatenate(([0], np.cumsum(own[1:] != own[:-1])))
+                    keys = seg * m + order
+                    at = np.minimum(np.searchsorted(own, nb[surv]), m - 1)
+                    base = np.where(own[at] == nb[surv], seg[at] * m, -m)
+                    s_lo = np.searchsorted(keys, base)
+                    s_hi = np.searchsorted(keys, base + np.arange(m)[:, None])
+                    load = np.cumsum((s_hi - s_lo).sum(axis=1))
+                    c = max(1, int(np.searchsorted(load, HTOP_PAIRS, "right")))
+                    if c < m:  # end the block before the first unresolved one
+                        b, surv = surv[c], surv[:c]
+                    rows, pos = _expand(s_lo[:c], s_hi[:c])
+                    lower = order[pos]
+                    hit = conflicts(block[surv[rows]], block[surv[lower]], t)
+                    # conflict edges (j, i < j) come in increasing j, so
+                    # take[i] is final when an edge of j reads it
+                    take = [True] * len(surv)
+                    for j, i in zip(rows[hit].tolist(), lower[hit].tolist()):
+                        if take[i]:
+                            take[j] = False
+                new = block[surv[np.array(take, bool)]]
+                if len(new):
+                    accepted[new] = True
+                    acc_ids, acc_cells = by_cell(np.concatenate([acc_ids, new]))
+                start += b
+                width = 2 * b
+            counts.append(int(accepted.sum()))
         return counts
 
     all_counts = {}
     for delta in deltas:
         all_counts[delta] = run_delta(delta)
-    # monotonicity in delta: by nesting of the separation condition the
-    # larger-delta set is valid for the smaller delta, so counts at smaller
-    # delta must dominate; assert it
-    for hi, lo in zip(deltas, deltas[1:]):
-        if any(a > b for a, b in zip(all_counts[hi], all_counts[lo])):
-            raise EstimatorError("separated-set counts not monotone in delta")
+    # the accepted set only grows with T; assert it
+    for delta, counts in all_counts.items():
+        if any(a > b for a, b in zip(counts, counts[1:])):
+            raise EstimatorError(
+                f"separated-set counts at delta {delta} decrease in T")
     t_grid = np.arange(1, horizon + 1)
     best = None
     for delta in deltas:
@@ -515,12 +585,6 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
     if return_counts:
         return best, all_counts
     return best
-
-
-_NEIGHBOR_OFFSETS = {
-    1: [np.array([k]) for k in (-1, 0, 1)],
-    2: [np.array([i, j]) for i in (-1, 0, 1) for j in (-1, 0, 1)],
-}
 
 
 # ------------------------------------------------------------- ball growth

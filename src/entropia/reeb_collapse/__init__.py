@@ -8,6 +8,7 @@ from .forms import (
     FormsError,
     GridTooCoarse,
     MappingTorusSpec,
+    NoContactThreshold,
     NoReturn,
     OpenBook3D,
     collapse_volumes,
@@ -31,10 +32,11 @@ from .sweep import collapse_sweep, mapping_torus_system, solid_torus_system
 
 __all__ = [
     "FitPoor", "FlowState", "FormsError", "GridTooCoarse",
-    "MappingTorusSpec", "NoReturn", "OpenBook3D", "collapse_volumes",
-    "contact_threshold", "mapping_torus_reeb", "mapping_torus_volume",
-    "normalize_form", "return_map_and_time", "solid_torus_flow",
-    "solid_torus_flow_rk4", "solid_torus_reeb", "solid_torus_volume",
+    "MappingTorusSpec", "NoContactThreshold", "NoReturn", "OpenBook3D",
+    "collapse_volumes", "contact_threshold", "mapping_torus_reeb",
+    "mapping_torus_volume", "normalize_form", "return_map_and_time",
+    "solid_torus_flow", "solid_torus_flow_rk4", "solid_torus_reeb",
+    "solid_torus_volume",
     "InfeasibleParameters", "ProfileFunctions", "ProfileValidationError",
     "build_profiles", "collapse_sweep", "mapping_torus_system",
     "solid_torus_system",

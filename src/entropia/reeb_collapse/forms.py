@@ -63,6 +63,10 @@ class NonPositiveVolume(FormsError):
     pass
 
 
+class NoContactThreshold(FormsError):
+    """Trivial monodromy: no contact threshold bounds a default sweep."""
+
+
 @dataclass
 class FlowState:
     chart: str  # "mapping_torus" | "solid_torus"

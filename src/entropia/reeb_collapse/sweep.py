@@ -5,7 +5,9 @@ import numpy as np
 
 from ..entropy_estimators import DiscreteSystem, gamma_plus
 from .forms import (
+    S_SCAN_CAP,
     MappingTorusSpec,
+    NoContactThreshold,
     _chi_derivatives,
     collapse_volumes,
     contact_threshold,
@@ -143,10 +145,16 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, n_steps: int = 8,
     Gamma * vol^(1/2).
 
     Returns (rows, fit, meta).  Deterministic given (spec, seed).
+    Without s_list the sweep runs up to the contact threshold s1; a spec
+    whose threshold is the scan cap (k_twists 0) raises NoContactThreshold.
     """
     profiles = build_profiles(1.0, 0.1, "dim3")
     s0, s1 = contact_threshold(spec)
     if s_list is None:
+        if s1 >= S_SCAN_CAP:
+            raise NoContactThreshold(
+                f"k_twists {spec.k_twists}: no contact threshold to sweep up "
+                "to (the scan cap); pass s_list")
         s_list = list(np.linspace(s1 / n_steps, s1, n_steps))
     rows, fit = collapse_volumes(spec, profiles, s_list, grid=grid,
                                  fit_tol=fit_tol)

@@ -133,6 +133,16 @@ def test_estimate_htop_over_budget_is_usage_error():
     _one_line_error(res, 1, "exceeds budget")
 
 
+def test_estimate_htop_counts_not_monotone_in_delta_exit_0():
+    # greedy counts at delta 0.3 exceed those at 0.29 at T = 3 here (82 > 81);
+    # each delta is searched from scratch, so that is valid output
+    res = run_cli("--seed", "3", "estimate", "--system", "cat", "--what",
+                  "htop", "--delta", "0.3,0.29", "--cloud", "400",
+                  "--horizon", "4")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("name,value")
+
+
 def test_collapse_numeric_value_error_is_not_usage_error(monkeypatch):
     from entropia import cli
 

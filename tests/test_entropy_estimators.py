@@ -190,6 +190,12 @@ def test_htop_product_counts_dominate_factor():
     assert all(p >= f for p, f in zip(c_prod[0.3], c_fac[0.3]))
 
 
+def test_htop_rejects_delta_below_the_cell_grid():
+    # two cell indices of 2**31 or more do not pack into one int64 cell id
+    with pytest.raises(EstimatorError, match="too small for the cell grid"):
+        htop_separated(cat_system(), [1e-10], 1, n_candidates=10)
+
+
 def test_htop_budget_guard():
     with pytest.raises(BudgetExceeded):
         htop_separated(cat_system(), [0.1] * 40, horizon=200,

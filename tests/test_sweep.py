@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from entropia.reeb_collapse import MappingTorusSpec
+from entropia.reeb_collapse import FormsError, MappingTorusSpec, NoContactThreshold
 from entropia.reeb_collapse.sweep import (
     collapse_sweep,
     mapping_torus_system,
@@ -44,3 +45,12 @@ def test_collapse_sweep_deterministic():
                        gamma_states=8, seed=5)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+def test_collapse_sweep_without_twist_needs_s_list():
+    # k_twists 0 has no contact threshold: contact_threshold reports the
+    # 1e6 scan cap, which must not become the end of a default sweep
+    with pytest.raises(NoContactThreshold) as info:
+        collapse_sweep(MappingTorusSpec(k_twists=0), n_steps=2, n_returns=2,
+                       gamma_horizon=8, gamma_states=4, grid=32)
+    assert isinstance(info.value, FormsError)
