@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -159,8 +160,20 @@ def _report_rows(report, *args) -> list:
     ]
 
 
-class _FitTolerance(click.ParamType):
-    """`fit=VALUE`, the one tolerance `--tol` overrides."""
+class _Finite(click.ParamType):
+    """A float that must be finite: nan and inf are usage errors."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
+
+
+class _FitTolerance(_Finite):
+    """`fit=VALUE`, the one tolerance `--tol` overrides; VALUE > 0."""
 
     name = "fit=VALUE"
 
@@ -168,7 +181,10 @@ class _FitTolerance(click.ParamType):
         key, _, number = value.partition("=")
         if key != "fit":
             self.fail(f"only fit=VALUE is known, got {value!r}", param, ctx)
-        return click.FLOAT.convert(number, param, ctx)
+        tol = super().convert(number, param, ctx)
+        if not tol > 0.0:
+            self.fail(f"fit must be positive, got {value!r}", param, ctx)
+        return tol
 
 
 class _Entropia(click.Group):
@@ -234,20 +250,20 @@ def sl3(config):
 
 
 @main.command()
-@click.option("--v-bar", required=True, type=float)
-@click.option("--h", required=True, type=float)
+@click.option("--v-bar", required=True, type=_Finite())
+@click.option("--h", required=True, type=_Finite())
 @click.option("--n", required=True, type=int)
-@click.option("--c", required=True, type=float)
+@click.option("--c", required=True, type=_Finite())
 @click.pass_obj
 def spectrum(config, v_bar, h, n, c):
     """Solve the entropy-spectrum tuning equation for delta."""
     try:
         delta = eb.spectrum_tuner(v_bar, h, n, c)
+        check = eb.spectrum_value(v_bar, h, n, delta)
     except eb.TargetBelowRange as exc:
         raise ValidationFailure(str(exc)) from exc
     except eb.BoundsError as exc:
         raise UsageError(str(exc)) from exc
-    check = eb.spectrum_value(v_bar, h, n, delta)
     _emit(config, [{"name": "delta", "value": repr(delta),
                     "inputs": json.dumps({"v_bar": v_bar, "h": h, "n": n, "c": c}),
                     "formula_id": "spectrum_tuner",
@@ -298,8 +314,8 @@ def bodies(config, body):
 
 
 @main.command()
-@click.option("--s-min", default=None, type=float)
-@click.option("--s-max", default=None, type=float)
+@click.option("--s-min", default=None, type=_Finite())
+@click.option("--s-max", default=None, type=_Finite())
 @click.option("--steps", default=8, show_default=True)
 @click.option("--twists", default=1, show_default=True)
 @click.option("--returns", default=32, show_default=True)
@@ -382,8 +398,8 @@ def estimate(config, system, what, horizon, delta, cloud):
     except ValueError:
         raise UsageError(
             f"--delta expects comma-separated numbers, got {delta!r}") from None
-    if not all(d > 0.0 for d in deltas):
-        raise UsageError(f"--delta values must be positive, got {delta!r}")
+    if not all(math.isfinite(d) and d > 0.0 for d in deltas):
+        raise UsageError(f"--delta values must be positive and finite, got {delta!r}")
     if what == "hvol":
         if system != "hyperbolic":
             raise UsageError("hvol estimates support the hyperbolic geometry")

@@ -111,10 +111,6 @@ class StarBody:
         rad = hull_radial(points, dirs)
         return cls(dim, dirs, rad, convex_flag=True)
 
-    @classmethod
-    def from_polygon(cls, vertices: np.ndarray, n: int | None = None) -> "StarBody":
-        return cls.from_points(np.asarray(vertices, dtype=float), n)
-
     # -- serialization (External Interfaces) --------------------------------
 
     @classmethod
@@ -308,12 +304,8 @@ class Ellipsoid:
     def polar(self) -> "Ellipsoid":
         return Ellipsoid(self.dim, np.linalg.inv(self.form))
 
-    def as_star_body(self, directions: np.ndarray) -> StarBody:
-        return StarBody(self.dim, directions, self.radial(directions), convex_flag=True)
 
-
-def _mvee_centered(points: np.ndarray, tol: float = EPS_VOL,
-                   max_iter: int = LOEWNER_MAX_ITER) -> np.ndarray:
+def _mvee_centered(points: np.ndarray) -> np.ndarray:
     """Minimum-volume centered ellipsoid of a symmetric point cloud.
 
     Khachiyan barycentric coordinate ascent with Wolfe away steps.  Returns
@@ -324,10 +316,10 @@ def _mvee_centered(points: np.ndarray, tol: float = EPS_VOL,
     if m <= d or np.linalg.matrix_rank(points) < d:
         raise DegenerateBody("samples span a lower-dimensional subspace")
     u = np.full(m, 1.0 / m)
-    # stop when the volume excess (kappa/d)^(d/2) - 1 drops below tol
-    kappa_tol = 2.0 * tol / d
+    # stop when the volume excess (kappa/d)^(d/2) - 1 drops below EPS_VOL
+    kappa_tol = 2.0 * EPS_VOL / d
     last = None
-    for _ in range(max_iter):
+    for _ in range(LOEWNER_MAX_ITER):
         M = (points * u[:, None]).T @ points
         Minv = np.linalg.inv(M)
         w = np.einsum("ij,jk,ik->i", points, Minv, points)
@@ -355,12 +347,10 @@ def _mvee_centered(points: np.ndarray, tol: float = EPS_VOL,
     return np.linalg.inv(M * w.max())
 
 
-def outer_loewner(body: StarBody, symmetrize: bool = True) -> Ellipsoid:
+def outer_loewner(body: StarBody) -> Ellipsoid:
     """Outer Loewner ellipsoid: minimum-volume centered ellipsoid containing
-    the samples (and their reflections when symmetrize=True)."""
-    pts = body.points
-    if symmetrize:
-        pts = np.vstack([pts, -pts])
+    the samples and their reflections."""
+    pts = np.vstack([body.points, -body.points])
     A = _mvee_centered(pts)
     ell = Ellipsoid(body.dim, A)
     if not ell.contains(pts, EPS_FIT):
@@ -381,7 +371,7 @@ def inner_loewner(body: StarBody) -> Ellipsoid:
     if not body.is_symmetric(tol=1e-7):
         work = reflection_body(body)
     dual = polar_dual(work)
-    ell = outer_loewner(dual, symmetrize=True).polar()
+    ell = outer_loewner(dual).polar()
     tol = grid_tolerance(work)
     r_e = ell.radial(work.directions)
     if np.any(r_e > work.radial * (1.0 + tol)):

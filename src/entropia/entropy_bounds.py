@@ -153,29 +153,24 @@ def weyl_closed_form(k: int, body: str) -> float:
         raise BoundsError(f"unknown body {body!r}") from None
 
 
-def _weyl_quad_ball(k: int) -> float:
-    # int over ball cap x>=0 of prod x_i, peeled one variable at a time:
-    # I_k(r) = int_0^r x I_{k-1}(sqrt(r^2-x^2)) dx with I_0 = 1
+# body -> (radius left when x is peeled off radius r, epsabs of each quad)
+_WEYL_PEEL = {
+    "ball": (lambda r, x: math.sqrt(max(r * r - x * x, 0.0)), 1e-12),
+    "cross_polytope": (lambda r, x: r - x, 1e-13),
+}
+
+
+def _weyl_quad(k: int, body: str) -> float:
+    # int over body cap x>=0 of prod x_i, peeled one variable at a time:
+    # I_k(r) = int_0^r x I_{k-1}(inner(r, x)) dx with I_0 = 1
+    inner, epsabs = _WEYL_PEEL[body]
+
     def rec(j, r):
         if j == 0:
             return 1.0
         val, _ = integrate.quad(
-            lambda x: x * rec(j - 1, math.sqrt(max(r * r - x * x, 0.0))),
-            0.0, r, epsabs=1e-12, epsrel=1e-11, limit=200,
-        )
-        return val
-
-    return rec(k, 1.0)
-
-
-def _weyl_quad_simplex(k: int) -> float:
-    # int over {x >= 0, sum x <= 1} of prod x_i by the same peeling
-    def rec(j, r):
-        if j == 0:
-            return 1.0
-        val, _ = integrate.quad(
-            lambda x: x * rec(j - 1, r - x),
-            0.0, r, epsabs=1e-13, epsrel=1e-11, limit=200,
+            lambda x: x * rec(j - 1, inner(r, x)),
+            0.0, r, epsabs=epsabs, epsrel=1e-11, limit=200,
         )
         return val
 
@@ -197,12 +192,8 @@ def _weyl_mc(k: int, body: str, n_samples: int, seed: int):
         x[:, 0] = (s + x[:, 0]) / strata
         if body == "ball":
             mask = (x * x).sum(axis=1) <= 1.0
-        elif body == "cross_polytope":
+        else:  # cross_polytope
             mask = x.sum(axis=1) <= 1.0
-        elif body == "cube":
-            mask = np.ones(per, dtype=bool)
-        else:
-            raise BoundsError(f"unknown body {body!r}")
         vals = np.where(mask, np.prod(x, axis=1), 0.0)
         means[s] = vals.mean()
         variances[s] = vals.var()
@@ -215,7 +206,7 @@ def weyl_cell_integrals(k: int, body: str, n_samples: int = WEYL_MC_SAMPLES,
                         seed: int = WEYL_MC_SEED):
     """int of x_1 ... x_k over (body intersect R_+^k).
 
-    Adaptive quadrature for k <= 3, stratified Monte Carlo for k >= 4.
+    Exact for the cube, else adaptive quadrature (k <= 3) or stratified MC.
     Raises QuadratureDisagreement when the numerical value strays from the
     closed form by more than 3 standard errors (or 1e-8 for quadrature).
 
@@ -225,12 +216,10 @@ def weyl_cell_integrals(k: int, body: str, n_samples: int = WEYL_MC_SAMPLES,
         raise BudgetExceeded("k > 8 exceeds the quadrature budget")
     closed = weyl_closed_form(k, body)
     if body == "cube":
-        # product of independent 1-D integrals; quadrature is exact
-        val, _ = integrate.quad(lambda x: x, 0.0, 1.0)
-        est, se = val ** k, 0.0
+        # product of k independent integrals of x over [0, 1]
+        est, se = 0.5 ** k, 0.0
     elif k <= 3:
-        est = _weyl_quad_ball(k) if body == "ball" else _weyl_quad_simplex(k)
-        se = 0.0
+        est, se = _weyl_quad(k, body), 0.0
     else:
         est, se = _weyl_mc(k, body, n_samples, seed)
     slack = max(3.0 * se, 1e-8)
@@ -260,17 +249,14 @@ def sl3_constants(tol: float = 1e-6):
     """Constants of the 5-dimensional rank-2 symmetric space SL(3)/SO(3).
 
     I_in = (3 sqrt(3) / 640)(27 ln 3 + 68) is re-derived by hexagon
-    quadrature; also checks int_B r^3 = 2 pi / 5 and the dilation identity
-    I_out = (2/sqrt(3))^5 I_in.  Returns (I_in, c_bh, c_ht).
+    quadrature; also checks the dilation identity I_out = (2/sqrt(3))^5 I_in
+    through c_ht = sqrt(3) / (2 c_bh).  Returns (I_in, c_bh, c_ht).
     """
     i_in_closed = 3.0 * math.sqrt(3.0) / 640.0 * (27.0 * math.log(3.0) + 68.0)
     i_in_quad = _hexagon_r3_integral()
     if abs(i_in_quad - i_in_closed) > tol * i_in_closed:
         raise QuadratureDisagreement(
             f"hexagon quadrature {i_in_quad} vs closed form {i_in_closed}")
-    ball_r3, _ = integrate.quad(lambda phi: 1.0 / 5.0, 0.0, 2.0 * math.pi)
-    if abs(ball_r3 - 2.0 * math.pi / 5.0) > 1e-12:
-        raise QuadratureDisagreement("int_B r^3 != 2 pi / 5")
     i_out = (2.0 / math.sqrt(3.0)) ** 5 * i_in_closed
     c_bh = (2.0 * math.pi / (5.0 * i_in_closed)) ** 0.2 * math.sqrt(3.0) / 2.0
     c_ht = (5.0 * i_out / (2.0 * math.pi)) ** 0.2 * math.sqrt(3.0) / 2.0
@@ -280,6 +266,17 @@ def sl3_constants(tol: float = 1e-6):
 
 
 # ------------------------------------------------------------ spectrum tuner
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent; BoundsError when it leaves the float range."""
+    try:
+        value = base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise BoundsError(f"{base} ** {exponent} leaves the float range")
+    return value
+
 
 def spectrum_range_left(v_bar: float, h: float, n: int) -> float:
     """Left endpoint of the attainable range of f: v_bar^(1/(n+1)) h."""
@@ -291,7 +288,7 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
 
     The attainable range of f(delta) = ((v_bar + delta^-(n+1)))^(1/(n+1)) h
     is (v_bar^(1/(n+1)) h, infinity); targets at or below the left endpoint
-    raise TargetBelowRange.
+    raise TargetBelowRange; powers beyond the float range BoundsError.
     """
     if not (0.0 < v_bar < 1.0):
         raise BoundsError("v_bar must lie in (0, 1)")
@@ -299,7 +296,7 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
         raise BoundsError("h must be positive")
     if n < 1:
         raise BoundsError(f"n must be at least 1, got {n}")
-    gap = (c / h) ** (n + 1) - v_bar
+    gap = _power(c / h, n + 1) - v_bar
     if gap <= 0.0:
         raise TargetBelowRange(
             f"target {c} at or below range left endpoint "
@@ -309,7 +306,7 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
 
 def spectrum_value(v_bar: float, h: float, n: int, delta: float) -> float:
     """f(delta) = (v_bar + delta^-(n+1))^(1/(n+1)) h."""
-    return (v_bar + delta ** (-(n + 1))) ** (1.0 / (n + 1)) * h
+    return (v_bar + _power(delta, -(n + 1))) ** (1.0 / (n + 1)) * h
 
 
 # -------------------------------------------------------------- reporting

@@ -49,8 +49,6 @@ def _tail_slope(xs, ys):
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     tail = xs >= xs[-1] / 2.0
-    if tail.sum() < 2:
-        tail = np.ones_like(xs, bool)
     A = np.stack([xs[tail], np.ones(int(tail.sum()))], axis=1)
     coef, *_ = np.linalg.lstsq(A, ys[tail], rcond=None)
     resid = float(np.sqrt(np.mean((A @ coef - ys[tail]) ** 2)))
@@ -69,8 +67,7 @@ class DiscreteSystem:
     """A map with enough structure to estimate growth rates.
 
     step      states (m, d) -> image states (m, d)
-    jacobian  states (m, d) -> (m, d, d); None means central differences
-              with step 1e-6 on the time-one map
+    jacobian  states (m, d) -> (m, d, d)
     step_jacobian
               optional states -> (image, jacobian) from one evaluation,
               for maps whose image and Jacobian share their work
@@ -88,7 +85,7 @@ class DiscreteSystem:
 
     state_dim: int
     step: callable
-    jacobian: callable = None
+    jacobian: callable
     metric: callable = None
     sampler: callable = None
     inverse: callable = None
@@ -109,9 +106,7 @@ class DiscreteSystem:
         return self.step(states)
 
     def time_one_jacobian(self, states):
-        if self.jacobian is not None:
-            return self.jacobian(states)
-        return self._fd_jacobian(states)
+        return self.jacobian(states)
 
     def _fd_jacobian(self, states):
         states = np.asarray(states, float)
@@ -131,8 +126,6 @@ class DiscreteSystem:
     def validate_jacobian(self, n_states: int = 100, seed: int = 0,
                           tol: float = 1e-4) -> float:
         """Cross-check the analytic Jacobian against central differences."""
-        if self.jacobian is None:
-            return 0.0
         rng = np.random.default_rng(seed)
         states = self.sampler(n_states, rng)
         ja = self.jacobian(states)
@@ -367,8 +360,7 @@ def suspension_cat_system(amplitude: float = 0.0, t_sample: float = 1.0
 # --------------------------------------------------------------- norm growth
 
 def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
-               seed: int = 0, weight: np.ndarray | None = None,
-               return_curve: bool = False):
+               seed: int = 0, weight: np.ndarray | None = None):
     """Finite-horizon estimate of the norm growth
     lim (1/n) log ||d phi^n||_infty.
 
@@ -412,10 +404,7 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
         log_norms[n - 1] = float((log_scale + np.log(ops)).max())
         x = x_next
     slope, resid = _tail_slope(np.arange(1, horizon + 1), log_norms)
-    est = GrowthEstimate(slope, float(horizon), n_states, resid)
-    if return_curve:
-        return est, log_norms
-    return est
+    return GrowthEstimate(slope, float(horizon), n_states, resid)
 
 
 def gamma(sys: DiscreteSystem, horizon: int, n_states: int = 128,
@@ -601,18 +590,17 @@ def _ball_volume(geometry, r):
     raise EstimatorError(f"unknown geometry {geometry!r}")
 
 
-def hvol_ball_growth(geometry, r_max: float, n_grid: int = 200
-                     ) -> GrowthEstimate:
+def hvol_ball_growth(geometry, r_max: float) -> GrowthEstimate:
     """Volume entropy from closed-form ball volumes: slope of log Vol(B_R)
-    over [R_max/2, R_max].
+    over [R_max/2, R_max], sampled at 200 radii from R_max/4.
 
     geometry: ("hyperbolic",) curvature -1 plane, ("euclidean",), or
     ("scaled", c, inner) using B(cF, R) = B(F, R/c).
     """
-    r = np.linspace(r_max / 4.0, r_max, n_grid)
+    r = np.linspace(r_max / 4.0, r_max, 200)
     vols = _ball_volume(geometry, r)
     slope, resid = _tail_slope(r, np.log(vols))
-    return GrowthEstimate(slope, float(r_max), n_grid, resid)
+    return GrowthEstimate(slope, float(r_max), len(r), resid)
 
 
 # ---------------------------------------------------------------- reports

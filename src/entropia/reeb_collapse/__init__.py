@@ -4,7 +4,6 @@ normalized norm-growth sweep."""
 
 from .forms import (
     FitPoor,
-    FlowState,
     FormsError,
     GridTooCoarse,
     MappingTorusSpec,
@@ -31,7 +30,7 @@ from .profiles import (
 from .sweep import collapse_sweep, mapping_torus_system, solid_torus_system
 
 __all__ = [
-    "FitPoor", "FlowState", "FormsError", "GridTooCoarse",
+    "FitPoor", "FormsError", "GridTooCoarse",
     "MappingTorusSpec", "NoContactThreshold", "NoReturn", "OpenBook3D",
     "collapse_volumes", "contact_threshold", "mapping_torus_reeb",
     "mapping_torus_volume", "normalize_form", "return_map_and_time",

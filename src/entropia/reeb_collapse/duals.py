@@ -69,12 +69,6 @@ class Dual:
             (2.0 * self.d1 ** 2 * inv - self.d2) * inv ** 2,
         )
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
-
     def exp(self):
         e = np.exp(self.v)
         return Dual(e, self.d1 * e, (self.d2 + self.d1 ** 2) * e)
@@ -94,42 +88,22 @@ class Dual:
 _STEP_CLIP = 0.004
 
 
-def smooth_step(x, p: float = 1.0) -> Dual:
-    """C-infinity step S_p(x) = 1 / (1 + exp(p (1/x - 1/(1-x)))).
+def smooth_step_on(x: Dual, a: float, b: float, p: float = 1.0) -> Dual:
+    """C-infinity step from 0 at a to 1 at b (a < b): S_p((x - a) / (b - a))
+    with S_p(u) = 1 / (1 + exp(p (1/u - 1/(1-u)))).
 
-    Identically 0 for x <= 0 and 1 for x >= 1 with infinitely flat contact.
+    Identically 0 for x <= a and 1 for x >= b with infinitely flat contact.
     The parameter p < 1 slows the step, lowering its maximal slope (2p at
-    the midpoint), which the profile constructions use to respect slope
-    budgets.
+    the midpoint in u), which the profile constructions use to respect
+    slope budgets.
     """
-    xd = x if isinstance(x, Dual) else Dual.variable(x)
-    lo = xd.v <= _STEP_CLIP
-    hi = xd.v >= 1.0 - _STEP_CLIP
+    u = (x - a) * (1.0 / (b - a))
+    lo = u.v <= _STEP_CLIP
+    hi = u.v >= 1.0 - _STEP_CLIP
     mid = ~(lo | hi)
-    safe = Dual(np.where(mid, xd.v, 0.5), xd.d1, xd.d2)
+    safe = Dual(np.where(mid, u.v, 0.5), u.d1, u.d2)
     q = (safe.reciprocal() - (1.0 - safe).reciprocal()) * p
     s = (q.exp() + 1.0).reciprocal()
-    zero = Dual.constant(np.zeros_like(xd.v))
-    one = Dual.constant(np.ones_like(xd.v))
+    zero = Dual.constant(np.zeros_like(u.v))
+    one = Dual.constant(np.ones_like(u.v))
     return s.where(mid, zero.where(lo, one))
-
-
-def smooth_step_on(x, a: float, b: float, p: float = 1.0) -> Dual:
-    """Step from 0 at a to 1 at b (a < b), flat at both ends."""
-    xd = x if isinstance(x, Dual) else Dual.variable(x)
-    return smooth_step((xd - a) * (1.0 / (b - a)), p=p)
-
-
-def poly_smoothstep7(x) -> Dual:
-    """Seventh-order polynomial smoothstep 35x^4 - 84x^5 + 70x^6 - 20x^7,
-    clamped to [0, 1]; C^3 at the endpoints."""
-    xd = x if isinstance(x, Dual) else Dual.variable(x)
-    t = xd.v
-    inside = (t > 0.0) & (t < 1.0)
-    safe = Dual(np.where(inside, t, 0.5), xd.d1, xd.d2)
-    x2 = safe * safe
-    x4 = x2 * x2
-    val = x4 * (35.0 + safe * (-84.0 + safe * (70.0 + safe * (-20.0))))
-    zero = Dual.constant(np.zeros_like(t))
-    one = Dual.constant(np.ones_like(t))
-    return val.where(inside, zero.where(t <= 0.0, one))

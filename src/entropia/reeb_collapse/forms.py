@@ -29,7 +29,7 @@ built on `_chi_derivatives` and `tau_dual`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -65,13 +65,6 @@ class NonPositiveVolume(FormsError):
 
 class NoContactThreshold(FormsError):
     """Trivial monodromy: no contact threshold bounds a default sweep."""
-
-
-@dataclass
-class FlowState:
-    chart: str  # "mapping_torus" | "solid_torus"
-    coords: tuple  # (theta, r, x)
-    time: float = 0.0
 
 
 # --------------------------------------------------------------- mapping torus
@@ -128,7 +121,6 @@ class MappingTorusSpec(_TwistedPage):
     s: float = 0.01
     r_range: tuple = (1.0, 3.0)
     tau_support: tuple = (1.3, 2.7)
-    meta: dict = field(default_factory=dict, compare=False)
 
     def lam(self, r):
         """Coefficient of dx in the primitive lambda."""
@@ -149,13 +141,10 @@ class MappingTorusSpec(_TwistedPage):
         """alpha_s ^ dalpha_s = s (1 + s lambda_theta(Y)) dtheta dx dr."""
         return s * (1.0 + s * self.lambda_theta_of_y(theta, r))
 
-    def page_area(self) -> float:
-        r0, r1 = self.r_range
-        return TWO_PI * (r1 - r0)
-
     def dlambda_page_integral(self) -> float:
         """int over the page of dlambda = omega (the area form)."""
-        return self.page_area()
+        r0, r1 = self.r_range
+        return TWO_PI * (r1 - r0)
 
     def monodromy(self, r, x):
         return r, x + self.tau(r)
@@ -184,13 +173,12 @@ def mapping_torus_reeb(spec: MappingTorusSpec, state, s: float | None = None):
         np.stack([np.ones_like(y), np.zeros_like(y), y]) / denom)
 
 
-def contact_threshold(spec: MappingTorusSpec, grid: int = 64,
-                      tol: float = 1e-4, cap: float = S_SCAN_CAP):
+def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     """(s0, s1): contactness and bounded-speed thresholds.
 
-    s0 is (1 - tol) times the largest s with alpha_s ^ dalpha_s > 0 on a
+    s0 is (1 - 1e-4) times the largest s with alpha_s ^ dalpha_s > 0 on a
     grid^3 lattice (refined around the extremum of lambda_theta(Y)); s1 is
-    (1 - tol) times the largest s with 1/2 <= theta_dot <= 2 there, at most
+    (1 - 1e-4) times the largest s with 1/2 <= theta_dot <= 2 there, at most
     s0.  The instance is x-independent, so the x-axis of the lattice
     carries identical values.  tau' == 0 yields the scan cap for both.
     Raises GridTooCoarse when a threshold fails the lattice test.
@@ -224,17 +212,17 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64,
     pos = max(float(lam_y.max()), refine(+1.0))
 
     def below(limit):
-        return cap if limit <= 0.0 else 1.0 / limit * (1.0 - tol)
+        return S_SCAN_CAP if limit <= 0.0 else 1.0 / limit * (1.0 - 1e-4)
 
     # contactness: 1 + s lam_y > 0  <=>  s < 1/neg
     s0 = below(neg)
     # speed: 1/2 <= 1/(1 + s lam_y) <= 2  <=>  s <= 1/(2 neg) and s <= 1/(2 pos)
     s1 = min(below(2.0 * neg), below(2.0 * pos), s0)
-    # neg and pos bound the lattice extrema, so for tol in (0, 1) both tests
-    # hold with room to spare
+    # neg and pos bound the lattice extrema, so both tests hold with room
+    # to spare
     q0, q1 = 1.0 + s0 * lam_y, 1.0 + s1 * lam_y
-    if (s0 < cap and not q0.min() > 0.0) or (
-            s1 < cap and not (q1.min() >= 0.5 and q1.max() <= 2.0)):
+    if (s0 < S_SCAN_CAP and not q0.min() > 0.0) or (
+            s1 < S_SCAN_CAP and not (q1.min() >= 0.5 and q1.max() <= 2.0)):
         raise GridTooCoarse(f"thresholds s0={s0}, s1={s1} fail the lattice test")
     return s0, s1
 
@@ -299,20 +287,20 @@ def solid_torus_reeb(profiles: ProfileFunctions, state, s: float):
 
 def solid_torus_flow(profiles: ProfileFunctions, state, t: float, s: float,
                      reduce_angles: bool = True):
-    """Closed-form linear flow on the invariant torus {r = const}."""
+    """Closed-form linear flow on the invariant torus {r = const}: (theta, r, x)."""
     theta, r, x = state
     vel = solid_torus_reeb(profiles, state, s)
     th = theta + vel[0] * t
     xx = x + vel[2] * t
     if reduce_angles:
         th, xx = th % TWO_PI, xx % TWO_PI
-    return FlowState("solid_torus", (th, r, xx), t)
+    return th, r, xx
 
 
 def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float,
                          dt: float = 1e-3):
-    """Fixed-step RK4 integration of the solid-torus Reeb field (oracle
-    companion to the closed form; angles left unreduced).
+    """(theta, r, x) by fixed-step RK4 integration of the solid-torus Reeb
+    field (oracle companion to the closed form; angles left unreduced).
 
     The field depends on the state only through r, so stage evaluations at
     an unchanged r reuse the cached velocity; the integration is bit-exact
@@ -337,7 +325,7 @@ def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float,
         k3 = f(y + 0.5 * hstep * k2)
         k4 = f(y + hstep * k3)
         y = y + hstep / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return FlowState("solid_torus", tuple(y), t)
+    return tuple(y)
 
 
 def solid_torus_volume(profiles: ProfileFunctions, s: float,
@@ -423,7 +411,6 @@ class OpenBook3D(_TwistedPage):
     page_r_max: float = 3.0
     k_twists: int = 1
     tau_support: tuple = (1.0, 2.5)
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.tau_support[0] <= self.r_eps:

@@ -55,10 +55,9 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
                           period=TWO_PI, name=f"reeb_solid_torus(s={s})")
 
 
-def mapping_torus_system(spec: MappingTorusSpec, s: float,
-                         dt: float = 0.02) -> DiscreteSystem:
+def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
     """Time-one map of the mapping-torus Reeb flow with the variational
-    Jacobian integrated alongside (RK4, analytic field derivatives)."""
+    Jacobian integrated alongside (RK4, step 0.02, analytic field derivatives)."""
 
     def advance(states, t_total):
         y = states.copy().astype(float)
@@ -90,7 +89,7 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float,
             return vth, vx, grad
 
         jac = np.tile(np.eye(3), (m, 1, 1))
-        n = max(1, int(round(abs(t_total) / dt)))
+        n = max(1, int(round(abs(t_total) / 0.02)))
         h = t_total / n
         for _ in range(n):
             k1, l1, g1 = field(th)

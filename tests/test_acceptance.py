@@ -128,7 +128,7 @@ def test_criterion_05_katok_finsler_floors():
 
 def test_criterion_06_convex_sharp_cases():
     rng = np.random.default_rng(61803)
-    square = StarBody.from_polygon([[1, 1], [-1, 1], [-1, -1], [1, -1]], n=720)
+    square = StarBody.from_points([[1, 1], [-1, 1], [-1, -1], [1, -1]], n=720)
     ratio = outer_loewner(square).volume / volume(square, "exact2d")
     assert abs(ratio - math.pi / 2) < 1e-4
 
@@ -141,7 +141,7 @@ def test_criterion_06_convex_sharp_cases():
         assert np.all(body.radial <= SQ2 * r_e * (1 + tol))
 
     d = 1e-9
-    tri = StarBody.from_polygon(
+    tri = StarBody.from_points(
         [[1.0, 0.0], [0.0, 1.0], [-d / SQ2, -d / SQ2]], n=2 ** 14)
     refl_ratio = volume(reflection_body(tri), "exact2d") / volume(tri, "exact2d")
     assert abs(refl_ratio - 4.0) < 1e-6
@@ -150,7 +150,7 @@ def test_criterion_06_convex_sharp_cases():
         rr = volume(reflection_body(body), "exact2d") / volume(body, "exact2d")
         assert rr <= 4.0 + 1e-9
 
-    tri2 = StarBody.from_polygon([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.6]], n=2 ** 14)
+    tri2 = StarBody.from_points([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.6]], n=2 ** 14)
     diff_ratio = volume(difference_body(tri2), "exact2d") / volume(tri2, "exact2d")
     assert abs(diff_ratio - 6.0) < 1e-6
 
@@ -174,7 +174,7 @@ def test_criterion_07_reeb_solid_torus():
     start = (0.3, 0.5, 1.1)
     exact = solid_torus_flow(profiles, start, 100.0, s, reduce_angles=False)
     rk4 = solid_torus_flow_rk4(profiles, start, 100.0, s, dt=1e-3)
-    assert np.max(np.abs(np.array(exact.coords) - np.array(rk4.coords))) <= 1e-8
+    assert np.max(np.abs(np.array(exact) - np.array(rk4))) <= 1e-8
     # Reeb defining equations to 1e-10
     rng = np.random.default_rng(7)
     for _ in range(200):

@@ -199,6 +199,22 @@ def test_config_digest_golden(args, digest):
      "hvol needs --horizon 1 or more"),
     (("estimate", "--system", "hyperbolic", "--what", "hvol", "--horizon", "0"),
      "hvol needs --horizon 1 or more"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "2", "--c", "nan"),
+     "'nan' is not a finite number"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "2", "--c", "inf"),
+     "'inf' is not a finite number"),
+    (("estimate", "--system", "cat", "--what", "htop", "--delta", "inf",
+      "--cloud", "200", "--horizon", "3"), "must be positive and finite"),
+    (("collapse", "--s-min", "1e-3", "--s-max", "inf", "--steps", "2",
+      "--horizon", "8"), "'inf' is not a finite number"),
+    (("--tol", "fit=nan", "collapse"), "'nan' is not a finite number"),
+    (("--tol", "fit=-1", "collapse"), "fit must be positive"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1e-200", "--n", "2", "--c", "1"),
+     "leaves the float range"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "400", "--c", "10"),
+     "leaves the float range"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1e-300", "--n", "2", "--c", "1e300"),
+     "leaves the float range"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)

@@ -45,7 +45,7 @@ def dense_boundary_area(radial_fn, n=100_000):
 
 def square(side=2.0, n=720):
     h = side / 2.0
-    return StarBody.from_polygon([[h, h], [-h, h], [-h, -h], [h, -h]], n=n)
+    return StarBody.from_points([[h, h], [-h, h], [-h, -h], [h, -h]], n=n)
 
 
 def spiky_star(a=0.65, b=0.35, n=720):
@@ -127,7 +127,7 @@ def test_reflection_origin_vertex_triangle_ratio_four():
     # is nudged inside so the origin stays interior.  Vertices sit on grid
     # angles 0, 90 and 225 degrees so the sampling is exact.
     d = 1e-9
-    tri = StarBody.from_polygon(
+    tri = StarBody.from_points(
         [[1.0, 0.0], [0.0, 1.0], [-d / SQ2, -d / SQ2]], n=2 ** 14
     )
     refl = reflection_body(tri)
@@ -159,7 +159,7 @@ def test_difference_symmetric_body_is_2K():
 def test_difference_triangle_ratio_six_vs_minkowski_oracle():
     # oracle: K - K = conv{v_i - v_j} (explicit Minkowski sum on vertices)
     verts = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.6]])
-    tri = StarBody.from_polygon(verts, n=2 ** 14)
+    tri = StarBody.from_points(verts, n=2 ** 14)
     diff = difference_body(tri)
     ratio = volume(diff, "exact2d") / volume(tri, "exact2d")
     assert abs(ratio - 6.0) < 1e-6
@@ -241,9 +241,9 @@ def test_inner_loewner_thin_hexagon_sandwich():
     verts = np.array(
         [[3.0, 0.0], [1.5, 0.4], [-1.5, 0.4], [-3.0, 0.0], [-1.5, -0.4], [1.5, -0.4]]
     )
-    body = StarBody.from_polygon(verts, n=1440)
+    body = StarBody.from_points(verts, n=1440)
     ell = inner_loewner(body)
-    dense = StarBody.from_polygon(verts, n=2 ** 13)
+    dense = StarBody.from_points(verts, n=2 ** 13)
     r_e = ell.radial(dense.directions)
     tol = grid_tolerance(dense)
     assert np.all(r_e <= dense.radial * (1 + tol))
@@ -336,8 +336,8 @@ def test_irreversibility_translated_disk():
 def test_irreversibility_triangle_matches_dense_grid(rng):
     verts = np.array([[1.2, 0.1], [-0.7, 0.9], [-0.4, -1.1]])
     verts -= verts.mean(axis=0)  # centroid at origin
-    body = StarBody.from_polygon(verts, n=720)
-    dense = StarBody.from_polygon(verts, n=10_000)
+    body = StarBody.from_points(verts, n=720)
+    dense = StarBody.from_points(verts, n=10_000)
     theta = irreversibility_ratio(body)
     oracle = float((dense.antipodal_radial() / dense.radial).max())
     assert abs(theta - oracle) < 5e-3 * oracle

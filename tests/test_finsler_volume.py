@@ -20,7 +20,7 @@ from entropia.finsler_volume import (
 
 def square_body(side=2.0, n=720):
     h = side / 2.0
-    return StarBody.from_polygon([[h, h], [-h, h], [-h, -h], [h, -h]], n=n)
+    return StarBody.from_points([[h, h], [-h, h], [-h, -h], [h, -h]], n=n)
 
 
 def torus_field(fiber, lengths=(2 * math.pi, 2 * math.pi), grid=(8, 8), **kw):

@@ -102,9 +102,9 @@ def test_reeb_defining_equations(dim3):
 def test_flow_preserves_r_and_t0_identity(dim3):
     st = (0.3, 0.6, 1.1)
     out = solid_torus_flow(dim3, st, 0.0, s=0.05)
-    assert np.allclose(out.coords, st)
+    assert np.allclose(out, st)
     out = solid_torus_flow(dim3, st, 57.0, s=0.05)
-    assert out.coords[1] == st[1]
+    assert out[1] == st[1]
 
 
 def test_flow_closed_form_vs_rk4(dim3):
@@ -113,7 +113,7 @@ def test_flow_closed_form_vs_rk4(dim3):
     st = (0.3, 0.5, 1.1)
     exact = solid_torus_flow(dim3, st, 100.0, s, reduce_angles=False)
     rk4 = solid_torus_flow_rk4(dim3, st, 100.0, s, dt=1e-3)
-    err = np.max(np.abs(np.array(exact.coords) - np.array(rk4.coords)))
+    err = np.max(np.abs(np.array(exact) - np.array(rk4)))
     assert err <= 1e-8
 
 
