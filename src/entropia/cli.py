@@ -412,8 +412,12 @@ def estimate(config, system, what, horizon, delta, cloud):
 
             profiles = build_profiles(1.0, 0.1, "dim3")
             sys_ = solid_torus_system(profiles, s=0.05)
+            # its chart metric: two angles mod 2 pi and r in [0, r_eps]
+            diameter = math.hypot(math.pi, math.pi, profiles.r_eps)
         elif system in _SYSTEMS:
             sys_ = _SYSTEMS[system]()
+            # the unit torus under torus_metric
+            diameter = math.sqrt(sys_.state_dim) / 2.0
         else:
             raise UsageError(f"unknown system {system}")
         if what == "gamma":
@@ -423,6 +427,13 @@ def estimate(config, system, what, horizon, delta, cloud):
         else:
             if not 1 <= horizon <= 8:
                 raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
+            # no two points are delta-separated once delta reaches the
+            # chart's diameter: every count would be 1
+            wide = [d for d in deltas if d >= diameter]
+            if wide:
+                raise UsageError(
+                    f"--delta {wide[0]} is at or above the {system} chart's "
+                    f"diameter {diameter:.6g}")
             try:
                 est = ee.htop_separated(sys_, deltas, horizon,
                                         n_candidates=cloud, seed=config.seed)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .spheres import (
     antipodal_indices,
@@ -172,7 +171,9 @@ def grid_tolerance(body: StarBody) -> float:
 # -- convex hull machinery ---------------------------------------------------
 
 
-def _hull(points: np.ndarray) -> ConvexHull:
+def _hull(points: np.ndarray):
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return ConvexHull(points)
     except QhullError as exc:

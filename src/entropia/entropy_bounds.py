@@ -10,9 +10,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .finsler_volume import c_n
+
+
+class _LazyIntegrate:
+    """`scipy.integrate`, imported at the first attribute lookup.
+
+    Only the k <= 3 Weyl peeling and the hexagon check call `quad`, so the
+    import stays off `import entropia.cli`.  `integrate` stays a module
+    attribute because perfbench's tracer wraps it to count quad calls."""
+
+    def __getattr__(self, name):
+        from scipy import integrate
+        return getattr(integrate, name)
+
+
+integrate = _LazyIntegrate()
 
 
 class BoundsError(Exception):
@@ -287,8 +301,9 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
     """Solve (v_bar + delta^-(n+1)) h^(n+1) = c^(n+1) for delta > 0.
 
     The attainable range of f(delta) = ((v_bar + delta^-(n+1)))^(1/(n+1)) h
-    is (v_bar^(1/(n+1)) h, infinity); targets at or below the left endpoint
-    raise TargetBelowRange; powers beyond the float range BoundsError.
+    is (v_bar^(1/(n+1)) h, infinity); targets at or below the left endpoint,
+    c <= 0 included whatever the parity of n + 1, raise TargetBelowRange;
+    powers beyond the float range BoundsError.
     """
     if not (0.0 < v_bar < 1.0):
         raise BoundsError("v_bar must lie in (0, 1)")
@@ -296,7 +311,7 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
         raise BoundsError("h must be positive")
     if n < 1:
         raise BoundsError(f"n must be at least 1, got {n}")
-    gap = _power(c / h, n + 1) - v_bar
+    gap = _power(c / h, n + 1) - v_bar if c > 0.0 else 0.0
     if gap <= 0.0:
         raise TargetBelowRange(
             f"target {c} at or below range left endpoint "

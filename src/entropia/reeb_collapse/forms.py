@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .duals import Dual, smooth_step_on
 from .profiles import ProfileFunctions
@@ -61,6 +60,10 @@ class FitPoor(FormsError):
 
 class NonPositiveVolume(FormsError):
     pass
+
+
+class VolumeOverflow(FormsError):
+    """A volume of the sweep, or s^2, is not a finite float."""
 
 
 class NoContactThreshold(FormsError):
@@ -332,6 +335,8 @@ def solid_torus_volume(profiles: ProfileFunctions, s: float,
                        x_coefficient: float = 1.0) -> float:
     """int sigma_s ^ dsigma_s = s c (2 pi)^2 int h dr, c the dx scale of the
     base form (1 for the dim3 torus, eps/(2 pi) for the open-book binding)."""
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda r: profiles.h(np.array([r]))[0],
                             0.0, profiles.r_eps, limit=200)
     return s * x_coefficient * TWO_PI ** 2 * val
@@ -351,6 +356,9 @@ def solid_torus_time_one_jacobian(profiles: ProfileFunctions, r, t: float,
 
 # --------------------------------------------------------------- assembly
 
+# a huge s overflows the volumes, s^2 or the squared residuals: the checks
+# below report that, so numpy's overflow warnings are silenced
+@np.errstate(over="ignore", invalid="ignore")
 def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
                      s_list, grid: int = 256, fit_tol: float = 0.01):
     """Volume table of the glued form over a sweep of s.
@@ -358,7 +366,8 @@ def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
     Returns (rows, fit) where rows have s, vol_mt, vol_st, vol_total and
     fit has the least-squares coefficients of vol(s) = a s + b s^2, the
     relative residual, and the quadrature prediction for a.  Raises
-    FitPoor when the relative residual exceeds fit_tol.
+    VolumeOverflow when a volume or s^2 is not finite, and FitPoor when the
+    relative residual exceeds fit_tol.
     """
     s_arr = np.asarray(sorted(s_list), float)
     if np.any(s_arr <= 0):
@@ -373,12 +382,15 @@ def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
                      "vol_total": vol_mt + vol_st})
     totals = np.array([row["vol_total"] for row in rows])
     design = np.stack([s_arr, s_arr ** 2], axis=1)
+    if not (np.isfinite(totals).all() and np.isfinite(design).all()):
+        raise VolumeOverflow(
+            f"the volume fit at s up to {s_arr[-1]} leaves the float range")
     coef, *_ = np.linalg.lstsq(design, totals, rcond=None)
     a, b = float(coef[0]), float(coef[1])
     resid = float(np.sqrt(np.mean((design @ coef - totals) ** 2))
                   / np.mean(np.abs(totals)))
     predicted = TWO_PI * spec.dlambda_page_integral() + vol_st_unit
-    if resid > fit_tol:
+    if not resid <= fit_tol:  # an overflowed residual is inf or nan
         raise FitPoor(f"volume fit residual {resid} exceeds {fit_tol}")
     fit = {"a": a, "b": b, "residual": resid, "a_predicted": predicted,
            "curvature_ratio": abs(b) * float(s_arr.max()) / a}

@@ -215,9 +215,30 @@ def test_config_digest_golden(args, digest):
      "leaves the float range"),
     (("spectrum", "--v-bar", "0.5", "--h", "1e-300", "--n", "2", "--c", "1e300"),
      "leaves the float range"),
+    (("estimate", "--system", "cat", "--what", "htop", "--delta", "1e300",
+      "--cloud", "50", "--horizon", "2"), "at or above the cat chart's diameter"),
+    (("estimate", "--system", "cat", "--what", "htop", "--delta", "0.9",
+      "--cloud", "50", "--horizon", "2"), "at or above the cat chart's diameter"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
+
+
+@pytest.mark.parametrize("args, text", [
+    (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "1", "--c", "-2"),
+     "at or below range left endpoint"),
+    (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "2", "--c", "-2"),
+     "at or below range left endpoint"),
+    (("collapse", "--s-min", "1e-3", "--s-max", "1e300", "--steps", "2",
+      "--returns", "2", "--horizon", "8", "--grid", "16"),
+     "leaves the float range"),
+    # finite volumes whose squared fit residuals overflow: no numpy warning
+    (("collapse", "--s-min", "1e-3", "--s-max", "1e100", "--steps", "2",
+      "--returns", "2", "--horizon", "8", "--grid", "16"),
+     "volume fit residual inf exceeds"),
+])
+def test_validation_failure_is_one_line(args, text):
+    _one_line_error(run_cli(*args), 2, text)
 
 
 @pytest.mark.parametrize("content, text", [

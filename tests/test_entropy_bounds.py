@@ -173,6 +173,14 @@ def test_tuner_near_left_endpoint():
         spectrum_tuner(v, h, n, left)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_tuner_rejects_non_positive_target(n):
+    # f(delta) > 0, so no delta reaches c <= 0, whatever the parity of n + 1
+    for c in (-2.0, 0.0):
+        with pytest.raises(TargetBelowRange):
+            spectrum_tuner(0.5, 1.0, n, c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     v=st.floats(1e-6, 1 - 1e-6),

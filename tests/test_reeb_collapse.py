@@ -21,7 +21,11 @@ from entropia.reeb_collapse import (
     solid_torus_reeb,
     solid_torus_volume,
 )
-from entropia.reeb_collapse.forms import NonPositiveVolume, S_SCAN_CAP
+from entropia.reeb_collapse.forms import (
+    NonPositiveVolume,
+    S_SCAN_CAP,
+    VolumeOverflow,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -287,6 +291,14 @@ def test_collapse_volumes_prediction_terms(spec, dim3):
     _, fit = collapse_volumes(spec, dim3, [0.001, 0.002, 0.004])
     pred = TWO_PI * (TWO_PI * 2.0) + TWO_PI ** 2 * h_int
     assert abs(fit["a_predicted"] - pred) < 1e-9
+
+
+@pytest.mark.parametrize("s_max", [1e300, 1e160])
+def test_collapse_volumes_overflow_is_forms_error(spec, dim3, s_max):
+    # s^2 (and at 1e300 the volumes) leave the float range: the check
+    # comes before the least-squares fit, whose SVD would not converge
+    with pytest.raises(VolumeOverflow, match="leaves the float range"):
+        collapse_volumes(spec, dim3, [1e-3, s_max], grid=16)
 
 
 def test_gluing_collar_match(spec, dim3):
