@@ -355,6 +355,9 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         for flag, value in (("--s-min", s_min), ("--s-max", s_max)):
             if not value > 0.0:
                 raise UsageError(f"{flag} must be positive, got {value}")
+        if not s_min < s_max:
+            raise UsageError(
+                f"--s-min must be below --s-max, got {s_min} and {s_max}")
         s_list = list(np.linspace(s_min, s_max, steps))
         # an omitted --s-min/--s-max stays out of the config hash
         args.update(s_min=s_min, s_max=s_max)

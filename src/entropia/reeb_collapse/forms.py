@@ -41,6 +41,9 @@ TWO_PI = 2.0 * math.pi
 # reported in place of an infinite contact threshold (trivial monodromy)
 S_SCAN_CAP = 1e6
 
+# Gauss-Legendre nodes per breakpoint panel of the solid-torus volume
+_GL_NODES = 96
+
 
 class FormsError(Exception):
     pass
@@ -334,11 +337,17 @@ def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float,
 def solid_torus_volume(profiles: ProfileFunctions, s: float,
                        x_coefficient: float = 1.0) -> float:
     """int sigma_s ^ dsigma_s = s c (2 pi)^2 int h dr, c the dx scale of the
-    base form (1 for the dim3 torus, eps/(2 pi) for the open-book binding)."""
-    from scipy import integrate
+    base form (1 for the dim3 torus, eps/(2 pi) for the open-book binding).
 
-    val, _ = integrate.quad(lambda r: profiles.h(np.array([r]))[0],
-                            0.0, profiles.r_eps, limit=200)
+    int h dr is a composite Gauss-Legendre rule, _GL_NODES nodes on each
+    panel between neighbouring profile breakpoints, where h is analytic;
+    one evaluation of h covers every node.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    edges = profiles.breakpoints
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    val = float(half @ (profiles.h(mid[:, None] + half[:, None] * x) @ w))
     return s * x_coefficient * TWO_PI ** 2 * val
 
 

@@ -29,6 +29,16 @@ import numpy as np
 from .duals import Dual, smooth_step_on
 
 
+# Windows (start, end) of the smooth steps that blend the branches of f and
+# g.  Each step is identically 0 before its window and 1 after it, so the
+# profiles are smooth but not analytic at the window ends; quadratures of
+# h split there (ProfileFunctions.breakpoints).
+_DIM3_F_WINDOW = (0.15, 0.85)  # r^4 into r, in r
+_DIM3_G_WINDOW = (0.25, 1.0)  # r^2/2 into 1, in r
+_HIGHER_F_WINDOW = (0.05, 0.48)  # 1 into the middle line, in r / r_eps
+_HIGHER_G_WINDOW = (0.1, 1.0)  # r^2/2 into 1, in 2 r / r_eps
+
+
 class ProfileError(Exception):
     pass
 
@@ -65,7 +75,7 @@ class ProfileFunctions:
     def _f_dual(self, r: Dual) -> Dual:
         if self.family == "dim3":
             # f = 2 - m, m blending r^4 into r
-            w = smooth_step_on(r, 0.15, 0.85)
+            w = smooth_step_on(r, *_DIM3_F_WINDOW)
             r2 = r * r
             m = (1.0 - w) * (r2 * r2) + w * r
             return 2.0 - m
@@ -75,7 +85,8 @@ class ProfileFunctions:
         r_eps, s = self.r_eps, self.s
         b1, b2, kappa = self._f_zones()
         line = 0.5 - kappa * (r - r_eps / 2.0)
-        w1 = smooth_step_on(r, 0.05 * r_eps, 0.48 * r_eps, p=0.6)
+        w1 = smooth_step_on(r, _HIGHER_F_WINDOW[0] * r_eps,
+                            _HIGHER_F_WINDOW[1] * r_eps, p=0.6)
         left = (1.0 - w1) * 1.0 + w1 * line
         w2 = smooth_step_on(r, b1, b2, p=0.5)
         # guard r = 0 in the s/r branch; w2 is identically 0 there
@@ -85,12 +96,25 @@ class ProfileFunctions:
     def _g_dual(self, r: Dual) -> Dual:
         if self.family == "dim3":
             # g = (1-W) r^2/2 + W, W flat-one exactly at r = 1
-            w = smooth_step_on(r, 0.25, 1.0)
+            w = smooth_step_on(r, *_DIM3_G_WINDOW)
             return (1.0 - w) * (r * r * 0.5) + w * 1.0
         # higher: same blend compressed into [0, r_eps/2], slowed step
         u = r * (2.0 / self.r_eps)
-        w = smooth_step_on(u, 0.1, 1.0, p=0.55)
+        w = smooth_step_on(u, *_HIGHER_G_WINDOW, p=0.55)
         return (1.0 - w) * (r * r * 0.5) + w * 1.0
+
+    @property
+    def breakpoints(self):
+        """0, r_eps and the window ends of every smooth step in f and g,
+        sorted: f and g are analytic between two neighbours."""
+        if self.family == "dim3":
+            ends = (*_DIM3_F_WINDOW, *_DIM3_G_WINDOW)
+        else:
+            r_eps = self.r_eps
+            b1, b2, _ = self._f_zones()
+            ends = (*(a * r_eps for a in _HIGHER_F_WINDOW),
+                    *(a * r_eps / 2.0 for a in _HIGHER_G_WINDOW), b1, b2)
+        return np.array(sorted({0.0, *ends, self.r_eps}))
 
     # -- plain evaluators ----------------------------------------------------
 

@@ -110,6 +110,8 @@ def _one_line_error(res, code, text):
     (("--horizon", "4"), "--horizon 8 or more"),
     (("--grid", "0"), "must be at least 1"),
     (("--steps", "0"), "must be at least 1"),
+    (("--s-min", "0.02", "--s-max", "0.01"), "--s-min must be below --s-max"),
+    (("--s-min", "0.01", "--s-max", "0.01"), "--s-min must be below --s-max"),
 ])
 def test_collapse_bad_sweep_is_usage_error(args, text):
     res = run_cli("collapse", "--steps", "2", *args)

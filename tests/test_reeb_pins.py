@@ -6,11 +6,14 @@ solid-torus speeds each had several definitions (a Dual chain next to a
 closed form, one h per ProfileFunctions method).  The solid-torus
 arithmetic keeps its order of operations, so it is pinned exactly; the
 page quantities now take chi' in closed form and are pinned at 1e-13
-relative.
+relative.  The solid-torus volume and the volume table are recorded from
+the composite Gauss-Legendre rule over the profile breakpoints, and an
+adaptive quadrature checks that rule at 1e-14 relative.
 """
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from entropia.reeb_collapse import (
     MappingTorusSpec,
@@ -54,7 +57,7 @@ REEB = {
     0.7: [0.37800768207564445, 0.0, 10.775401219565765],
     1.0: [1.0, 0.0, 0.0],
 }
-ST_VOLUME = 82.69739045759493
+ST_VOLUME = 82.69739045757329
 # (k_twists, s, (r, x)) -> (T_s, r image, x image)
 RETURN_MAP = {
     (1, 0.01, (1.2, 0.4)): [6.283185307179588, 1.2, 0.4],
@@ -74,17 +77,17 @@ THRESHOLDS = {1: [4.8321076488219665, 2.4160538244109833],
               3: [1.6107025496073222, 0.8053512748036611]}
 VOLUME_S = [0.001, 0.002, 0.004]
 VOLUME_ROWS = [
-    {"s": 0.001, "vol_mt": 0.07895475230087612, "vol_st": 0.08269739045759493,
-     "vol_total": 0.16165214275847106},
-    {"s": 0.002, "vol_mt": 0.15790533878607474, "vol_st": 0.16539478091518986,
-     "vol_total": 0.3233001197012646},
-    {"s": 0.004, "vol_mt": 0.3157940143094394, "vol_st": 0.3307895618303797,
-     "vol_total": 0.6465835761398191},
+    {"s": 0.001, "vol_mt": 0.07895475230087612, "vol_st": 0.0826973904575733,
+     "vol_total": 0.1616521427584494},
+    {"s": 0.002, "vol_mt": 0.15790533878607474, "vol_st": 0.1653947809151466,
+     "vol_total": 0.3233001197012213},
+    {"s": 0.004, "vol_mt": 0.3157940143094394, "vol_st": 0.3307895618302932,
+     "vol_total": 0.6465835761397325},
 ]
-VOLUME_FIT = {"a": 161.65422566630983, "b": -2.0829078387713413,
-              "residual": 1.6994271155949586e-16,
-              "a_predicted": 161.6542256663098,
-              "curvature_ratio": 5.153983028123063e-05}
+VOLUME_FIT = {"a": 161.65422566628823, "b": -2.082907838778406,
+              "residual": 9.500086383193072e-17,
+              "a_predicted": 161.65422566628814,
+              "curvature_ratio": 5.1539830281412324e-05}
 OPEN_BOOK_MT = 0.00680627638167056
 
 
@@ -108,6 +111,23 @@ def test_solid_torus_reeb_exact(dim3, r):
 
 def test_solid_torus_volume_exact(dim3):
     assert solid_torus_volume(dim3, 1.0) == ST_VOLUME
+
+
+# (family, r_eps, s / r_eps); the higher family fails its profile
+# validation below about s / r_eps = 0.025
+ORACLE_CASES = [("dim3", 1.0, 0.1)] + [
+    ("higher", r_eps, frac) for r_eps in (0.05, 0.4, 1.0)
+    for frac in (0.05, 0.25, 0.49)]
+
+
+@pytest.mark.parametrize("family, r_eps, frac", ORACLE_CASES)
+def test_solid_torus_volume_matches_adaptive_quadrature(family, r_eps, frac):
+    p = build_profiles(r_eps, frac * r_eps, family)
+    val, _ = integrate.quad(lambda r: p.h(np.array([r]))[0], 0.0, p.r_eps,
+                            points=p.breakpoints[1:-1], epsabs=0.0,
+                            epsrel=1.2e-14, limit=4000)
+    np.testing.assert_allclose(solid_torus_volume(p, 1.0),
+                               (2.0 * np.pi) ** 2 * val, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("key", sorted(RETURN_MAP))
