@@ -31,6 +31,7 @@ EPS_FIT = 1e-6          # ellipsoid containment / fixed-point slack
 EPS_VOL = 1e-7          # relative volume optimality of the Loewner fit
 EPS_SYM = 1e-9          # relative central-symmetry slack
 EPS_HULL_REL = 1e-9     # convexity: hull-boundary distance, relative to diameter
+EPS_TURN_REL = 1e-12    # planar hull: collinearity slack, relative to max |coord|
 LOEWNER_MAX_ITER = 100_000
 
 # grid-limited radial comparisons are good to about this many meshes
@@ -171,13 +172,54 @@ def grid_tolerance(body: StarBody) -> float:
 # -- convex hull machinery ---------------------------------------------------
 
 
-def _hull(points: np.ndarray):
-    from scipy.spatial import ConvexHull, QhullError
+def _planar_hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Counter-clockwise vertices of conv(points) in R^2 (monotone chain).
 
-    try:
-        return ConvexHull(points)
-    except QhullError as exc:
-        raise DegenerateBody(f"point cloud is degenerate: {exc}") from exc
+    A middle point is dropped when its distance to the chord of its
+    neighbours is at most EPS_TURN_REL times the largest |coordinate|, so
+    near-collinear samples of one edge, and points that nearly coincide,
+    leave no micro-edge whose normal would be rounding noise.
+    """
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    pts = points[order].tolist()
+    tol = EPS_TURN_REL * float(np.abs(points).max())
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+                if cross > tol * math.hypot(x - ox, y - oy):
+                    break
+                out.pop()
+            out.append((x, y))
+        return out
+
+    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1])
+
+
+def _hull_equations(points: np.ndarray) -> np.ndarray:
+    """Facets of conv(points) as rows (a, b) of a.x + b <= 0, a outward.
+
+    dim 2 runs a monotone chain with unit edge normals; other dims run qhull
+    (dim >= 3; it rejects dim 1).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.shape[1] != 2:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            return ConvexHull(points).equations
+        except QhullError as exc:
+            raise DegenerateBody(f"point cloud is degenerate: {exc}") from exc
+    verts = _planar_hull_vertices(points)
+    if len(verts) < 3:
+        raise DegenerateBody("point cloud spans fewer than 3 hull vertices")
+    edge = np.roll(verts, -1, axis=0) - verts
+    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return np.hstack([normals, -np.einsum("ij,ij->i", normals, verts)[:, None]])
 
 
 def _min_over_facets(x: np.ndarray, normals: np.ndarray, value) -> np.ndarray:
@@ -192,9 +234,8 @@ def _min_over_facets(x: np.ndarray, normals: np.ndarray, value) -> np.ndarray:
 
 def hull_radial(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Radial function of conv(points) (origin interior) by facet ray casting."""
-    hull = _hull(points)
-    A = hull.equations[:, :-1]
-    b = hull.equations[:, -1]
+    eq = _hull_equations(points)
+    A, b = eq[:, :-1], eq[:, -1]
     if np.any(b >= 0.0):
         raise OriginNotInterior("origin is not interior to the hull")
     return _min_over_facets(directions, A, lambda denom: np.where(
@@ -208,9 +249,8 @@ def is_convex(body: StarBody) -> bool:
         return body.convex_flag
     pts = body.points
     diam = 2.0 * float(body.radial.max())
-    hull = _hull(pts)
-    A = hull.equations[:, :-1]
-    b = hull.equations[:, -1]
+    eq = _hull_equations(pts)
+    A, b = eq[:, :-1], eq[:, -1]
     # distance of each sample to the hull boundary (samples are inside by def)
     depth = _min_over_facets(pts, A, lambda prod: -prod - b[None, :])
     ok = bool(depth.max() <= max(EPS_HULL_REL * diam, 1e-12))
@@ -224,8 +264,7 @@ def _require_convex(body: StarBody):
 
 
 def _hull_facet_normals(points: np.ndarray) -> np.ndarray:
-    hull = _hull(points)
-    A = hull.equations[:, :-1]
+    A = _hull_equations(points)[:, :-1]
     return A / np.linalg.norm(A, axis=1, keepdims=True)
 
 

@@ -14,19 +14,27 @@ import numpy as np
 from .finsler_volume import c_n
 
 
-class _LazyIntegrate:
-    """`scipy.integrate`, imported at the first attribute lookup.
+class integrate:
+    """Fixed Gauss-Legendre quadrature.
 
-    Only the k <= 3 Weyl peeling and the hexagon check call `quad`, so the
-    import stays off `import entropia.cli`.  `integrate` stays a module
-    attribute because perfbench's tracer wraps it to count quad calls."""
+    A namespace, not a function, because perfbench's tracer wraps
+    `entropy_bounds.integrate.quad` to count quadrature calls; the name
+    stays until the program traces itself (ROADMAP A)."""
 
-    def __getattr__(self, name):
-        from scipy import integrate
-        return getattr(integrate, name)
+    @staticmethod
+    def quad(f, a: float, b: float, nodes: int) -> float:
+        """int_a^b f by the `nodes`-point rule, exact for polynomials of
+        degree below 2 nodes; f is called once per node with a float."""
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        half = 0.5 * (b - a)
+        return half * float(np.dot(w, [f(a + half * (t + 1.0)) for t in x]))
 
 
-integrate = _LazyIntegrate()
+# Gauss-Legendre nodes: the k <= 3 Weyl integrands are polynomials of degree
+# <= 5, so 4 nodes are exact; the hexagon wedge (d / cos phi)^5 is analytic on
+# [-pi/6, pi/6] and 12 nodes already reach 4e-15 relative
+WEYL_NODES = 4
+HEXAGON_NODES = 24
 
 
 class BoundsError(Exception):
@@ -167,26 +175,23 @@ def weyl_closed_form(k: int, body: str) -> float:
         raise BoundsError(f"unknown body {body!r}") from None
 
 
-# body -> (radius left when x is peeled off radius r, epsabs of each quad)
+# body -> radius left when x is peeled off radius r
 _WEYL_PEEL = {
-    "ball": (lambda r, x: math.sqrt(max(r * r - x * x, 0.0)), 1e-12),
-    "cross_polytope": (lambda r, x: r - x, 1e-13),
+    "ball": lambda r, x: math.sqrt(max(r * r - x * x, 0.0)),
+    "cross_polytope": lambda r, x: r - x,
 }
 
 
 def _weyl_quad(k: int, body: str) -> float:
     # int over body cap x>=0 of prod x_i, peeled one variable at a time:
     # I_k(r) = int_0^r x I_{k-1}(inner(r, x)) dx with I_0 = 1
-    inner, epsabs = _WEYL_PEEL[body]
+    inner = _WEYL_PEEL[body]
 
     def rec(j, r):
         if j == 0:
             return 1.0
-        val, _ = integrate.quad(
-            lambda x: x * rec(j - 1, inner(r, x)),
-            0.0, r, epsabs=epsabs, epsrel=1e-11, limit=200,
-        )
-        return val
+        return integrate.quad(lambda x: x * rec(j - 1, inner(r, x)),
+                              0.0, r, WEYL_NODES)
 
     return rec(k, 1.0)
 
@@ -220,7 +225,8 @@ def weyl_cell_integrals(k: int, body: str, n_samples: int = WEYL_MC_SAMPLES,
                         seed: int = WEYL_MC_SEED):
     """int of x_1 ... x_k over (body intersect R_+^k).
 
-    Exact for the cube, else adaptive quadrature (k <= 3) or stratified MC.
+    Exact for the cube, else Gauss-Legendre quadrature (k <= 3, exact for
+    these polynomial integrands) or stratified MC.
     Raises QuadratureDisagreement when the numerical value strays from the
     closed form by more than 3 standard errors (or 1e-8 for quadrature).
 
@@ -254,9 +260,8 @@ def _hexagon_r3_integral() -> float:
     def wedge(phi):
         return (d / math.cos(phi)) ** 5 / 5.0
 
-    val, _ = integrate.quad(wedge, -math.pi / 6.0, math.pi / 6.0,
-                            epsabs=1e-13, epsrel=1e-12)
-    return 6.0 * val
+    return 6.0 * integrate.quad(wedge, -math.pi / 6.0, math.pi / 6.0,
+                                HEXAGON_NODES)
 
 
 def sl3_constants(tol: float = 1e-6):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from entropia.convex_body import (
     EPS_FIT,
+    EPS_HULL_REL,
     DegenerateBody,
     NotConvex,
     OriginNotInterior,
@@ -75,6 +77,105 @@ def test_json_roundtrip_default_grid():
     assert np.allclose(back.radial, body.radial)
     obj = json.loads(body.to_json(include_directions=True))
     assert len(obj["directions"]) == len(obj["radial"])
+
+
+# ---------------------------------------------------------------- planar hull
+# dim 2 hulls run a monotone chain; qhull (scipy) is the oracle
+
+def _qhull_radial(points, dirs):
+    from scipy.spatial import ConvexHull
+
+    eq = ConvexHull(points).equations
+    denom = dirs @ eq[:, :-1].T
+    return np.where(denom > 0, -eq[:, -1] / np.where(denom > 0, denom, 1.0),
+                    np.inf).min(axis=1)
+
+
+def _qhull_is_convex(body):
+    from scipy.spatial import ConvexHull
+
+    pts = body.points
+    eq = ConvexHull(pts).equations
+    depth = (-(pts @ eq[:, :-1].T) - eq[:, -1]).min(axis=1)
+    return bool(depth.max() <= max(EPS_HULL_REL * 2 * body.radial.max(), 1e-12))
+
+
+def _ray_polygon(rng, n=720):
+    """Random convex polygon sampled at n rays (vertices are not samples)."""
+    dirs = StarBody.ball(2, n=n).directions
+    verts = rng.normal(size=(int(rng.integers(3, 10)), 2))
+    return _qhull_radial(verts - verts.mean(axis=0), dirs)[:, None] * dirs
+
+
+def _pm_cloud(rng):
+    pts = rng.normal(size=(int(rng.integers(2, 40)), 2)) * 10 ** rng.uniform(-3, 3)
+    return np.vstack([pts, -pts])
+
+
+def _star_samples(rng, n=720):
+    dirs = StarBody.ball(2, n=n).directions
+    k = int(rng.integers(2, 8))
+    a = rng.uniform(0.5, 1.5) / (k * k - 1)  # convex iff a (k^2 - 1) <= 1
+    r = 1.0 + a * np.cos(k * np.arctan2(dirs[:, 1], dirs[:, 0]) + rng.uniform(0, 6))
+    return r[:, None] * dirs
+
+
+def _collinear_edges(rng):
+    """Many samples on the edges of a quadrilateral, plus its corners."""
+    corners = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    corners *= rng.uniform(0.5, 3.0, size=(4, 1))
+    i = rng.integers(0, 4, 400)
+    s = rng.random((400, 1))
+    return np.vstack([corners[i] + s * (corners[(i + 1) % 4] - corners[i]), corners])
+
+
+def _near_duplicates(rng):
+    pts = _pm_cloud(rng)
+    return np.vstack([pts, pts + 1e-13 * rng.normal(size=pts.shape)])
+
+
+@pytest.mark.parametrize("make", [_ray_polygon, _pm_cloud, _star_samples,
+                                  _collinear_edges, _near_duplicates])
+def test_planar_hull_radial_matches_qhull(rng, make):
+    dirs = StarBody.ball(2).directions
+    for _ in range(20):
+        pts = make(rng)
+        ours, oracle = hull_radial(pts, dirs), _qhull_radial(pts, dirs)
+        assert np.max(np.abs(ours - oracle) / oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [_ray_polygon, _star_samples])
+def test_planar_is_convex_matches_qhull(rng, make):
+    decisions = set()
+    for _ in range(30):
+        pts = make(rng)
+        r = np.linalg.norm(pts, axis=1)
+        body = StarBody(2, pts / r[:, None], r)
+        ours = is_convex(body)
+        assert ours == _qhull_is_convex(body)
+        decisions.add(ours)
+    if make is _star_samples:
+        assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [-3.0, -3.0]],      # collinear
+    [[1.0, 0.5], [-2.0, -1.0], [0.5, 0.25], [1.0, 0.5]],     # collinear, repeated
+    [[1.0, 2.0]] * 5,                                        # one distinct point
+    [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],      # two distinct points
+    [[1.0, 0.0], [-1.0, 1e-20], [1.0 + 1e-14, 0.0]],         # collinear to rounding
+])
+def test_planar_hull_degenerate_raises(pts):
+    with pytest.raises(DegenerateBody):
+        hull_radial(np.array(pts), StarBody.ball(2, n=8).directions)
+
+
+@pytest.mark.parametrize("shift", [[0.0, 0.0], [0.5, 0.0], [1.5, 0.5]])
+def test_planar_hull_origin_on_or_outside_raises(shift):
+    # the square [0, 1]^2 minus `shift`: origin at a vertex, on an edge, outside
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) - shift
+    with pytest.raises(OriginNotInterior):
+        hull_radial(pts, StarBody.ball(2, n=8).directions)
 
 
 # ---------------------------------------------------------------- polar_dual
@@ -219,6 +320,51 @@ def test_outer_loewner_degenerate_raises():
     flat = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]])
     with pytest.raises(DegenerateBody):
         _mvee_centered(flat)
+
+
+def _mvee_area_oracle(points):
+    """Least area of a centered ellipse containing the 2-D points, by
+    enumeration: the optimum touches 2 or 3 of the hull vertices (and their
+    reflections), and each such contact set fixes one candidate form."""
+    from scipy.spatial import ConvexHull
+
+    both = np.vstack([points, -points])
+    verts = both[ConvexHull(both).vertices]
+    best = math.inf
+    for k in (2, 3):
+        for idx in itertools.combinations(range(len(verts)), k):
+            x = verts[list(idx)]
+            if k == 2:
+                if abs(np.linalg.det(x)) < 1e-12:
+                    continue
+                binv = np.linalg.inv(x.T)
+                A = binv.T @ binv  # x_i^T A x_j = delta_ij, the least area
+            else:
+                G = np.stack([x[:, 0] ** 2, 2 * x[:, 0] * x[:, 1], x[:, 1] ** 2], axis=1)
+                if abs(np.linalg.det(G)) < 1e-12:
+                    continue
+                a, b, c = np.linalg.solve(G, np.ones(3))
+                A = np.array([[a, b], [b, c]])
+                if a <= 0 or a * c - b * b <= 0:
+                    continue
+            if np.einsum("ij,jk,ik->i", both, A, both).max() <= 1 + 1e-12:
+                best = min(best, math.pi / math.sqrt(np.linalg.det(A)))
+    return best
+
+
+def test_mvee_area_oracle_on_square():
+    assert abs(_mvee_area_oracle(square(side=2.0).points) - 2 * math.pi) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=(DegenerateBody, AssertionError), reason=(
+    "Khachiyan away step: beta = (d - kmin) / (d (kmin - 1)) is negative once "
+    "kmin < 1, so u *= 1 + beta drives weights below zero (ROADMAP B)"))
+def test_outer_loewner_nonsymmetric_pentagon_is_optimal():
+    pentagon = np.array([[1.0, 0.0], [0.2, 0.9], [-0.7, 0.4], [-0.5, -0.6],
+                         [0.4, -0.8]]) + [0.15, 0.05]
+    body = StarBody.from_points(pentagon, n=64)
+    oracle = _mvee_area_oracle(body.points)
+    assert abs(outer_loewner(body).volume / oracle - 1.0) <= 1e-6
 
 
 def test_inner_loewner_square_unit_disk():

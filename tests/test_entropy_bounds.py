@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entropia import entropy_bounds
 from entropia.entropy_bounds import (
     GenusTooSmall,
+    QuadratureDisagreement,
     SigmaBelowOne,
     TargetBelowRange,
     finsler_floor,
@@ -123,8 +125,10 @@ def test_weyl_closed_forms_small_k():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("body", ["ball", "cross_polytope", "cube"])
 def test_weyl_quadrature_matches_closed(k, body):
+    # the k <= 3 integrands are polynomials the 4-node rule integrates exactly
     val, se = weyl_cell_integrals(k, body)
-    assert abs(val - weyl_closed_form(k, body)) <= max(3 * se, 1e-8)
+    assert se == 0.0
+    assert abs(val - weyl_closed_form(k, body)) <= 1e-14
 
 
 @pytest.mark.parametrize("body", ["ball", "cross_polytope", "cube"])
@@ -147,6 +151,22 @@ def test_sl3_values():
     # two-digit roundings
     assert abs(c_bh - 0.95) < 5e-3
     assert abs(c_ht - 0.912) < 1e-3
+
+
+def test_hexagon_rule_matches_closed_form():
+    closed = 3 * math.sqrt(3) / 640 * (27 * math.log(3) + 68)
+    assert abs(entropy_bounds._hexagon_r3_integral() - closed) <= 1e-13
+
+
+def test_coarse_rules_fail_the_dual_path_checks(monkeypatch):
+    # the closed-form checks must be able to fail: a 2-node hexagon rule is
+    # 2.6% off, a 1-node Weyl rule misses the degree-3 k = 2 integrand
+    monkeypatch.setattr(entropy_bounds, "HEXAGON_NODES", 2)
+    with pytest.raises(QuadratureDisagreement):
+        sl3_constants()
+    monkeypatch.setattr(entropy_bounds, "WEYL_NODES", 1)
+    with pytest.raises(QuadratureDisagreement):
+        weyl_cell_integrals(2, "ball")
 
 
 # ---------------------------------------------------------------- tuner

@@ -1,10 +1,12 @@
-"""scipy stays off `import entropia.cli` and the commands that need none of it.
+"""scipy stays off `import entropia.cli` and every command but `bodies` on
+a body of dimension >= 3.
 
 Each check starts a fresh interpreter, so no module imported by another
-test can hide an import.  Only the hull code of `bodies` and the hexagon
-check of `sl3` import scipy, where they run; `collapse` integrates the
-solid-torus volume with numpy's Gauss-Legendre nodes and loads none of it.
-The assertions are on module sets only, never on timings.
+test can hide an import.  Planar hulls are a numpy monotone chain, and the
+Weyl and hexagon checks of `sl3` and the solid-torus volume of `collapse`
+are fixed Gauss-Legendre rules from numpy; only the qhull hull of a body
+of dimension >= 3 imports scipy (`scipy.spatial`), where it runs.  The
+assertions are on module sets only, never on timings.
 """
 
 import json
@@ -13,7 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import numpy as np
+
+from entropia.convex_body import StarBody
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,25 +49,36 @@ def _fresh_run(*commands):
     return json.loads(res.stdout)
 
 
-def test_cli_import_and_short_commands_load_no_scipy():
-    constants = ["constants"]
-    htop = ["estimate", "--system", "cat", "--what", "htop", "--cloud", "50",
-            "--horizon", "2", "--delta", "0.3"]
-    collapse = ["collapse", "--steps", "2", "--returns", "2", "--horizon", "8",
-                "--grid", "16"]
-    report = _fresh_run(constants, htop, collapse)
+def _body_file(tmp_path, name, body):
+    path = tmp_path / name
+    path.write_text(body.to_json())
+    return str(path)
+
+
+def test_cli_import_and_short_commands_load_no_scipy(tmp_path):
+    square = StarBody.from_radial_function(
+        2, lambda d: 1.0 / np.abs(d).max(axis=1))
+    commands = [
+        ["constants"],
+        ["sl3"],
+        ["estimate", "--system", "cat", "--what", "htop", "--cloud", "50",
+         "--horizon", "2", "--delta", "0.3"],
+        ["collapse", "--steps", "2", "--returns", "2", "--horizon", "8",
+         "--grid", "16"],
+        ["bodies"],
+        ["bodies", "--body", _body_file(tmp_path, "square.json", square)],
+    ]
+    report = _fresh_run(*commands)
     assert report["import"] == []
-    for argv in (constants, htop, collapse):
-        assert report[" ".join(argv)] == [0, []]
+    for argv in commands:
+        assert report[" ".join(argv)] == [0, []], argv
 
 
-@pytest.mark.parametrize("argv, module", [
-    (["sl3"], "scipy.integrate"),
-    (["bodies"], "scipy.spatial"),
-])
-def test_commands_that_need_scipy_import_it_and_succeed(argv, module):
+def test_3d_body_imports_scipy_spatial_and_succeeds(tmp_path):
+    argv = ["bodies", "--body",
+            _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))]
     report = _fresh_run(argv)
     assert report["import"] == []
     rc, modules = report[" ".join(argv)]
     assert rc == 0
-    assert module in modules
+    assert "scipy.spatial" in modules
