@@ -286,6 +286,16 @@ def bodies(config, body):
                 f"cannot read --body {body}: {type(exc).__name__}: {exc}") from exc
     else:
         star = StarBody.ball(2)
+    try:
+        rows = _body_rows(star)
+    except BodyError as exc:
+        raise ValidationFailure(f"bodies: {type(exc).__name__}: {exc}") from exc
+    _emit(config, rows, body=body)
+
+
+def _body_rows(star: StarBody) -> list:
+    """The rows of `bodies` for one star body; a failed body operation
+    raises BodyError."""
     rows = []
 
     def add(name, value, formula, tol):
@@ -310,7 +320,7 @@ def bodies(config, body):
         add("santalo_product",
             volume(star, vol_method) * volume(dual, vol_method),
             "santalo", 1e-3)
-    _emit(config, rows, body=body)
+    return rows
 
 
 @main.command()
@@ -335,7 +345,8 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         try:
             with open(spec) as fh:
                 mt_spec = MappingTorusSpec.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                FormsError) as exc:
             raise UsageError(
                 f"cannot read --spec {spec}: {type(exc).__name__}: {exc}") from exc
     else:

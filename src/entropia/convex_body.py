@@ -64,7 +64,7 @@ class UnsupportedDim(BodyError):
 class StarBody:
     """A star-shaped body sampled by its radial function.
 
-    dim         ambient dimension (>= 1)
+    dim         ambient dimension (>= 2; hulls and fits have no dim 1)
     directions  (N, dim) unit vectors, centrally symmetric grid
     radial      (N,) positive distances to the boundary
     convex_flag cached convexity, None = unknown
@@ -118,6 +118,8 @@ class StarBody:
         if isinstance(obj, str):
             obj = json.loads(obj)
         dim = int(obj["dim"])
+        if dim < 2:
+            raise UnsupportedDim(f"dim must be at least 2, got {dim}")
         radial = np.asarray(obj["radial"], dtype=float)
         if "directions" in obj and obj["directions"] is not None:
             dirs = np.asarray(obj["directions"], dtype=float)
@@ -212,7 +214,9 @@ def _hull_equations(points: np.ndarray) -> np.ndarray:
         try:
             return ConvexHull(points).equations
         except QhullError as exc:
-            raise DegenerateBody(f"point cloud is degenerate: {exc}") from exc
+            # qhull's first line names the error; the rest is a manual
+            reason = str(exc).strip().splitlines()[0]
+            raise DegenerateBody(f"point cloud is degenerate: {reason}") from exc
     verts = _planar_hull_vertices(points)
     if len(verts) < 3:
         raise DegenerateBody("point cloud spans fewer than 3 hull vertices")
@@ -345,6 +349,20 @@ class Ellipsoid:
         return Ellipsoid(self.dim, np.linalg.inv(self.form))
 
 
+def _quadratic_form_rows(cols: np.ndarray, Q: np.ndarray, out: np.ndarray,
+                         buf: np.ndarray) -> np.ndarray:
+    """out[i] = x_i^T Q x_i, where cols (d, m) holds the points x_i as columns.
+
+    Forms every term (x_j Q_jk) x_k in buf (d, d, m) and sums them j outer, k
+    inner: the products and the order of np.einsum("ij,jk,ik->i", x, Q, x),
+    so the two agree bit for bit, in three array operations.
+    """
+    d, m = cols.shape
+    np.multiply(cols[:, None, :], Q[:, :, None], out=buf)
+    np.multiply(buf, cols, out=buf)
+    return np.add.reduce(buf.reshape(d * d, m), axis=0, out=out)
+
+
 def _mvee_centered(points: np.ndarray) -> np.ndarray:
     """Minimum-volume centered ellipsoid of a symmetric point cloud.
 
@@ -358,18 +376,26 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
     u = np.full(m, 1.0 / m)
     # stop when the volume excess (kappa/d)^(d/2) - 1 drops below EPS_VOL
     kappa_tol = 2.0 * EPS_VOL / d
-    last = None
+    # per-iteration arrays, allocated once
+    cols = np.ascontiguousarray(points.T)
+    weighted = np.empty_like(points)
+    M = np.empty((d, d))
+    w = np.empty(m)
+    terms = np.empty((d, d, m))
+
+    def gram_and_distances():
+        np.multiply(points, u[:, None], out=weighted)
+        np.matmul(weighted.T, points, out=M)
+        _quadratic_form_rows(cols, np.linalg.inv(M), w, terms)
+
     for _ in range(LOEWNER_MAX_ITER):
-        M = (points * u[:, None]).T @ points
-        Minv = np.linalg.inv(M)
-        w = np.einsum("ij,jk,ik->i", points, Minv, points)
+        gram_and_distances()
         j = int(np.argmax(w))
         kappa = w[j]
         active = u > 1e-16
         jm = int(np.argmin(np.where(active, w, np.inf)))
         kmin = w[jm]
         if kappa / d - 1.0 <= kappa_tol and 1.0 - kmin / d <= kappa_tol:
-            last = (M, w)
             break
         if kappa - d >= d - kmin:
             beta = (kappa - d) / (d * (kappa - 1.0))
@@ -379,11 +405,8 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
             beta = min((d - kmin) / (d * (kmin - 1.0)), u[jm] / (1.0 - u[jm]))
             u *= 1.0 + beta
             u[jm] -= beta
-    if last is None:
-        M = (points * u[:, None]).T @ points
-        w = np.einsum("ij,jk,ik->i", points, np.linalg.inv(M), points)
-        last = (M, w)
-    M, w = last
+    else:
+        gram_and_distances()
     return np.linalg.inv(M * w.max())
 
 

@@ -93,9 +93,12 @@ def smooth_step_on(x: Dual, a: float, b: float, p: float = 1.0) -> Dual:
     with S_p(u) = 1 / (1 + exp(p (1/u - 1/(1-u)))).
 
     Identically 0 for x <= a and 1 for x >= b with infinitely flat contact.
-    The parameter p < 1 slows the step, lowering its maximal slope (2p at
-    the midpoint in u), which the profile constructions use to respect
-    slope budgets.
+    The parameter p < 1 slows the step; the profile constructions use it to
+    respect slope budgets.  The slope in u is 2p at the midpoint, and that
+    is the maximal slope only for p >= sqrt(3)/2.  For smaller p the
+    midpoint is a local minimum of the slope and the maximum moves off it,
+    symmetrically: 1.534 at u = 0.21 and 0.79 for p = 0.5, 1.503 for
+    p = 0.55, 1.491 for p = 0.6; no p takes it below about 1.491.
     """
     u = (x - a) * (1.0 / (b - a))
     lo = u.v <= _STEP_CLIP

@@ -128,6 +128,14 @@ class MappingTorusSpec(_TwistedPage):
     r_range: tuple = (1.0, 3.0)
     tau_support: tuple = (1.3, 2.7)
 
+    def __post_init__(self):
+        (r0, r1), (a, b) = self.r_range, self.tau_support
+        if not r0 < r1:
+            raise FormsError(f"r_range must be increasing, got {list(self.r_range)}")
+        if not r0 <= a < b <= r1:
+            raise FormsError("tau_support must have positive width inside r_range, "
+                             f"got {list(self.tau_support)} in {list(self.r_range)}")
+
     def lam(self, r):
         """Coefficient of dx in the primitive lambda."""
         return 2.0 - np.asarray(r, float)
@@ -165,8 +173,8 @@ class MappingTorusSpec(_TwistedPage):
     @classmethod
     def from_json(cls, obj) -> "MappingTorusSpec":
         return cls(int(obj.get("k_twists", 1)), float(obj.get("s", 0.01)),
-                   tuple(obj.get("r_range", (1.0, 3.0))),
-                   tuple(obj.get("tau_support", (1.3, 2.7))))
+                   tuple(map(float, obj.get("r_range", (1.0, 3.0)))),
+                   tuple(map(float, obj.get("tau_support", (1.3, 2.7)))))
 
 
 def mapping_torus_reeb(spec: MappingTorusSpec, state, s: float | None = None):

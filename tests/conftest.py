@@ -1,5 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """Environment for a child interpreter: this checkout's src/ first on
+    PYTHONPATH, ahead of any inherited value, so subprocesses import the
+    package under test without an install or an exported PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
 
 
 @pytest.fixture

@@ -2,13 +2,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from conftest import child_env
 
 CLI = [sys.executable, "-m", "entropia.cli"]
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=child_env())
 
 
 def test_constants_table_contains_c2():
@@ -248,12 +252,71 @@ def test_validation_failure_is_one_line(args, text):
     ("not json", "JSONDecodeError"),
     ('{"dim": 2}', "KeyError: 'radial'"),
     ('{"dim": 2, "radial": [1.0, 0.0, 1.0, 1.0]}', "OriginNotInterior"),
+    ('{"dim": 1, "radial": [1.0, 2.0]}', "UnsupportedDim: dim must be at least 2"),
 ])
 def test_bad_body_file_is_usage_error(tmp_path, content, text):
     path = tmp_path / "body.json"
     if content is not None:
         path.write_text(content)
     _one_line_error(run_cli("bodies", "--body", str(path)), 1, text)
+
+
+def test_flat_3d_body_is_validation_failure(tmp_path):
+    # four samples of a 3-D body on the canonical grid lie in one plane
+    path = tmp_path / "body.json"
+    path.write_text('{"dim": 3, "radial": [1.0, 1.0, 1.0, 1.0]}')
+    _one_line_error(run_cli("bodies", "--body", str(path)), 2,
+                    "bodies: DegenerateBody: point cloud is degenerate: QH")
+
+
+def _bodies_in_process(capsys):
+    from entropia import cli
+
+    rc = cli.run(["bodies"])
+    out, err = capsys.readouterr()
+    assert out == ""
+    return rc, err.splitlines()
+
+
+def test_lost_loewner_containment_is_validation_failure(monkeypatch, capsys):
+    from entropia import convex_body
+
+    fit = convex_body._mvee_centered
+    monkeypatch.setattr(convex_body, "_mvee_centered", lambda pts: 4.0 * fit(pts))
+    rc, lines = _bodies_in_process(capsys)
+    assert rc == 2 and lines == ["bodies: BodyError: Loewner fit lost containment"]
+
+
+@pytest.mark.parametrize("scale, text", [
+    (1e-6, "John sandwich violated: E exceeds K beyond tolerance"),
+    (1e6, "John sandwich violated: K exceeds sqrt(n) E"),
+])
+def test_john_sandwich_violation_is_validation_failure(monkeypatch, capsys,
+                                                       scale, text):
+    from entropia import convex_body
+
+    # inner_loewner takes the polar of the outer fit of the polar body, so
+    # a fit of radius sqrt(scale) there gives an E of radius 1/sqrt(scale)
+    monkeypatch.setattr(convex_body, "outer_loewner", lambda body: (
+        convex_body.Ellipsoid(body.dim, np.eye(body.dim) / scale)))
+    rc, lines = _bodies_in_process(capsys)
+    assert rc == 2 and lines == [f"bodies: BodyError: {text}"]
+
+
+@pytest.mark.parametrize("spec, text", [
+    ({"r_range": [3, 1]}, "FormsError: r_range must be increasing, got [3.0, 1.0]"),
+    ({"tau_support": [2, 2]},
+     "FormsError: tau_support must have positive width inside r_range"),
+    ({"tau_support": [0.5, 2.0]},
+     "FormsError: tau_support must have positive width inside r_range"),
+    ({"r_range": ["one", "three"]}, "ValueError: could not convert string"),
+])
+def test_bad_spec_fields_are_usage_error(tmp_path, spec, text):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _one_line_error(run_cli("collapse", "--spec", str(path), "--steps", "2",
+                            "--returns", "2", "--horizon", "8", "--grid", "16"),
+                    1, text)
 
 
 def test_usage_error_in_process_exits_1():

@@ -322,6 +322,54 @@ def test_outer_loewner_degenerate_raises():
         _mvee_centered(flat)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [7, 1440, 4000])
+def test_quadratic_form_rows_equal_einsum_bit_for_bit(d, m):
+    from entropia.convex_body import _quadratic_form_rows
+
+    rng = np.random.default_rng(100 * d + m)
+    x = rng.normal(size=(m, d)) * rng.uniform(1e-3, 1e3, size=(m, 1))
+    u = rng.uniform(size=m)
+    Q = np.linalg.inv((x * (u / u.sum())[:, None]).T @ x)
+    got = _quadratic_form_rows(np.ascontiguousarray(x.T), Q, np.empty(m),
+                               np.empty((d, d, m)))
+    assert np.array_equal(got, np.einsum("ij,jk,ik->i", x, Q, x))
+
+
+def _p_ball_cloud(d, n, seed):
+    """Boundary samples, on the centrally symmetric grid of n directions, of
+    a seeded linear image of the unit ball of the l^3 norm in R^d."""
+    from entropia.spheres import sphere_grid
+
+    u = sphere_grid(d, n)
+    x = u / ((np.abs(u) ** 3).sum(axis=1, keepdims=True)) ** (1.0 / 3.0)
+    lin = np.eye(d) + 0.3 * np.random.default_rng(seed).normal(size=(d, d))
+    return x @ lin.T
+
+
+# _mvee_centered forms recorded while the fit still evaluated its distances
+# with np.einsum (980 and 1048 iterations, both converged), as hex floats
+MVEE_PINS = {
+    (2, 720, 2): ["0x1.fda34170bf71bp-1", "0x1.fac31b285e7a9p+0",
+                  "0x1.fac31b285e7a8p+0", "0x1.a219563e6fa51p+3"],
+    (3, 128, 3): ["0x1.26cf30f629bfap-1", "0x1.5ad236473b9d2p-1",
+                  "0x1.04fbfcb86adf0p-1", "0x1.5ad236473b9d1p-1",
+                  "0x1.a8238f9a9e582p+0", "0x1.3f4bb35b06372p-1",
+                  "0x1.04fbfcb86adf1p-1", "0x1.3f4bb35b06374p-1",
+                  "0x1.3bffa37025fd7p+0"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(MVEE_PINS))
+def test_mvee_centered_forms_are_pinned_bit_for_bit(key):
+    from entropia.convex_body import _mvee_centered
+
+    d = key[0]
+    form = _mvee_centered(_p_ball_cloud(*key))
+    expected = np.array([float.fromhex(h) for h in MVEE_PINS[key]]).reshape(d, d)
+    assert np.array_equal(form, expected)
+
+
 def _mvee_area_oracle(points):
     """Least area of a centered ellipse containing the 2-D points, by
     enumeration: the optimum touches 2 or 3 of the hull vertices (and their

@@ -10,16 +10,13 @@ assertions are on module sets only, never on timings.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
+from conftest import child_env
 from entropia.convex_body import StarBody
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import contextlib, io, json, sys
@@ -42,9 +39,8 @@ def _fresh_run(*commands):
     """{"import": scipy modules after `import entropia.cli`, command:
     [exit code, scipy modules after it]} from one fresh interpreter that
     runs the commands in order."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
 
