@@ -8,8 +8,9 @@ in their subcommands.  `--tol fit=X` overrides the volume-fit tolerance of
 `collapse` and is accepted with `collapse` only.
 
 Exit codes: 0 success, 1 usage error (every argument error, click's
-included, reported as one line on stderr), 2 validation failure (a numeric
-invariant violated at run time); any other error ends in a traceback.
+included, and a run over an estimator's work budget, reported as one
+line on stderr), 2 validation failure (a numeric invariant violated at
+run time); any other error ends in a traceback.
 All output is deterministic for a fixed (argv, seed).
 """
 
@@ -120,6 +121,10 @@ def run(argv) -> int:
         return exc.exit_code
     except UsageError as exc:
         _fail(fmt, f"usage error: {exc.format_message()}")
+        return 1
+    except ee.BudgetExceeded as exc:
+        # the htop and gamma work budgets cap input sizes, not invariants
+        _fail(fmt, f"usage error: {exc}")
         return 1
     except _VALIDATION_ERRORS as exc:
         _fail(fmt, str(exc))
@@ -448,12 +453,8 @@ def estimate(config, system, what, horizon, delta, cloud):
                 raise UsageError(
                     f"--delta {wide[0]} is at or above the {system} chart's "
                     f"diameter {diameter:.6g}")
-            try:
-                est = ee.htop_separated(sys_, deltas, horizon,
-                                        n_candidates=cloud, seed=config.seed)
-            except ee.BudgetExceeded as exc:
-                # the budget caps --cloud x --delta x --horizon: an input size
-                raise UsageError(str(exc)) from exc
+            est = ee.htop_separated(sys_, deltas, horizon,
+                                    n_candidates=cloud, seed=config.seed)
     rows = [{
         "name": f"{what}({system})", "value": repr(est.value),
         "inputs": json.dumps({"horizon": est.horizon, "samples": est.samples,

@@ -27,6 +27,7 @@ class JacobianOverflow(EstimatorError):
 
 HTOP_CLOUD = 20_000       # default candidate cloud (N_c)
 HTOP_BUDGET = 40_000_000  # cap on cloud * deltas * steps
+GAMMA_BUDGET = 1_000_000  # cap on horizon * states of one gamma_plus
 HTOP_PAIRS = 16_384       # near pairs a separated-set block holds at once
 FD_STEP = 1e-6
 
@@ -66,11 +67,15 @@ def torus_metric(a, b):
 class DiscreteSystem:
     """A map with enough structure to estimate growth rates.
 
-    step      states (m, d) -> image states (m, d)
-    jacobian  states (m, d) -> (m, d, d)
+    Every system gives its time-one map twice, and both are required:
+    step      states (m, d) -> image states (m, d); the separated-set
+              search and the finite-difference check use it
     step_jacobian
-              optional states -> (image, jacobian) from one evaluation,
-              for maps whose image and Jacobian share their work
+              states (m, d) -> (image (m, d), Jacobian (m, d, d)) from one
+              evaluation; its image equals step's bit for bit
+    Callers go through `time_one` and `time_one_jacobian`, the call sites
+    that the benchmark's tracer wraps by name.
+
     metric    (a, b) -> distances; defaults to the unit-torus metric
     sampler   (m, rng) -> seed states; defaults to uniform on [0,1)^d
     inverse   optional DiscreteSystem factory for the inverse dynamics
@@ -85,13 +90,12 @@ class DiscreteSystem:
 
     state_dim: int
     step: callable
-    jacobian: callable
+    step_jacobian: callable
     metric: callable = None
     sampler: callable = None
     inverse: callable = None
     period: float = 1.0
     name: str = ""
-    step_jacobian: callable = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -106,7 +110,7 @@ class DiscreteSystem:
         return self.step(states)
 
     def time_one_jacobian(self, states):
-        return self.jacobian(states)
+        return self.step_jacobian(states)
 
     def _fd_jacobian(self, states):
         states = np.asarray(states, float)
@@ -128,7 +132,7 @@ class DiscreteSystem:
         """Cross-check the analytic Jacobian against central differences."""
         rng = np.random.default_rng(seed)
         states = self.sampler(n_states, rng)
-        ja = self.jacobian(states)
+        ja = self.time_one_jacobian(states)[1]
         jf = self._fd_jacobian(states)
         scale = np.maximum(np.abs(ja).max(), 1.0)
         err = float(np.abs(ja - jf).max() / scale)
@@ -143,11 +147,11 @@ def rotation_system(alpha: float = 0.3) -> DiscreteSystem:
     def step(x):
         return (x + alpha) % 1.0
 
-    def jac(x):
-        return np.ones((len(x), 1, 1))
+    def step_jacobian(x):
+        return step(x), np.ones((len(x), 1, 1))
 
     return DiscreteSystem(
-        1, step, jac, name=f"rotation({alpha})",
+        1, step, step_jacobian, name=f"rotation({alpha})",
         inverse=lambda: rotation_system(-alpha))
 
 
@@ -155,10 +159,10 @@ def doubling_system() -> DiscreteSystem:
     def step(x):
         return (2.0 * x) % 1.0
 
-    def jac(x):
-        return np.full((len(x), 1, 1), 2.0)
+    def step_jacobian(x):
+        return step(x), np.full((len(x), 1, 1), 2.0)
 
-    return DiscreteSystem(1, step, jac, name="doubling")
+    return DiscreteSystem(1, step, step_jacobian, name="doubling")
 
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -171,11 +175,11 @@ def _linear_torus_system(mat, name) -> DiscreteSystem:
     def step(x):
         return (x @ mat.T) % 1.0
 
-    def jac(x):
-        return np.tile(mat, (len(x), 1, 1))
+    def step_jacobian(x):
+        return step(x), np.tile(mat, (len(x), 1, 1))
 
     return DiscreteSystem(
-        mat.shape[0], step, jac, name=name,
+        mat.shape[0], step, step_jacobian, name=name,
         inverse=lambda: _linear_torus_system(inv, name + "^-1"))
 
 
@@ -197,18 +201,17 @@ def power_system(sys: DiscreteSystem, m: int) -> DiscreteSystem:
             x = sys.step(x)
         return x
 
-    def jac(x):
-        j = sys.time_one_jacobian(x)
-        y = x
+    def step_jacobian(x):
+        x, j = sys.time_one_jacobian(x)
         for _ in range(m - 1):
-            y = sys.step(y)
-            j = np.einsum("mij,mjk->mik", sys.time_one_jacobian(y), j)
-        return j
+            x, jx = sys.time_one_jacobian(x)
+            j = np.einsum("mij,mjk->mik", jx, j)
+        return x, j
 
     inv = None
     if sys.inverse is not None:
         inv = lambda: power_system(sys.inverse(), m)
-    return DiscreteSystem(sys.state_dim, step, jac,
+    return DiscreteSystem(sys.state_dim, step, step_jacobian,
                           name=f"{sys.name}^{m}", inverse=inv)
 
 
@@ -218,19 +221,18 @@ def product_system(a: DiscreteSystem, b: DiscreteSystem) -> DiscreteSystem:
     def step(x):
         return np.concatenate([a.step(x[:, :da]), b.step(x[:, da:])], axis=1)
 
-    def jac(x):
-        ja = a.time_one_jacobian(x[:, :da])
-        jb = b.time_one_jacobian(x[:, da:])
-        m = len(x)
-        out = np.zeros((m, da + db, da + db))
-        out[:, :da, :da] = ja
-        out[:, da:, da:] = jb
-        return out
+    def step_jacobian(x):
+        ia, ja = a.time_one_jacobian(x[:, :da])
+        ib, jb = b.time_one_jacobian(x[:, da:])
+        jac = np.zeros((len(x), da + db, da + db))
+        jac[:, :da, :da] = ja
+        jac[:, da:, da:] = jb
+        return np.concatenate([ia, ib], axis=1), jac
 
     inv = None
     if a.inverse is not None and b.inverse is not None:
         inv = lambda: product_system(a.inverse(), b.inverse())
-    return DiscreteSystem(da + db, step, jac,
+    return DiscreteSystem(da + db, step, step_jacobian,
                           name=f"{a.name}x{b.name}", inverse=inv)
 
 
@@ -252,23 +254,25 @@ def union_system(pieces) -> DiscreteSystem:
                 out[m] = p.step(y[m])
         return np.concatenate([x[:, :1], out], axis=1)
 
-    def jac(x):
+    def step_jacobian(x):
         lab, y = split(x)
-        out = np.zeros((len(x), d + 1, d + 1))
-        out[:, 0, 0] = 1.0
+        image = np.empty_like(y)
+        jac = np.zeros((len(x), d + 1, d + 1))
+        jac[:, 0, 0] = 1.0
+        inner = range(1, d + 1)
         for i, p in enumerate(pieces):
             m = lab == i
             if m.any():
-                out[np.ix_(np.flatnonzero(m), range(1, d + 1), range(1, d + 1))] = \
+                image[m], jac[np.ix_(np.flatnonzero(m), inner, inner)] = \
                     p.time_one_jacobian(y[m])
-        return out
+        return np.concatenate([x[:, :1], image], axis=1), jac
 
     def sampler(m, rng):
         lab = rng.integers(0, len(pieces), size=m)
         return np.concatenate([lab[:, None].astype(float),
                                rng.random((m, d))], axis=1)
 
-    return DiscreteSystem(d + 1, step, jac, sampler=sampler,
+    return DiscreteSystem(d + 1, step, step_jacobian, sampler=sampler,
                           name="union(" + ",".join(p.name for p in pieces) + ")")
 
 
@@ -342,17 +346,13 @@ def suspension_cat_system(amplitude: float = 0.0, t_sample: float = 1.0
     def step(states):
         return flow(states, t_sample)[0]
 
-    def jac(states):
-        return flow(states, t_sample)[1]
-
     def sampler(m, rng):
         s = rng.random((m, 3))
         s[:, 2] = 0.2 + 0.6 * s[:, 2]  # keep seeds away from the page seam
         return s
 
-    sys = DiscreteSystem(3, step, jac, sampler=sampler,
-                         name=f"suspension_cat(a={amplitude},t={t_sample})",
-                         step_jacobian=step_jacobian)
+    sys = DiscreteSystem(3, step, step_jacobian, sampler=sampler,
+                         name=f"suspension_cat(a={amplitude},t={t_sample})")
     sys.meta["speed_sup"] = 1.0 + abs(amplitude)
     return sys
 
@@ -368,14 +368,19 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
     log of the scale is tracked), so arbitrarily long products never
     overflow; ||d phi^n||_infty is the max over a seeded state grid of the
     operator norm.  An optional SPD weight changes the Riemannian norm.
-    A system with a `step_jacobian` advances the states and the cocycle
-    from one evaluation per step.
+    Each step takes the image and the Jacobian from one `time_one_jacobian`
+    call.  Raises BudgetExceeded when horizon * n_states exceeds
+    GAMMA_BUDGET.
     """
     if horizon < 8:
         raise EstimatorError("horizon must be at least 8")
+    if horizon * n_states > GAMMA_BUDGET:
+        raise BudgetExceeded(
+            f"gamma over {horizon} steps of {n_states} states exceeds the "
+            f"budget of {GAMMA_BUDGET} state steps")
     rng = np.random.default_rng(seed)
-    states = sys.sampler(n_states, rng)
-    d = states.shape[1]
+    x = sys.sampler(n_states, rng)
+    d = x.shape[1]
     w_half = w_inv = None
     if weight is not None:
         vals, vecs = np.linalg.eigh(weight)
@@ -384,12 +389,8 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
     cocycle = np.tile(np.eye(d), (n_states, 1, 1))
     log_scale = np.zeros(n_states)
     log_norms = np.empty(horizon)
-    x = states
     for n in range(1, horizon + 1):
-        if sys.step_jacobian is not None:
-            x_next, jac = sys.step_jacobian(x)
-        else:
-            jac, x_next = sys.time_one_jacobian(x), sys.time_one(x)
+        x, jac = sys.time_one_jacobian(x)
         if not np.all(np.isfinite(jac)):
             raise JacobianOverflow("non-finite Jacobian encountered")
         cocycle = np.einsum("mij,mjk->mik", jac, cocycle)
@@ -402,7 +403,6 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
             mat = np.einsum("ij,mjk,kl->mil", w_half, cocycle, w_inv)
         ops = np.linalg.norm(mat, ord=2, axis=(1, 2))
         log_norms[n - 1] = float((log_scale + np.log(ops)).max())
-        x = x_next
     slope, resid = _tail_slope(np.arange(1, horizon + 1), log_norms)
     return GrowthEstimate(slope, float(horizon), n_states, resid)
 

@@ -44,6 +44,9 @@ S_SCAN_CAP = 1e6
 # Gauss-Legendre nodes per breakpoint panel of the solid-torus volume
 _GL_NODES = 96
 
+# time step of the solid-torus RK4 oracle
+_RK4_DT = 1e-3
+
 
 class FormsError(Exception):
     pass
@@ -299,29 +302,25 @@ def solid_torus_reeb(profiles: ProfileFunctions, state, s: float):
     return np.array([ang[0], 0.0, fib[0] / s])
 
 
-def solid_torus_flow(profiles: ProfileFunctions, state, t: float, s: float,
-                     reduce_angles: bool = True):
-    """Closed-form linear flow on the invariant torus {r = const}: (theta, r, x)."""
+def solid_torus_flow(profiles: ProfileFunctions, state, t: float, s: float):
+    """Closed-form linear flow on the invariant torus {r = const}:
+    (theta, r, x), angles left unreduced."""
     theta, r, x = state
     vel = solid_torus_reeb(profiles, state, s)
-    th = theta + vel[0] * t
-    xx = x + vel[2] * t
-    if reduce_angles:
-        th, xx = th % TWO_PI, xx % TWO_PI
-    return th, r, xx
+    return theta + vel[0] * t, r, x + vel[2] * t
 
 
-def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float,
-                         dt: float = 1e-3):
+def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float):
     """(theta, r, x) by fixed-step RK4 integration of the solid-torus Reeb
-    field (oracle companion to the closed form; angles left unreduced).
+    field, step _RK4_DT (oracle companion to the closed form; angles left
+    unreduced).
 
     The field depends on the state only through r, so stage evaluations at
     an unchanged r reuse the cached velocity; the integration is bit-exact
     against a stage-by-stage field query.
     """
     y = np.asarray(state, float)
-    n = max(1, int(round(abs(t) / dt)))
+    n = max(1, int(round(abs(t) / _RK4_DT)))
     hstep = t / n
     cache_r = None
     cache_v = None
@@ -357,18 +356,6 @@ def solid_torus_volume(profiles: ProfileFunctions, s: float,
     mid = 0.5 * (edges[:-1] + edges[1:])
     val = float(half @ (profiles.h(mid[:, None] + half[:, None] * x) @ w))
     return s * x_coefficient * TWO_PI ** 2 * val
-
-
-def solid_torus_time_one_jacobian(profiles: ProfileFunctions, r, t: float,
-                                  s: float):
-    """d of the time-t solid-torus flow in (theta, r, x); a shear in r."""
-    rr = np.asarray(r, float)
-    d_ang, d_fib = profiles.speed_derivatives(rr)
-    n = len(rr)
-    jac = np.tile(np.eye(3), (n, 1, 1))
-    jac[:, 0, 1] = d_ang * t
-    jac[:, 2, 1] = d_fib * t / s
-    return jac
 
 
 # --------------------------------------------------------------- assembly

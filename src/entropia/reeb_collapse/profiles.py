@@ -146,13 +146,14 @@ class ProfileFunctions:
         f, g, h = self._fgh(r)
         return -f.d1 / h, g.d1 / h
 
-    def speed_derivatives(self, r):
-        """d/dr of (-f'/h) and of (g'/h), for flow Jacobians."""
+    def speeds_and_derivatives(self, r):
+        """The speeds and their d/dr, (ang, fib, d_ang, d_fib), for flow
+        Jacobians; ang and fib equal `speeds(r)` bit for bit."""
         f, g, h = self._fgh(r)
         hp = f.v * g.d2 - f.d2 * g.v
         d_ang = -(f.d2 * h - f.d1 * hp) / h ** 2
         d_fib = (g.d2 * h - g.d1 * hp) / h ** 2
-        return d_ang, d_fib
+        return -f.d1 / h, g.d1 / h, d_ang, d_fib
 
 
 _N_VALIDATE = 10_000

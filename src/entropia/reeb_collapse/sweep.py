@@ -13,11 +13,12 @@ from .forms import (
     contact_threshold,
     normalize_form,
     return_map_and_time,
-    solid_torus_time_one_jacobian,
 )
 from .profiles import ProfileFunctions, build_profiles
 
 TWO_PI = 2.0 * np.pi
+# RK4 steps of the mapping-torus time-one map (step 0.02)
+_MT_STEPS = 50
 
 
 def _chart_metric(a, b):
@@ -32,17 +33,24 @@ def _chart_metric(a, b):
 
 def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
     """Time-one map of the solid-torus Reeb flow as a DiscreteSystem;
-    states (theta, r, x) with angles in [0, 2 pi), analytic Jacobian."""
+    states (theta, r, x) with angles in [0, 2 pi), analytic Jacobian (a
+    shear in r)."""
 
-    def step(states):
+    def advance(states, ang, fib):
         out = states.copy()
-        ang, fib = profiles.speeds(states[:, 1])
         out[:, 0] = (states[:, 0] + ang) % TWO_PI
         out[:, 2] = (states[:, 2] + fib / s) % TWO_PI
         return out
 
-    def jac(states):
-        return solid_torus_time_one_jacobian(profiles, states[:, 1], 1.0, s)
+    def step(states):
+        return advance(states, *profiles.speeds(states[:, 1]))
+
+    def step_jacobian(states):
+        ang, fib, d_ang, d_fib = profiles.speeds_and_derivatives(states[:, 1])
+        jac = np.tile(np.eye(3), (len(states), 1, 1))
+        jac[:, 0, 1] = d_ang
+        jac[:, 2, 1] = d_fib / s
+        return advance(states, ang, fib), jac
 
     def sampler(m, rng):
         st = np.empty((m, 3))
@@ -51,15 +59,16 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
         st[:, 2] = rng.random(m) * TWO_PI
         return st
 
-    return DiscreteSystem(3, step, jac, metric=_chart_metric, sampler=sampler,
-                          period=TWO_PI, name=f"reeb_solid_torus(s={s})")
+    return DiscreteSystem(3, step, step_jacobian, metric=_chart_metric,
+                          sampler=sampler, period=TWO_PI,
+                          name=f"reeb_solid_torus(s={s})")
 
 
 def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
     """Time-one map of the mapping-torus Reeb flow with the variational
     Jacobian integrated alongside (RK4, step 0.02, analytic field derivatives)."""
 
-    def advance(states, t_total):
+    def step_jacobian(states):
         y = states.copy().astype(float)
         m = len(y)
         th, r, x = y[:, 0], y[:, 1], y[:, 2]
@@ -89,9 +98,8 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
             return vth, vx, grad
 
         jac = np.tile(np.eye(3), (m, 1, 1))
-        n = max(1, int(round(abs(t_total) / 0.02)))
-        h = t_total / n
-        for _ in range(n):
+        h = 1.0 / _MT_STEPS
+        for _ in range(_MT_STEPS):
             k1, l1, g1 = field(th)
             k2, l2, g2 = field(th + 0.5 * h * k1)
             k3, l3, g3 = field(th + 0.5 * h * k2)
@@ -113,14 +121,8 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
                 jac[idx, 2] += tau.d1[idx, None] * jac[idx, 1]
         return np.stack([th, r, x], axis=1), jac
 
-    def step_jacobian(states):
-        return advance(states, 1.0)
-
     def step(states):
         return step_jacobian(states)[0]
-
-    def jacfn(states):
-        return step_jacobian(states)[1]
 
     def sampler(m, rng):
         st = np.empty((m, 3))
@@ -129,10 +131,9 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
         st[:, 2] = rng.random(m) * TWO_PI
         return st
 
-    return DiscreteSystem(3, step, jacfn, metric=_chart_metric,
+    return DiscreteSystem(3, step, step_jacobian, metric=_chart_metric,
                           sampler=sampler, period=TWO_PI,
-                          name=f"reeb_mapping_torus(s={s})",
-                          step_jacobian=step_jacobian)
+                          name=f"reeb_mapping_torus(s={s})")
 
 
 def collapse_sweep(spec: MappingTorusSpec, s_list=None, n_steps: int = 8,

@@ -172,8 +172,8 @@ def test_criterion_07_reeb_solid_torus():
     s = 0.05
     # closed form vs RK4 at t = 100
     start = (0.3, 0.5, 1.1)
-    exact = solid_torus_flow(profiles, start, 100.0, s, reduce_angles=False)
-    rk4 = solid_torus_flow_rk4(profiles, start, 100.0, s, dt=1e-3)
+    exact = solid_torus_flow(profiles, start, 100.0, s)
+    rk4 = solid_torus_flow_rk4(profiles, start, 100.0, s)
     assert np.max(np.abs(np.array(exact) - np.array(rk4))) <= 1e-8
     # Reeb defining equations to 1e-10
     rng = np.random.default_rng(7)

@@ -3,8 +3,10 @@
 perfbench/tracer.py wraps functions, two `DiscreteSystem` methods,
 `Dual.__init__` and `entropy_bounds.integrate` by name.  This test loads
 that file unchanged, installs its wrappers as the benchmark does and runs
-four short commands in this process, plain and traced.  A change that
-removes or renames a bound name fails here, not only in a benchmark run.
+five short commands in this process, plain and traced.  A change that
+removes or renames a bound name fails here, not only in a benchmark run,
+and so does a collapse sweep whose mapping-torus steps bypass the wrapped
+`time_one_jacobian`.
 """
 
 import contextlib
@@ -23,6 +25,8 @@ COMMANDS = [
     ["estimate", "--system", "reeb-solid-torus", "--what", "gamma",
      "--horizon", "8"],
     ["bodies"],
+    ["collapse", "--steps", "2", "--returns", "2", "--horizon", "8",
+     "--grid", "16"],
 ]
 
 
@@ -59,6 +63,7 @@ def test_tracer_binds_every_name_and_leaves_output_unchanged():
     for name in ("entropy_bounds.quad_calls", "entropy_estimators.htop_accepted",
                  "reeb_collapse.dual_objects"):
         assert tracer.counts.get(name, 0) > 0, name
+    assert any(span[0] == "reeb_collapse.mt_jacobian" for span in tracer.spans)
     assert patched
     for owner, attr, old in patched:
         assert owner.__dict__[attr] is old, f"{owner.__name__}.{attr} not restored"

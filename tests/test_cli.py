@@ -139,6 +139,18 @@ def test_estimate_htop_over_budget_is_usage_error():
     _one_line_error(res, 1, "exceeds budget")
 
 
+@pytest.mark.parametrize("args", [
+    ("estimate", "--what", "gamma", "--horizon", "100000000"),
+    ("collapse", "--steps", "2", "--returns", "2", "--grid", "16",
+     "--horizon", "100000000"),
+])
+def test_gamma_over_budget_is_usage_error(args):
+    # without the budget these allocate 800 MB and run for hours
+    res = subprocess.run(CLI + list(args), capture_output=True, text=True,
+                         env=child_env(), timeout=60)
+    _one_line_error(res, 1, "exceeds the budget")
+
+
 def test_estimate_htop_counts_not_monotone_in_delta_exit_0():
     # greedy counts at delta 0.3 exceed those at 0.29 at T = 3 here (82 > 81);
     # each delta is searched from scratch, so that is valid output

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entropia.entropy_estimators import (
+    GAMMA_BUDGET,
     BudgetExceeded,
     DiscreteSystem,
     EstimatorError,
@@ -79,6 +80,12 @@ def test_gamma_solid_torus_tends_to_zero(rng):
     long = gamma_plus(sys, horizon=200, n_states=64, seed=2)
     assert long.value <= 1e-2
     assert long.value < short.value  # integrable: estimate decays with horizon
+
+
+def test_gamma_budget_guard():
+    # checked before any state is sampled or any step taken
+    with pytest.raises(BudgetExceeded, match="exceeds the budget"):
+        gamma_plus(cat_system(), horizon=GAMMA_BUDGET // 8 + 1, n_states=8)
 
 
 def test_gamma_requires_inverse():

@@ -1,5 +1,6 @@
 """Pins of the mapping-torus time-one map, its fused step-and-Jacobian
-and the closed-form cutoff derivatives.
+and the closed-form cutoff derivatives, and the map protocol of every
+built-in system.
 
 The goldens were recorded from the Dual-based integrator that predates the
 closed-form field; states 2-4 cross the page theta = 2 pi within time one,
@@ -9,9 +10,23 @@ so the monodromy gluing is exercised for one and three twists.
 import numpy as np
 import pytest
 
-from entropia.entropy_estimators import suspension_cat_system
-from entropia.reeb_collapse import MappingTorusSpec
-from entropia.reeb_collapse.sweep import _chi_derivatives, mapping_torus_system
+from entropia.entropy_estimators import (
+    _linear_torus_system,
+    cat_system,
+    conjugated_cat_system,
+    doubling_system,
+    power_system,
+    product_system,
+    rotation_system,
+    suspension_cat_system,
+    union_system,
+)
+from entropia.reeb_collapse import MappingTorusSpec, build_profiles
+from entropia.reeb_collapse.sweep import (
+    _chi_derivatives,
+    mapping_torus_system,
+    solid_torus_system,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,21 +138,40 @@ def test_time_one_and_jacobian_match_goldens(k, s):
     want = np.array(GOLDENS[(k, s)])
     np.testing.assert_allclose(sys.time_one(states), want[:, :3],
                                rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(sys.time_one_jacobian(states).reshape(-1, 9),
+    np.testing.assert_allclose(sys.time_one_jacobian(states)[1].reshape(-1, 9),
                                want[:, 3:], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("sys", [
-    mapping_torus_system(MappingTorusSpec(k_twists=3), 0.4),
-    suspension_cat_system(0.3),
-], ids=["mapping_torus", "suspension_cat"])
-def test_step_jacobian_is_time_one_and_jacobian(sys):
+SYSTEMS = {
+    "rotation": lambda: rotation_system(0.31),
+    "doubling": doubling_system,
+    "cat": cat_system,
+    "conjugated_cat": lambda: conjugated_cat_system(1),
+    "cat_squared": lambda: power_system(cat_system(), 2),
+    "cat_x_rotation": lambda: product_system(cat_system(), rotation_system(0.29)),
+    "cat_union_id": lambda: union_system(
+        [cat_system(), _linear_torus_system(np.eye(2), "id")]),
+    "suspension_cat": lambda: suspension_cat_system(0.3),
+    "solid_torus": lambda: solid_torus_system(
+        build_profiles(1.0, 0.1, "dim3"), 0.05),
+    "mapping_torus": lambda: mapping_torus_system(
+        MappingTorusSpec(k_twists=3), 0.4),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_step_jacobian_image_is_step_and_jacobian_validates(name):
+    # the two map callables of a DiscreteSystem agree: the image of
+    # time_one_jacobian is time_one's bit for bit, and its Jacobian matches
+    # central differences of time_one
+    sys = SYSTEMS[name]()
     states = sys.sampler(16, np.random.default_rng(7))
-    if sys.name.startswith("reeb_mapping_torus"):
+    if name == "mapping_torus":
         states = np.vstack([states, STATES])
-    image, jac = sys.step_jacobian(states)
+    image, jac = sys.time_one_jacobian(states)
     assert np.array_equal(image, sys.time_one(states))
-    assert np.array_equal(jac, sys.time_one_jacobian(states))
+    assert jac.shape == (len(states), sys.state_dim, sys.state_dim)
+    assert sys.validate_jacobian(32, seed=1) < 1e-4
 
 
 def test_chi_derivatives_match_smoothstep_polynomial():

@@ -115,8 +115,8 @@ def test_flow_closed_form_vs_rk4(dim3):
     # ODE oracle: fixed-step RK4 against the linear closed form at t = 100
     s = 0.05
     st = (0.3, 0.5, 1.1)
-    exact = solid_torus_flow(dim3, st, 100.0, s, reduce_angles=False)
-    rk4 = solid_torus_flow_rk4(dim3, st, 100.0, s, dt=1e-3)
+    exact = solid_torus_flow(dim3, st, 100.0, s)
+    rk4 = solid_torus_flow_rk4(dim3, st, 100.0, s)
     err = np.max(np.abs(np.array(exact) - np.array(rk4)))
     assert err <= 1e-8
 
