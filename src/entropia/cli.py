@@ -46,6 +46,9 @@ from .reeb_collapse.sweep import collapse_sweep
 _FIT_TOL = 0.01
 # trajectories per Gamma estimate in a collapse sweep
 _GAMMA_STATES = 24
+# most values a list option may ask for: the --n and --genus ranges, and
+# the k = 2..K of `verovic --k-max K`
+_MAX_VALUES = 10_000
 
 
 @dataclass
@@ -139,15 +142,19 @@ def _fail(fmt, message):
 
 
 def _parse_range(flag: str, text: str) -> list:
-    """'LO..HI' (inclusive) or 'N' as a non-empty list of ints."""
+    """'LO..HI' (inclusive) or 'N' as a non-empty list of at most
+    _MAX_VALUES ints."""
     lo, dots, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi if dots else lo) + 1))
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise UsageError(f"{flag} expects N or LO..HI, got {text!r}") from None
-    if not values:
+    if hi < lo:
         raise UsageError(f"{flag} range {text} is empty")
-    return values
+    if hi - lo >= _MAX_VALUES:
+        raise UsageError(f"{flag} range {text} has {hi - lo + 1} values, "
+                         f"more than {_MAX_VALUES}")
+    return list(range(lo, hi + 1))
 
 
 def _report_rows(report, *args) -> list:
@@ -244,6 +251,8 @@ def bounds(config, genus):
 @click.pass_obj
 def verovic(config, k_max):
     """Rank-k symmetric-space constants."""
+    if k_max > _MAX_VALUES:
+        raise UsageError(f"--k-max {k_max} is above {_MAX_VALUES}")
     _emit(config, _report_rows(eb.verovic_report, k_max), k_max=k_max)
 
 

@@ -68,14 +68,12 @@ class StarBody:
     directions  (N, dim) unit vectors, centrally symmetric grid
     radial      (N,) positive distances to the boundary
     convex_flag cached convexity, None = unknown
-    meta        tolerances and provenance recorded by the op that made it
     """
 
     dim: int
     directions: np.ndarray
     radial: np.ndarray
     convex_flag: bool | None = None
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         self.directions = np.asarray(self.directions, dtype=float)
@@ -279,9 +277,7 @@ def polar_dual(body: StarBody) -> StarBody:
     """Polar body: radial of the dual equals 1 / h_K at every grid direction."""
     _require_convex(body)
     h = body.support(body.directions)
-    out = StarBody(body.dim, body.directions, 1.0 / h, convex_flag=True)
-    out.meta["op"] = "polar_dual"
-    return out
+    return StarBody(body.dim, body.directions, 1.0 / h, convex_flag=True)
 
 
 def reflection_body(body: StarBody) -> StarBody:
@@ -289,9 +285,7 @@ def reflection_body(body: StarBody) -> StarBody:
     _require_convex(body)
     pts = body.points
     rad = hull_radial(np.vstack([pts, -pts]), body.directions)
-    out = StarBody(body.dim, body.directions, rad, convex_flag=True)
-    out.meta["op"] = "reflection_body"
-    return out
+    return StarBody(body.dim, body.directions, rad, convex_flag=True)
 
 
 def difference_body(body: StarBody) -> StarBody:
@@ -310,9 +304,7 @@ def difference_body(body: StarBody) -> StarBody:
     hsum = h_plus + h_minus
     rad = _min_over_facets(body.directions, cand, lambda denom: np.where(
         denom > 1e-12, hsum[None, :] / np.where(denom > 0, denom, 1.0), np.inf))
-    out = StarBody(body.dim, body.directions, rad, convex_flag=True)
-    out.meta["op"] = "difference_body"
-    return out
+    return StarBody(body.dim, body.directions, rad, convex_flag=True)
 
 
 @dataclass
@@ -529,6 +521,5 @@ def sigma_starshapedness(body: StarBody):
     """
     rad_c = hull_radial(body.points, body.directions)
     witness = StarBody(body.dim, body.directions, rad_c, convex_flag=True)
-    witness.meta["op"] = "sigma_witness"
     sigma_upper = float((rad_c / body.radial).max())
     return max(sigma_upper, 1.0), witness

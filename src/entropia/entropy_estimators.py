@@ -359,6 +359,15 @@ def suspension_cat_system(amplitude: float = 0.0, t_sample: float = 1.0
 
 # --------------------------------------------------------------- norm growth
 
+def check_gamma_budget(horizon: int, n_states: int):
+    """Raise BudgetExceeded when one gamma_plus over `horizon` steps of
+    `n_states` states would exceed GAMMA_BUDGET."""
+    if horizon * n_states > GAMMA_BUDGET:
+        raise BudgetExceeded(
+            f"gamma over {horizon} steps of {n_states} states exceeds the "
+            f"budget of {GAMMA_BUDGET} state steps")
+
+
 def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
                seed: int = 0, weight: np.ndarray | None = None):
     """Finite-horizon estimate of the norm growth
@@ -374,10 +383,7 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
     """
     if horizon < 8:
         raise EstimatorError("horizon must be at least 8")
-    if horizon * n_states > GAMMA_BUDGET:
-        raise BudgetExceeded(
-            f"gamma over {horizon} steps of {n_states} states exceeds the "
-            f"budget of {GAMMA_BUDGET} state steps")
+    check_gamma_budget(horizon, n_states)
     rng = np.random.default_rng(seed)
     x = sys.sampler(n_states, rng)
     d = x.shape[1]

@@ -10,7 +10,7 @@ fibers); base curvature never enters.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class FinslerField:
     fibers: list
     reversible_flag: bool = False
     co_or_tangent: str = "cotangent"
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.co_or_tangent not in ("cotangent", "tangent"):

@@ -1,86 +1,48 @@
-"""Forward-mode second-order derivatives for the profile constructions.
+"""Values with their first and second derivatives, for the profile
+constructions.
 
-The entropy-collapse profiles are built from smooth-step and flat-exponential
-primitives; their first and second derivatives are needed analytically (the
-contact volume density uses h = f g' - f' g, flow Jacobians use d/dr of
-g'/h and f'/h).  A tiny (value, d1, d2) triple with arithmetic and exp is
-all that takes.
+The profiles f, g and the Dehn twist tau are blends of smooth steps, and
+h = f g' - f' g and the flow Jacobians need their first two r
+derivatives.  `smooth_step_on` writes the step and its derivatives out in
+closed form; `product` and `blend` apply the product rule.  The order
+of operations in each formula is fixed: the exact pins of
+tests/test_reeb_pins.py hold to the bit, and reordering a sum or a
+product can move the last bits.
+
+`Dual` is a plain (v, d1, d2) record.  It stays a class with its own
+`__init__`, not a tuple, because perfbench's tracer counts profile
+evaluations by wrapping `Dual.__init__`; the record can go once the
+program traces itself (ROADMAP A).
 """
 
 import numpy as np
 
 
 class Dual:
-    """Value with first and second derivative, broadcasting over arrays."""
+    """A value v with its first and second derivatives d1 and d2; each is
+    an array or a scalar that broadcasts against the other two."""
 
     __slots__ = ("v", "d1", "d2")
 
-    def __init__(self, v, d1=0.0, d2=0.0):
-        self.v = np.asarray(v, dtype=float)
-        self.d1 = np.broadcast_to(np.asarray(d1, dtype=float), self.v.shape).copy() \
-            if np.shape(d1) != self.v.shape else np.asarray(d1, dtype=float)
-        self.d2 = np.broadcast_to(np.asarray(d2, dtype=float), self.v.shape).copy() \
-            if np.shape(d2) != self.v.shape else np.asarray(d2, dtype=float)
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
 
-    @classmethod
-    def variable(cls, v):
-        v = np.asarray(v, dtype=float)
-        return cls(v, np.ones_like(v), np.zeros_like(v))
 
-    @classmethod
-    def constant(cls, v):
-        v = np.asarray(v, dtype=float)
-        return cls(v, np.zeros_like(v), np.zeros_like(v))
+def product(a: Dual, b: Dual) -> Dual:
+    """a b with its derivatives by the product rule."""
+    return Dual(a.v * b.v, a.d1 * b.v + a.v * b.d1,
+                a.d2 * b.v + 2.0 * a.d1 * b.d1 + a.v * b.d2)
 
-    def _coerce(self, other):
-        return other if isinstance(other, Dual) else Dual.constant(
-            np.broadcast_to(np.asarray(other, float), self.v.shape))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Dual(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.v, -self.d1, -self.d2)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Dual(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        inv = 1.0 / self.v
-        return Dual(
-            inv,
-            -self.d1 * inv ** 2,
-            (2.0 * self.d1 ** 2 * inv - self.d2) * inv ** 2,
-        )
-
-    def exp(self):
-        e = np.exp(self.v)
-        return Dual(e, self.d1 * e, (self.d2 + self.d1 ** 2) * e)
-
-    def where(self, mask, other):
-        """Select self where mask, other elsewhere (both Duals)."""
-        o = self._coerce(other)
-        return Dual(
-            np.where(mask, self.v, o.v),
-            np.where(mask, self.d1, o.d1),
-            np.where(mask, self.d2, o.d2),
-        )
+def blend(w: Dual, lo: Dual, hi: Dual) -> Dual:
+    """(1 - w) lo + w hi with its derivatives."""
+    c, c1, c2 = 1.0 - w.v, -w.d1, -w.d2
+    return Dual(
+        c * lo.v + w.v * hi.v,
+        (c1 * lo.v + c * lo.d1) + (w.d1 * hi.v + w.v * hi.d1),
+        (c2 * lo.v + 2.0 * c1 * lo.d1 + c * lo.d2)
+        + (w.d2 * hi.v + 2.0 * w.d1 * hi.d1 + w.v * hi.d2),
+    )
 
 
 # clamp for the flat step: beyond this the exponent under/overflows and the
@@ -100,13 +62,22 @@ def smooth_step_on(x: Dual, a: float, b: float, p: float = 1.0) -> Dual:
     symmetrically: 1.534 at u = 0.21 and 0.79 for p = 0.5, 1.503 for
     p = 0.55, 1.491 for p = 0.6; no p takes it below about 1.491.
     """
-    u = (x - a) * (1.0 / (b - a))
-    lo = u.v <= _STEP_CLIP
-    hi = u.v >= 1.0 - _STEP_CLIP
+    k = 1.0 / (b - a)
+    u = (x.v - a) * k
+    du, ddu = x.d1 * k, x.d2 * k
+    lo = u <= _STEP_CLIP
+    hi = u >= 1.0 - _STEP_CLIP
     mid = ~(lo | hi)
-    safe = Dual(np.where(mid, u.v, 0.5), u.d1, u.d2)
-    q = (safe.reciprocal() - (1.0 - safe).reciprocal()) * p
-    s = (q.exp() + 1.0).reciprocal()
-    zero = Dual.constant(np.zeros_like(u.v))
-    one = Dual.constant(np.ones_like(u.v))
-    return s.where(mid, zero.where(lo, one))
+    u = np.where(mid, u, 0.5)
+    ia, ib = 1.0 / u, 1.0 / (1.0 - u)
+    # q = p (1/u - 1/(1 - u)), then S = 1 / (1 + e^q)
+    q = (ia - ib) * p
+    q1 = (-du * ia ** 2 - du * ib ** 2) * p
+    q2 = ((2.0 * du ** 2 * ia - ddu) * ia ** 2
+          - (2.0 * du ** 2 * ib + ddu) * ib ** 2) * p
+    e = np.exp(q)
+    e1, e2 = q1 * e, (q2 + q1 ** 2) * e
+    inv = 1.0 / (e + 1.0)
+    return Dual(np.where(mid, inv, np.where(lo, 0.0, 1.0)),
+                np.where(mid, -e1 * inv ** 2, 0.0),
+                np.where(mid, (2.0 * e1 ** 2 * inv - e2) * inv ** 2, 0.0))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import Dual, smooth_step_on
+from .duals import Dual, product, smooth_step_on
 from .profiles import ProfileFunctions
 
 TWO_PI = 2.0 * math.pi
@@ -100,9 +100,8 @@ class _TwistedPage:
 
     def tau_dual(self, r) -> Dual:
         """tau(r) with its first and second derivatives in r."""
-        a, b = self.tau_support
-        return smooth_step_on(Dual.variable(np.asarray(r, float)), a, b) * (
-            TWO_PI * self.k_twists)
+        w = smooth_step_on(Dual(np.asarray(r, float), 1.0, 0.0), *self.tau_support)
+        return product(w, Dual(TWO_PI * self.k_twists, 0.0, 0.0))
 
     def tau(self, r):
         return self.tau_dual(r).v

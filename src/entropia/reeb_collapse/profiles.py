@@ -22,11 +22,11 @@ come from one evaluation of f and g (`ProfileFunctions._fgh`), which the
 validators share.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import Dual, smooth_step_on
+from .duals import Dual, blend, product, smooth_step_on
 
 
 # Windows (start, end) of the smooth steps that blend the branches of f and
@@ -37,6 +37,9 @@ _DIM3_F_WINDOW = (0.15, 0.85)  # r^4 into r, in r
 _DIM3_G_WINDOW = (0.25, 1.0)  # r^2/2 into 1, in r
 _HIGHER_F_WINDOW = (0.05, 0.48)  # 1 into the middle line, in r / r_eps
 _HIGHER_G_WINDOW = (0.1, 1.0)  # r^2/2 into 1, in 2 r / r_eps
+
+# the branch 1 of f and g, as a record with zero derivatives
+_ONE = Dual(1.0, 0.0, 0.0)
 
 
 class ProfileError(Exception):
@@ -58,7 +61,6 @@ class ProfileFunctions:
     r_eps: float
     s: float
     family: str
-    meta: dict = field(default_factory=dict, compare=False)
 
     # -- family evaluators returning Duals ---------------------------------
 
@@ -72,36 +74,47 @@ class ProfileFunctions:
         kappa = min(0.5 * m1 / (b2 - r_eps / 2.0), 0.5 / r_eps)
         return b1, b2, kappa
 
-    def _f_dual(self, r: Dual) -> Dual:
+    def _f_dual(self, r) -> Dual:
+        """f at r with its first two r derivatives."""
+        r = Dual(np.asarray(r, dtype=float), 1.0, 0.0)
         if self.family == "dim3":
             # f = 2 - m, m blending r^4 into r
             w = smooth_step_on(r, *_DIM3_F_WINDOW)
-            r2 = r * r
-            m = (1.0 - w) * (r2 * r2) + w * r
-            return 2.0 - m
+            r2 = product(r, r)
+            m = blend(w, product(r2, r2), r)
+            # 0.0 - d, not -d: a zero derivative (f'' where f = 2 - r) is +0.0
+            return Dual(2.0 - m.v, 0.0 - m.d1, 0.0 - m.d2)
         # higher family: 1 near 0, the gentle line through (r_eps/2, 1/2)
         # in the middle, s/r near r_eps.  Blends always go from the larger
         # branch to the smaller one, which keeps f' <= 0.
         r_eps, s = self.r_eps, self.s
         b1, b2, kappa = self._f_zones()
-        line = 0.5 - kappa * (r - r_eps / 2.0)
+        line = Dual(0.5 - (r.v - r_eps / 2.0) * kappa, -(r.d1 * kappa),
+                    -(r.d2 * kappa))
         w1 = smooth_step_on(r, _HIGHER_F_WINDOW[0] * r_eps,
                             _HIGHER_F_WINDOW[1] * r_eps, p=0.6)
-        left = (1.0 - w1) * 1.0 + w1 * line
+        left = blend(w1, _ONE, line)
         w2 = smooth_step_on(r, b1, b2, p=0.5)
         # guard r = 0 in the s/r branch; w2 is identically 0 there
-        r_safe = Dual(np.maximum(r.v, 1e-300), r.d1, r.d2)
-        return (1.0 - w2) * left + w2 * (s * r_safe.reciprocal())
+        inv = 1.0 / np.maximum(r.v, 1e-300)
+        s_over_r = Dual(inv * s, -r.d1 * inv ** 2 * s,
+                        (2.0 * r.d1 ** 2 * inv - r.d2) * inv ** 2 * s)
+        return blend(w2, left, s_over_r)
 
-    def _g_dual(self, r: Dual) -> Dual:
+    def _g_dual(self, r) -> Dual:
+        """g at r with its first two r derivatives."""
+        r = Dual(np.asarray(r, dtype=float), 1.0, 0.0)
+        r2 = product(r, r)
+        half_r2 = Dual(r2.v * 0.5, r2.d1 * 0.5, r2.d2 * 0.5)
         if self.family == "dim3":
             # g = (1-W) r^2/2 + W, W flat-one exactly at r = 1
             w = smooth_step_on(r, *_DIM3_G_WINDOW)
-            return (1.0 - w) * (r * r * 0.5) + w * 1.0
-        # higher: same blend compressed into [0, r_eps/2], slowed step
-        u = r * (2.0 / self.r_eps)
-        w = smooth_step_on(u, *_HIGHER_G_WINDOW, p=0.55)
-        return (1.0 - w) * (r * r * 0.5) + w * 1.0
+        else:
+            # higher: same blend compressed into [0, r_eps/2], slowed step
+            c = 2.0 / self.r_eps
+            u = Dual(r.v * c, r.d1 * c, r.d2 * c)
+            w = smooth_step_on(u, *_HIGHER_G_WINDOW, p=0.55)
+        return blend(w, half_r2, _ONE)
 
     @property
     def breakpoints(self):
@@ -119,22 +132,21 @@ class ProfileFunctions:
     # -- plain evaluators ----------------------------------------------------
 
     def f(self, r):
-        return self._f_dual(Dual.variable(r)).v
+        return self._f_dual(r).v
 
     def fp(self, r):
-        return self._f_dual(Dual.variable(r)).d1
+        return self._f_dual(r).d1
 
     def g(self, r):
-        return self._g_dual(Dual.variable(r)).v
+        return self._g_dual(r).v
 
     def gp(self, r):
-        return self._g_dual(Dual.variable(r)).d1
+        return self._g_dual(r).d1
 
     def _fgh(self, r):
         """f and g as Duals at r, and h = f g' - f' g: the one evaluation
         behind h, the Reeb speeds and their derivatives."""
-        rd = Dual.variable(np.asarray(r, dtype=float))
-        f, g = self._f_dual(rd), self._g_dual(rd)
+        f, g = self._f_dual(r), self._g_dual(r)
         return f, g, f.v * g.d1 - f.d1 * g.v
 
     def h(self, r):
@@ -183,7 +195,7 @@ def _validate_dim3(p: ProfileFunctions):
     inner = (r > 0.0) & (r <= _FLAT_SKIN)
     _check(np.all(g.d1[inner] > 0.0), "dim3: g' must be positive on (0, 1)")
     _check(np.all(g.d1 >= 0.0), "dim3: g' must be nonnegative")
-    g1 = p._g_dual(Dual.variable(np.array([1.0])))
+    g1 = p._g_dual(np.array([1.0]))
     _check(abs(g1.v[0] - 1.0) < 1e-12 and abs(g1.d1[0]) < 1e-12
            and abs(g1.d2[0]) < 1e-12, "dim3: g flat-one at 1")
     _check(np.max(np.abs(g.v[near0] - r[near0] ** 2 / 2)) < 1e-12,
@@ -244,5 +256,4 @@ def build_profiles(r_eps: float, s: float, family: str = "higher") -> ProfileFun
         _validate_higher(p)
     else:
         raise ProfileError(f"unknown family {family!r}")
-    p.meta.update(validated_points=_N_VALIDATE)
     return p

@@ -3,7 +3,7 @@ the glued contact forms over a range of s."""
 
 import numpy as np
 
-from ..entropy_estimators import DiscreteSystem, gamma_plus
+from ..entropy_estimators import DiscreteSystem, check_gamma_budget, gamma_plus
 from .forms import (
     S_SCAN_CAP,
     MappingTorusSpec,
@@ -136,10 +136,9 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
                           name=f"reeb_mapping_torus(s={s})")
 
 
-def collapse_sweep(spec: MappingTorusSpec, s_list=None, n_steps: int = 8,
-                   n_returns: int = 64, gamma_horizon: int = 24,
-                   gamma_states: int = 48, seed: int = 0,
-                   grid: int = 256, fit_tol: float = 0.01):
+def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
+                   n_returns: int, gamma_horizon: int, gamma_states: int,
+                   seed: int = 0, grid: int = 256, fit_tol: float = 0.01):
     """Full sweep table: volumes, return-time range, return-map spread
     across s, finite-horizon Gamma and the normalized product
     Gamma * vol^(1/2).
@@ -147,7 +146,10 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, n_steps: int = 8,
     Returns (rows, fit, meta).  Deterministic given (spec, seed).
     Without s_list the sweep runs up to the contact threshold s1; a spec
     whose threshold is the scan cap (k_twists 0) raises NoContactThreshold.
+    A gamma estimate over GAMMA_BUDGET raises BudgetExceeded before any
+    work is done.
     """
+    check_gamma_budget(gamma_horizon, gamma_states)
     profiles = build_profiles(1.0, 0.1, "dim3")
     s0, s1 = contact_threshold(spec)
     if s_list is None:

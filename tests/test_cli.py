@@ -237,9 +237,33 @@ def test_config_digest_golden(args, digest):
       "--cloud", "50", "--horizon", "2"), "at or above the cat chart's diameter"),
     (("estimate", "--system", "cat", "--what", "htop", "--delta", "0.9",
       "--cloud", "50", "--horizon", "2"), "at or above the cat chart's diameter"),
+    (("constants", "--n", "1..10001"), "has 10001 values, more than 10000"),
+    (("bounds", "--genus", "2..20001"), "has 20000 values, more than 10000"),
+    (("verovic", "--k-max", "10001"), "--k-max 10001 is above 10000"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
+
+
+def test_range_at_the_cap_is_accepted():
+    from entropia import cli
+
+    assert cli._parse_range("--n", f"1..{cli._MAX_VALUES}") == list(
+        range(1, cli._MAX_VALUES + 1))
+
+
+def test_collapse_over_gamma_budget_fails_before_any_work(monkeypatch, capsys):
+    from entropia import cli
+    from entropia.reeb_collapse import sweep
+
+    def threshold(*args, **kwargs):
+        raise AssertionError("contact_threshold ran before the budget check")
+
+    monkeypatch.setattr(sweep, "contact_threshold", threshold)
+    assert cli.run(["collapse", "--horizon", "100000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "exceeds the budget" in err
 
 
 @pytest.mark.parametrize("args, text", [

@@ -89,6 +89,33 @@ VOLUME_FIT = {"a": 161.65422566628823, "b": -2.082907838778406,
               "a_predicted": 161.65422566628814,
               "curvature_ratio": 5.1539830281412324e-05}
 OPEN_BOOK_MT = 0.00680627638167056
+# (v, d1, d2) of the higher family's f and g at r_eps 0.4, s 0.1, one
+# radius before, in and between its blend windows and one past them; and
+# of tau for k_twists 3 across its support.  Recorded from the forward-mode
+# Dual arithmetic that the closed forms replaced.
+HIGHER_R = [0.01, 0.1, 0.21, 0.3, 0.39]
+HIGHER_F = [
+    [1.0, 0.0, 0.0],
+    [0.776766380724939, -3.483866084555789, 6.785564176219388],
+    [0.49873737373737376, -0.1262626262626263, 0.0],
+    [0.41035353535353536, -1.5814393939393936, -8.606902356902342],
+    [0.2564102564102564, -0.6574621959237343, 3.371601004737099],
+]
+HIGHER_G = [
+    [5e-05, 0.01, 1.0],
+    [0.44124673501548534, 6.2709717670784855, -27.5081175405991],
+    [1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0],
+]
+TAU_R = [1.35, 1.6, 2.0, 2.3, 2.65]
+TAU3 = [
+    [3.676504420600253e-11, 2.0616666764587784e-08, 1.0737675457936122e-05],
+    [0.612335579380299, 9.90126137001708, 94.53225503129548],
+    [9.424777960769376, 26.92793703076965, 0.0],
+    [16.79312928954993, 18.595581787680945, -72.5386081512655],
+    [18.849555921501995, 2.0616666764590434e-08, -1.0737675457937398e-05],
+]
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +138,21 @@ def test_solid_torus_reeb_exact(dim3, r):
 
 def test_solid_torus_volume_exact(dim3):
     assert solid_torus_volume(dim3, 1.0) == ST_VOLUME
+
+
+def _triples(d):
+    return np.stack([d.v, d.d1, d.d2], axis=1).tolist()
+
+
+def test_higher_profiles_exact():
+    f, g, _ = build_profiles(0.4, 0.1, "higher")._fgh(np.array(HIGHER_R))
+    assert _triples(f) == HIGHER_F
+    assert _triples(g) == HIGHER_G
+
+
+def test_tau_dual_exact():
+    tau = MappingTorusSpec(k_twists=3).tau_dual(np.array(TAU_R))
+    assert _triples(tau) == TAU3
 
 
 # (family, r_eps, s / r_eps); the higher family fails its profile
