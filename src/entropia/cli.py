@@ -46,9 +46,12 @@ from .reeb_collapse.sweep import collapse_sweep
 _FIT_TOL = 0.01
 # trajectories per Gamma estimate in a collapse sweep
 _GAMMA_STATES = 24
-# most values a list option may ask for: the --n and --genus ranges, and
-# the k = 2..K of `verovic --k-max K`
+# most values a list option may ask for: the --n and --genus ranges, the
+# k = 2..K of `verovic --k-max K`, and collapse's --steps and --returns
 _MAX_VALUES = 10_000
+# largest collapse --grid: the volume integrals hold about 130 B per point
+# of the grid x grid mesh, so 2,048 per axis is about 0.5 GB
+_MAX_GRID = 2_048
 
 
 @dataclass
@@ -367,6 +370,11 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         mt_spec = MappingTorusSpec(k_twists=twists)
     if min(steps, returns, grid) < 1:
         raise UsageError("--steps, --returns and --grid must be at least 1")
+    for flag, value, cap in (("--steps", steps, _MAX_VALUES),
+                             ("--returns", returns, _MAX_VALUES),
+                             ("--grid", grid, _MAX_GRID)):
+        if value > cap:
+            raise UsageError(f"{flag} {value} is above {cap}")
     if steps < 2:
         raise UsageError("collapse fits vol(s) = a s + b s^2 and needs --steps 2 or more")
     if horizon < 8:

@@ -64,17 +64,34 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
                           name=f"reeb_solid_torus(s={s})")
 
 
-def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
+def mapping_torus_system(spec: MappingTorusSpec, s) -> DiscreteSystem:
     """Time-one map of the mapping-torus Reeb flow with the variational
-    Jacobian integrated alongside (RK4, step 0.02, analytic field derivatives)."""
+    Jacobian integrated alongside (RK4, step 0.02, analytic field derivatives).
+
+    s is one value, or a 1-D array of k values for k stacked systems
+    (`copies` k): the maps then take k equal blocks of rows, block i at
+    s[i].  The integration is elementwise in the rows, so each block's
+    image and Jacobian equal those of the system at its own s bit for bit;
+    a scalar s is the one-block case."""
+    s_values = np.atleast_1d(np.asarray(s, float))
+    if s_values.ndim != 1 or not len(s_values):
+        raise ValueError("s must be one value or a non-empty 1-D array")
+    k = len(s_values)
+    single = np.ndim(s) == 0
 
     def step_jacobian(states):
         y = states.copy().astype(float)
         m = len(y)
+        if m % k:
+            raise ValueError(f"{m} states do not split into {k} blocks")
         th, r, x = y[:, 0], y[:, 1], y[:, 2]
-        # the flow preserves r, so tau and lambda are constant on each orbit
+        # the flow preserves r, so tau, lambda and every product of them
+        # with s are constant on each orbit
         tau = spec.tau_dual(r)
         lam = 2.0 - r
+        s_rows = np.repeat(s_values, m // k)
+        s_lam = s_rows * lam
+        dtau_dr = -tau.d1 + lam * tau.d2
 
         def field(theta):
             """(theta_dot, x_dot) and their gradient in (theta, r) as a
@@ -83,18 +100,19 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
             # Y = y_x d_x with y_x = -chi' lam tau', and its theta and r
             # derivatives
             yx = -chi1 * lam * tau.d1
-            denom = 1.0 + s * lam * yx
+            denom = 1.0 + s_lam * yx
+            denom2 = denom ** 2
             vth = 1.0 / denom
             vx = yx / denom
             dy_dth = -chi2 * lam * tau.d1
-            dy_dr = -chi1 * (-tau.d1 + lam * tau.d2)
-            dden_dth = s * lam * dy_dth
-            dden_dr = s * (-yx + lam * dy_dr)
+            dy_dr = -chi1 * dtau_dr
+            dden_dth = s_lam * dy_dth
+            dden_dr = s_rows * (-yx + lam * dy_dr)
             grad = np.zeros((m, 3, 3))
-            grad[:, 0, 0] = -dden_dth / denom ** 2
-            grad[:, 0, 1] = -dden_dr / denom ** 2
-            grad[:, 2, 0] = (dy_dth * denom - yx * dden_dth) / denom ** 2
-            grad[:, 2, 1] = (dy_dr * denom - yx * dden_dr) / denom ** 2
+            grad[:, 0, 0] = -dden_dth / denom2
+            grad[:, 0, 1] = -dden_dr / denom2
+            grad[:, 2, 0] = (dy_dth * denom - yx * dden_dth) / denom2
+            grad[:, 2, 1] = (dy_dr * denom - yx * dden_dr) / denom2
             return vth, vx, grad
 
         jac = np.tile(np.eye(3), (m, 1, 1))
@@ -131,9 +149,11 @@ def mapping_torus_system(spec: MappingTorusSpec, s: float) -> DiscreteSystem:
         st[:, 2] = rng.random(m) * TWO_PI
         return st
 
+    label = s if single else s_values.tolist()
     return DiscreteSystem(3, step, step_jacobian, metric=_chart_metric,
                           sampler=sampler, period=TWO_PI,
-                          name=f"reeb_mapping_torus(s={s})")
+                          name=f"reeb_mapping_torus(s={label})",
+                          copies=None if single else k)
 
 
 def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
@@ -146,10 +166,14 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
     Returns (rows, fit, meta).  Deterministic given (spec, seed).
     Without s_list the sweep runs up to the contact threshold s1; a spec
     whose threshold is the scan cap (k_twists 0) raises NoContactThreshold.
-    A gamma estimate over GAMMA_BUDGET raises BudgetExceeded before any
-    work is done.
+    The mapping-torus Gamma of every s comes from one `gamma_plus` over
+    the stacked system (its rows equal those of one s at a time); the
+    solid torus runs one s at a time.  A stacked gamma estimate over
+    GAMMA_BUDGET (horizon x states x values of s) raises BudgetExceeded
+    before any work is done.
     """
-    check_gamma_budget(gamma_horizon, gamma_states)
+    n_s = n_steps if s_list is None else len(s_list)
+    check_gamma_budget(gamma_horizon, n_s * gamma_states)
     profiles = build_profiles(1.0, 0.1, "dim3")
     s0, s1 = contact_threshold(spec)
     if s_list is None:
@@ -165,8 +189,10 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
         spec.r_range[0] + (spec.r_range[1] - spec.r_range[0]) * rng.random(n_returns),
         rng.random(n_returns) * TWO_PI,
     ], axis=1)
+    mt_sys = mapping_torus_system(spec, [row["s"] for row in rows])
+    g_mt = gamma_plus(mt_sys, gamma_horizon, gamma_states, seed)
     images = []
-    for row in rows:
+    for row, mt in zip(rows, g_mt):
         s = row["s"]
         times = np.empty(n_returns)
         imgs = np.empty((n_returns, 2))
@@ -177,11 +203,9 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
         images.append(imgs)
         row["T_s_min"] = float(times.min())
         row["T_s_max"] = float(times.max())
-        mt_sys = mapping_torus_system(spec, s)
         st_sys = solid_torus_system(profiles, s)
-        g_mt = gamma_plus(mt_sys, gamma_horizon, gamma_states, seed).value
         g_st = gamma_plus(st_sys, gamma_horizon, gamma_states, seed).value
-        row["gamma_est"] = max(g_mt, g_st)
+        row["gamma_est"] = max(mt.value, g_st)
         _, scaled = normalize_form(row["vol_total"], 1, row["gamma_est"])
         row["gamma_times_vol_pow"] = scaled
     spread = 0.0

@@ -6,7 +6,7 @@ that file unchanged, installs its wrappers as the benchmark does and runs
 five short commands in this process, plain and traced.  A change that
 removes or renames a bound name fails here, not only in a benchmark run,
 and so does a collapse sweep whose mapping-torus steps bypass the wrapped
-`time_one_jacobian`.
+`time_one_jacobian` or are no longer stacked over every s.
 """
 
 import contextlib
@@ -63,7 +63,14 @@ def test_tracer_binds_every_name_and_leaves_output_unchanged():
     for name in ("entropy_bounds.quad_calls", "entropy_estimators.htop_accepted",
                  "reeb_collapse.dual_objects"):
         assert tracer.counts.get(name, 0) > 0, name
-    assert any(span[0] == "reeb_collapse.mt_jacobian" for span in tracer.spans)
+    # the collapse sweep steps every s of its mapping torus in one stacked
+    # gamma_plus: one time-one Jacobian per step of the horizon (8), not
+    # one per step per s
+    assert sum(span[0] == "reeb_collapse.mt_jacobian" for span in tracer.spans) == 8
+    mt_gamma = [span for span in tracer.spans
+                if span[0] == "entropy_estimators.gamma_plus"
+                and str(span[5]).startswith("reeb_mapping_torus")]
+    assert len(mt_gamma) == 1
     assert patched
     for owner, attr, old in patched:
         assert owner.__dict__[attr] is old, f"{owner.__name__}.{attr} not restored"

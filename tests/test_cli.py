@@ -240,6 +240,12 @@ def test_config_digest_golden(args, digest):
     (("constants", "--n", "1..10001"), "has 10001 values, more than 10000"),
     (("bounds", "--genus", "2..20001"), "has 20000 values, more than 10000"),
     (("verovic", "--k-max", "10001"), "--k-max 10001 is above 10000"),
+    (("collapse", "--steps", "10001"), "--steps 10001 is above 10000"),
+    (("collapse", "--returns", "10001"), "--returns 10001 is above 10000"),
+    (("collapse", "--grid", "2049"), "--grid 2049 is above 2048"),
+    # 100 values of s x 24 states x 500 steps: each s alone is in budget
+    (("collapse", "--steps", "100", "--horizon", "500"),
+     "gamma over 500 steps of 2400 states exceeds the budget"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)

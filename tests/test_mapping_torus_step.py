@@ -142,6 +142,26 @@ def test_time_one_and_jacobian_match_goldens(k, s):
                                want[:, 3:], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_step_jacobian_equals_each_s_alone(k):
+    # three values of s stacked in one system: block i of the tiled states
+    # is stepped at s[i], bit for bit as the system at s[i] alone; the
+    # states cross the page theta = 2 pi, so the gluing runs per row
+    spec = MappingTorusSpec(k_twists=k)
+    s_values = [0.05, 0.4, 0.9]
+    stacked = mapping_torus_system(spec, s_values)
+    assert stacked.copies == 3
+    states = np.array(STATES)
+    image, jac = stacked.time_one_jacobian(np.tile(states, (3, 1)))
+    n = len(states)
+    for i, s in enumerate(s_values):
+        want_image, want_jac = mapping_torus_system(spec, s).time_one_jacobian(states)
+        assert np.array_equal(image[i * n:(i + 1) * n], want_image)
+        assert np.array_equal(jac[i * n:(i + 1) * n], want_jac)
+    with pytest.raises(ValueError, match="do not split into 3 blocks"):
+        stacked.time_one_jacobian(states)
+
+
 SYSTEMS = {
     "rotation": lambda: rotation_system(0.31),
     "doubling": doubling_system,
