@@ -1,11 +1,10 @@
 """Command-line interface: every module as a subcommand with reproducible
 seeds and CSV/JSON emission.
 
-Click is the only argument layer: it types and defaults every option once
-and hands the typed values to the subcommand, which builds its rows from
-them.  The `--n`/`--genus` ranges and the `--delta` list are parsed once,
-in their subcommands.  `--tol fit=X` overrides the volume-fit tolerance of
-`collapse` and is accepted with `collapse` only.
+Click is the only argument layer: it types, bounds and defaults each option
+once, and `--help` prints the bounds.  Rules that tie options together, and
+the `--n`/`--genus`/`--delta` lists, are checked in the subcommands.
+`--tol fit=X` sets the volume-fit tolerance and goes with `collapse` only.
 
 Exit codes: 0 success, 1 usage error (every argument error, click's
 included, and a run over an estimator's work budget, reported as one
@@ -39,6 +38,7 @@ from .convex_body import (
     volume,
 )
 from .reeb_collapse import FormsError, MappingTorusSpec, build_profiles
+from .reeb_collapse.forms import MAX_TWISTS
 from .reeb_collapse.profiles import ProfileError
 from .reeb_collapse.sweep import collapse_sweep
 
@@ -49,6 +49,7 @@ _GAMMA_STATES = 24
 # most values a list option may ask for: the --n and --genus ranges, the
 # k = 2..K of `verovic --k-max K`, and collapse's --steps and --returns
 _MAX_VALUES = 10_000
+_MAX_RADIUS = 1_000_000  # largest hvol --horizon; past it the fit residual is rounding
 # largest collapse --grid: the volume integrals hold about 130 B per point
 # of the grid x grid mesh, so 2,048 per axis is about 0.5 GB
 _MAX_GRID = 2_048
@@ -82,11 +83,7 @@ def _emit(config: RunConfig, rows: list, **args):
     if config.fmt == "json":
         payload = json.dumps(rows, indent=None, sort_keys=True) + "\n"
     else:
-        cols = []
-        for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
+        cols = list(dict.fromkeys(key for row in rows for key in row))
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
         writer.writeheader()
@@ -187,19 +184,21 @@ class _Finite(click.ParamType):
         return number
 
 
-class _FitTolerance(_Finite):
-    """`fit=VALUE`, the one tolerance `--tol` overrides; VALUE > 0."""
+class _FiniteRange(click.FloatRange):
+    """A finite float in a range that --help shows."""
 
-    name = "fit=VALUE"
+    def convert(self, value, param, ctx):
+        return super().convert(_Finite().convert(value, param, ctx), param, ctx)
+
+
+class _FitTolerance(_FiniteRange):
+    """`fit=VALUE`, the one tolerance `--tol` overrides."""
 
     def convert(self, value, param, ctx):
         key, _, number = value.partition("=")
         if key != "fit":
             self.fail(f"only fit=VALUE is known, got {value!r}", param, ctx)
-        tol = super().convert(number, param, ctx)
-        if not tol > 0.0:
-            self.fail(f"fit must be positive, got {value!r}", param, ctx)
-        return tol
+        return super().convert(number, param, ctx)
 
 
 class _Entropia(click.Group):
@@ -214,12 +213,13 @@ class _Entropia(click.Group):
 # ------------------------------------------------------------------- click
 
 @click.group(cls=_Entropia, no_args_is_help=False)
-@click.option("--seed", default=0, type=int, show_default=True,
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True,
               help="Seed for every stochastic component.")
 @click.option("--out", default=None, type=str, help="Output path (default stdout).")
 @click.option("--format", "fmt", default="csv",
               type=click.Choice(["csv", "json"]), show_default=True)
-@click.option("--tol", multiple=True, type=_FitTolerance(), metavar="fit=VALUE",
+@click.option("--tol", multiple=True, type=_FitTolerance(min=0, min_open=True),
+              metavar="fit=VALUE",
               help="collapse only: the volume fit's relative residual bound "
                    f"[default: fit={_FIT_TOL}]; the last one given wins.")
 @click.pass_context
@@ -250,12 +250,11 @@ def bounds(config, genus):
 
 
 @main.command()
-@click.option("--k-max", default=6, show_default=True, type=click.IntRange(min=2))
+@click.option("--k-max", default=6, show_default=True,
+              type=click.IntRange(2, _MAX_VALUES))
 @click.pass_obj
 def verovic(config, k_max):
     """Rank-k symmetric-space constants."""
-    if k_max > _MAX_VALUES:
-        raise UsageError(f"--k-max {k_max} is above {_MAX_VALUES}")
     _emit(config, _report_rows(eb.verovic_report, k_max), k_max=k_max)
 
 
@@ -321,7 +320,13 @@ def _body_rows(star: StarBody) -> list:
                      "formula_id": formula, "tolerance": tol})
 
     vol_method = "exact2d" if star.dim == 2 else "radial_quadrature"
-    add("volume", volume(star, vol_method), vol_method, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vol = volume(star, vol_method)
+    # the hulls and ellipsoid fits take determinants that scale as vol^2
+    if not sys.float_info.min < vol * vol < math.inf:
+        raise BodyError(f"the {vol_method} volume {vol:.3g} of radial up to "
+                        f"{star.radial.max():.3g} squared leaves the float range")
+    add("volume", vol, vol_method, 0.0)
     sigma, _ = sigma_starshapedness(star)
     add("sigma_upper", sigma, "sigma_starshapedness", 0.0)
     from .convex_body import is_convex
@@ -335,19 +340,24 @@ def _body_rows(star: StarBody) -> list:
             add("inner_loewner_volume", inner.volume, "inner_loewner", 1e-6)
         dual = polar_dual(star)
         add("santalo_product",
-            volume(star, vol_method) * volume(dual, vol_method),
+            vol * volume(dual, vol_method),
             "santalo", 1e-3)
     return rows
 
 
 @main.command()
-@click.option("--s-min", default=None, type=_Finite())
-@click.option("--s-max", default=None, type=_Finite())
-@click.option("--steps", default=8, show_default=True)
-@click.option("--twists", default=1, show_default=True)
-@click.option("--returns", default=32, show_default=True)
-@click.option("--horizon", default=16, show_default=True)
+@click.option("--s-min", default=None, type=_FiniteRange(min=0, min_open=True))
+@click.option("--s-max", default=None, type=_FiniteRange(min=0, min_open=True))
+@click.option("--steps", default=8, show_default=True,
+              type=click.IntRange(2, _MAX_VALUES))
+@click.option("--twists", default=1, show_default=True,
+              type=click.IntRange(-MAX_TWISTS, MAX_TWISTS))
+@click.option("--returns", default=32, show_default=True,
+              type=click.IntRange(1, _MAX_VALUES))
+@click.option("--horizon", default=16, show_default=True,
+              type=click.IntRange(min=8))
 @click.option("--grid", default=256, show_default=True,
+              type=click.IntRange(1, _MAX_GRID),
               help="Quadrature grid per axis for the volume integrals.")
 @click.option("--spec", default=None, type=str,
               help="Path to a MappingTorusSpec JSON file.")
@@ -362,32 +372,17 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         try:
             with open(spec) as fh:
                 mt_spec = MappingTorusSpec.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                FormsError) as exc:
+        except (OSError, ValueError, TypeError, AttributeError, FormsError) as exc:
             raise UsageError(
                 f"cannot read --spec {spec}: {type(exc).__name__}: {exc}") from exc
     else:
         mt_spec = MappingTorusSpec(k_twists=twists)
-    if min(steps, returns, grid) < 1:
-        raise UsageError("--steps, --returns and --grid must be at least 1")
-    for flag, value, cap in (("--steps", steps, _MAX_VALUES),
-                             ("--returns", returns, _MAX_VALUES),
-                             ("--grid", grid, _MAX_GRID)):
-        if value > cap:
-            raise UsageError(f"{flag} {value} is above {cap}")
-    if steps < 2:
-        raise UsageError("collapse fits vol(s) = a s + b s^2 and needs --steps 2 or more")
-    if horizon < 8:
-        raise UsageError(f"collapse needs --horizon 8 or more, got {horizon}")
     if s_min is None and mt_spec.k_twists == 0:
         # trivial monodromy: no contact threshold bounds the default sweep
         raise UsageError("collapse with k_twists 0 has no contact threshold "
                          "to sweep up to; give --s-min and --s-max")
     s_list = None
     if s_min is not None:
-        for flag, value in (("--s-min", s_min), ("--s-max", s_max)):
-            if not value > 0.0:
-                raise UsageError(f"{flag} must be positive, got {value}")
         if not s_min < s_max:
             raise UsageError(
                 f"--s-min must be below --s-max, got {s_min} and {s_max}")
@@ -399,11 +394,9 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         mt_spec, s_list=s_list, n_steps=steps,
         n_returns=returns, gamma_horizon=horizon,
         gamma_states=_GAMMA_STATES, seed=config.seed, grid=grid, fit_tol=fit_tol)
-    out = []
-    for row in rows:
-        out.append({k: repr(float(v)) for k, v in row.items()})
-        out[-1]["formula_id"] = "collapse_sweep"
-        out[-1]["tolerance"] = fit["residual"]
+    out = [{**{k: repr(float(v)) for k, v in row.items()},
+            "formula_id": "collapse_sweep", "tolerance": fit["residual"]}
+           for row in rows]
     _emit(config, out, **args)
 
 
@@ -415,7 +408,8 @@ _SYSTEMS = {
 
 
 @main.command()
-@click.option("--system", default="cat", show_default=True)
+@click.option("--system", default="cat", show_default=True,
+              type=click.Choice([*_SYSTEMS, "reeb-solid-torus", "hyperbolic"]))
 @click.option("--what", default="gamma", show_default=True,
               type=click.Choice(["htop", "hvol", "gamma"]))
 @click.option("--horizon", default=None, type=int,
@@ -436,11 +430,12 @@ def estimate(config, system, what, horizon, delta, cloud):
             f"--delta expects comma-separated numbers, got {delta!r}") from None
     if not all(math.isfinite(d) and d > 0.0 for d in deltas):
         raise UsageError(f"--delta values must be positive and finite, got {delta!r}")
+    if (what == "hvol") != (system == "hyperbolic"):
+        raise UsageError("--what hvol and --system hyperbolic go together")
     if what == "hvol":
-        if system != "hyperbolic":
-            raise UsageError("hvol estimates support the hyperbolic geometry")
-        if horizon < 1:
-            raise UsageError(f"hvol needs --horizon 1 or more, got {horizon}")
+        if not 1 <= horizon <= _MAX_RADIUS:
+            raise UsageError(f"hvol needs --horizon 1 or more, up to "
+                             f"{_MAX_RADIUS}, got {horizon}")
         est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
     else:
         if system == "reeb-solid-torus":
@@ -450,12 +445,10 @@ def estimate(config, system, what, horizon, delta, cloud):
             sys_ = solid_torus_system(profiles, s=0.05)
             # its chart metric: two angles mod 2 pi and r in [0, r_eps]
             diameter = math.hypot(math.pi, math.pi, profiles.r_eps)
-        elif system in _SYSTEMS:
+        else:
             sys_ = _SYSTEMS[system]()
             # the unit torus under torus_metric
             diameter = math.sqrt(sys_.state_dim) / 2.0
-        else:
-            raise UsageError(f"unknown system {system}")
         if what == "gamma":
             if horizon < 8:
                 raise UsageError(f"gamma needs --horizon 8 or more, got {horizon}")

@@ -14,7 +14,7 @@ grid mesh; use grid_tolerance(body) for those.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -313,7 +313,6 @@ class Ellipsoid:
 
     dim: int
     form: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         self.form = np.asarray(self.form, dtype=float)
@@ -410,7 +409,6 @@ def outer_loewner(body: StarBody) -> Ellipsoid:
     ell = Ellipsoid(body.dim, A)
     if not ell.contains(pts, EPS_FIT):
         raise BodyError("Loewner fit lost containment")
-    ell.meta.update(op="outer_loewner", eps_fit=EPS_FIT, eps_vol=EPS_VOL)
     return ell
 
 
@@ -433,7 +431,6 @@ def inner_loewner(body: StarBody) -> Ellipsoid:
         raise BodyError("John sandwich violated: E exceeds K beyond tolerance")
     if np.any(work.radial > math.sqrt(work.dim) * r_e * (1.0 + tol)):
         raise BodyError("John sandwich violated: K exceeds sqrt(n) E")
-    ell.meta.update(op="inner_loewner", eps_fit=EPS_FIT, grid_tol=tol)
     return ell
 
 

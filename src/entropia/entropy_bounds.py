@@ -61,9 +61,7 @@ class QuadratureDisagreement(BoundsError):
     pass
 
 
-# fixed seed for the stratified Monte Carlo Weyl integrals (documented
-# constant; the configuration name in the design notes is not a valid
-# numeral, so this value is pinned here instead)
+# seed of the stratified Monte Carlo Weyl integrals
 WEYL_MC_SEED = 0xE27
 WEYL_MC_SAMPLES = 10_000_000
 WEYL_MC_STRATA = 32
@@ -196,7 +194,7 @@ def _weyl_quad(k: int, body: str) -> float:
     return rec(k, 1.0)
 
 
-def _weyl_mc(k: int, body: str, n_samples: int, seed: int):
+def _weyl_mc(k: int, body: str, n_samples: int):
     """Stratified MC (strata along the first axis) for k >= 4 regions.
 
     Returns (estimate, standard_error).
@@ -206,7 +204,7 @@ def _weyl_mc(k: int, body: str, n_samples: int, seed: int):
     means = np.empty(strata)
     variances = np.empty(strata)
     for s in range(strata):
-        rng = np.random.default_rng(seed + s)
+        rng = np.random.default_rng(WEYL_MC_SEED + s)
         x = rng.random((per, k))
         x[:, 0] = (s + x[:, 0]) / strata
         if body == "ball":
@@ -221,8 +219,7 @@ def _weyl_mc(k: int, body: str, n_samples: int, seed: int):
     return est, se
 
 
-def weyl_cell_integrals(k: int, body: str, n_samples: int = WEYL_MC_SAMPLES,
-                        seed: int = WEYL_MC_SEED):
+def weyl_cell_integrals(k: int, body: str, n_samples: int = WEYL_MC_SAMPLES):
     """int of x_1 ... x_k over (body intersect R_+^k).
 
     Exact for the cube, else Gauss-Legendre quadrature (k <= 3, exact for
@@ -241,7 +238,7 @@ def weyl_cell_integrals(k: int, body: str, n_samples: int = WEYL_MC_SAMPLES,
     elif k <= 3:
         est, se = _weyl_quad(k, body), 0.0
     else:
-        est, se = _weyl_mc(k, body, n_samples, seed)
+        est, se = _weyl_mc(k, body, n_samples)
     slack = max(3.0 * se, 1e-8)
     if abs(est - closed) > slack:
         raise QuadratureDisagreement(

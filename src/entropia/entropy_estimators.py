@@ -593,6 +593,7 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
                              delta=delta)
         if best is None or est.value > best.value:
             best = est
+    best.value = max(0.0, best.value)  # counts never fall with T: below 0 is rounding
     if return_counts:
         return best, all_counts
     return best
@@ -600,15 +601,16 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
 
 # ------------------------------------------------------------- ball growth
 
-def _ball_volume(geometry, r):
+def _log_ball_volume(geometry, r):
+    """log Vol(B_r); 2 pi (cosh r - 1) = pi e^r (1 - e^-r)^2 stays finite."""
     kind = geometry[0]
     if kind == "hyperbolic":
-        return 2.0 * math.pi * (np.cosh(r) - 1.0)
+        return math.log(math.pi) + r + 2.0 * np.log1p(-np.exp(-r))
     if kind == "euclidean":
-        return math.pi * r ** 2
+        return math.log(math.pi) + 2.0 * np.log(r)
     if kind == "scaled":
         _, c, inner = geometry
-        return _ball_volume(inner, r / c)
+        return _log_ball_volume(inner, r / c)
     raise EstimatorError(f"unknown geometry {geometry!r}")
 
 
@@ -620,8 +622,7 @@ def hvol_ball_growth(geometry, r_max: float) -> GrowthEstimate:
     ("scaled", c, inner) using B(cF, R) = B(F, R/c).
     """
     r = np.linspace(r_max / 4.0, r_max, 200)
-    vols = _ball_volume(geometry, r)
-    slope, resid = _tail_slope(r, np.log(vols))
+    slope, resid = _tail_slope(r, _log_ball_volume(geometry, r))
     return GrowthEstimate(slope, float(r_max), len(r), resid)
 
 
@@ -629,10 +630,10 @@ def hvol_ball_growth(geometry, r_max: float) -> GrowthEstimate:
 
 def manning_check(h_top_est: GrowthEstimate, h_vol_est: GrowthEstimate,
                   gamma_est: GrowthEstimate | None = None,
-                  dim: int | None = None, slack: float = 2e-2) -> dict:
-    """h_top >= h_vol within the residual budget; optionally the upper
-    chain h_top <= dim * Gamma_+."""
-    budget = h_top_est.fit_residual + h_vol_est.fit_residual + slack
+                  dim: int | None = None) -> dict:
+    """h_top >= h_vol within the residual budget plus a slack of 0.02;
+    optionally the upper chain h_top <= dim * Gamma_+."""
+    budget = h_top_est.fit_residual + h_vol_est.fit_residual + 2e-2
     report = {
         "h_top": h_top_est.value,
         "h_vol": h_vol_est.value,
@@ -649,7 +650,7 @@ def manning_check(h_top_est: GrowthEstimate, h_vol_est: GrowthEstimate,
 
 def time_change_bound(base: DiscreteSystem, changed: DiscreteSystem,
                       f_sup: float, horizon: int, n_states: int = 96,
-                      seed: int = 0, slack: float = 2e-2,
+                      slack: float = 2e-2,
                       htop_params: dict | None = None) -> dict:
     """Gamma_+(phi_fX) <= sup f * Gamma_+(phi_X) at matched horizons.
 
@@ -658,8 +659,8 @@ def time_change_bound(base: DiscreteSystem, changed: DiscreteSystem,
     the separated-set estimator; both sides share the estimator bias, so
     the report uses a proportional slack.
     """
-    lhs = gamma_plus(changed, horizon, n_states, seed)
-    rhs = gamma_plus(base, horizon, n_states, seed)
+    lhs = gamma_plus(changed, horizon, n_states)
+    rhs = gamma_plus(base, horizon, n_states)
     report = {
         "lhs": lhs.value,
         "rhs": rhs.value,
@@ -671,9 +672,9 @@ def time_change_bound(base: DiscreteSystem, changed: DiscreteSystem,
     if htop_params is not None:
         p = dict(htop_params)
         h_lhs = htop_separated(changed, p["delta_list"], p["horizon"],
-                               p.get("n_candidates", HTOP_CLOUD), seed)
+                               p.get("n_candidates", HTOP_CLOUD))
         h_rhs = htop_separated(base, p["delta_list"], p["horizon"],
-                               p.get("n_candidates", HTOP_CLOUD), seed)
+                               p.get("n_candidates", HTOP_CLOUD))
         report["htop_lhs"] = h_lhs.value
         report["htop_rhs"] = h_rhs.value
         report["htop_bound_ok"] = (

@@ -41,6 +41,8 @@ TWO_PI = 2.0 * math.pi
 # reported in place of an infinite contact threshold (trivial monodromy)
 S_SCAN_CAP = 1e6
 
+MAX_TWISTS = 1_000_000  # most Dehn twists a spec takes; tau = 2 pi k stays finite
+
 # Gauss-Legendre nodes per breakpoint panel of the solid-torus volume
 _GL_NODES = 96
 
@@ -126,7 +128,6 @@ class MappingTorusSpec(_TwistedPage):
     tau supported in the middle of the annulus."""
 
     k_twists: int = 1
-    s: float = 0.01
     r_range: tuple = (1.0, 3.0)
     tau_support: tuple = (1.3, 2.7)
 
@@ -134,6 +135,8 @@ class MappingTorusSpec(_TwistedPage):
         (r0, r1), (a, b) = self.r_range, self.tau_support
         if not r0 < r1:
             raise FormsError(f"r_range must be increasing, got {list(self.r_range)}")
+        if not math.isfinite(r1 - r0):
+            raise FormsError(f"r_range must be finite, got {list(self.r_range)}")
         if not r0 <= a < b <= r1:
             raise FormsError("tau_support must have positive width inside r_range, "
                              f"got {list(self.tau_support)} in {list(self.r_range)}")
@@ -168,20 +171,25 @@ class MappingTorusSpec(_TwistedPage):
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"k_twists": self.k_twists, "s": self.s,
-                "r_range": list(self.r_range),
+        return {"k_twists": self.k_twists, "r_range": list(self.r_range),
                 "tau_support": list(self.tau_support)}
 
     @classmethod
     def from_json(cls, obj) -> "MappingTorusSpec":
-        return cls(int(obj.get("k_twists", 1)), float(obj.get("s", 0.01)),
-                   tuple(map(float, obj.get("r_range", (1.0, 3.0)))),
+        """Strict inverse of to_json; a missing key takes its default."""
+        k = obj.get("k_twists", 1)
+        unknown = sorted(set(obj) - {"k_twists", "r_range", "tau_support"})
+        if unknown:
+            raise FormsError(f"unknown spec key(s) {unknown}")
+        if type(k) not in (int, float) or k % 1 or not abs(k) <= MAX_TWISTS:
+            raise FormsError(f"k_twists must be an integer of size <= {MAX_TWISTS}, "
+                             f"got {k!r}")
+        return cls(int(k), tuple(map(float, obj.get("r_range", (1.0, 3.0)))),
                    tuple(map(float, obj.get("tau_support", (1.3, 2.7)))))
 
 
-def mapping_torus_reeb(spec: MappingTorusSpec, state, s: float | None = None):
+def mapping_torus_reeb(spec: MappingTorusSpec, state, s: float):
     """Reeb velocity (theta_dot, r_dot, x_dot) of alpha_s at the state."""
-    s = spec.s if s is None else s
     theta, r, x = state
     y = spec.y_x(theta, r)
     denom = 1.0 + s * spec.lam(r) * y
@@ -196,11 +204,15 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     grid^3 lattice (refined around the extremum of lambda_theta(Y)); s1 is
     (1 - 1e-4) times the largest s with 1/2 <= theta_dot <= 2 there, at most
     s0.  The instance is x-independent, so the x-axis of the lattice
-    carries identical values.  tau' == 0 yields the scan cap for both.
+    carries identical values; a twist support between two lattice rows gets
+    the rows of its own span.  tau' == 0 yields the scan cap for both.
     Raises GridTooCoarse when a threshold fails the lattice test.
     """
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     r = np.linspace(spec.r_range[0], spec.r_range[1], grid)
+    a, b = spec.tau_support
+    if spec.k_twists and not np.any((r > a) & (r < b)):
+        r = np.linspace(a, b, grid)
     th, rr = np.meshgrid(theta, r, indexing="ij")
     lam_y = spec.lambda_theta_of_y(th, rr)  # x-independent
     if not np.all(np.isfinite(lam_y)):
@@ -211,11 +223,11 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
         vals = sign * lam_y
         k = int(np.argmax(vals))
         t0, r0 = th.flat[k], rr.flat[k]
-        wt, wr = TWO_PI / grid, (spec.r_range[1] - spec.r_range[0]) / grid
+        wt, wr = TWO_PI / grid, (r[-1] - r[0]) / grid
         best = vals.flat[k]
         for _ in range(6):
             tg = np.linspace(t0 - wt, t0 + wt, 17)
-            rg = np.clip(np.linspace(r0 - wr, r0 + wr, 17), *spec.r_range)
+            rg = np.clip(np.linspace(r0 - wr, r0 + wr, 17), r[0], r[-1])
             tt, rr2 = np.meshgrid(tg, rg, indexing="ij")
             local = sign * spec.lambda_theta_of_y(tt % TWO_PI, rr2)
             j = int(np.argmax(local))
@@ -243,7 +255,7 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     return s0, s1
 
 
-def return_map_and_time(spec: MappingTorusSpec, start, s: float | None = None,
+def return_map_and_time(spec: MappingTorusSpec, start, s: float,
                         n_steps: int = 4096):
     """First return to the page {theta = 0}: (T_s, (r, x) image).
 
@@ -252,7 +264,6 @@ def return_map_and_time(spec: MappingTorusSpec, start, s: float | None = None,
     along the flow), then applies the monodromy gluing
     (2 pi, p) ~ (0, psi(p)).  Raises NoReturn past time 8 pi.
     """
-    s = spec.s if s is None else s
     r, x0 = float(start[0]), float(start[1])
     h = TWO_PI / n_steps
     nodes = np.arange(2 * n_steps + 1) * (0.5 * h)

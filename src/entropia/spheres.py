@@ -13,6 +13,7 @@ import numpy as np
 # canonical grid sizes
 CIRCLE_GRID = 720
 SPHERE_GRID = 4096  # 2**12, built as 2**11 points plus antipodes
+_ANTIPODE_TOL = 1e-9  # largest coordinate error of a matched antipode
 
 
 def unit_ball_volume(n: int) -> float:
@@ -75,21 +76,21 @@ def sphere_grid(dim: int, n: int | None = None) -> np.ndarray:
     return np.vstack([pts, -pts])
 
 
-def antipodal_indices(directions: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def antipodal_indices(directions: np.ndarray) -> np.ndarray:
     """Index map i -> j with directions[j] == -directions[i].
 
     Canonical grids place antipodes half a grid apart, which is tried first;
     otherwise falls back to a nearest-neighbour search and insists on an
-    exact (within tol) match.
+    exact (within _ANTIPODE_TOL) match.
     """
     n = len(directions)
     if n % 2 == 0:
         shifted = np.roll(directions, n // 2, axis=0)
-        if np.max(np.abs(shifted + directions)) < tol:
+        if np.max(np.abs(shifted + directions)) < _ANTIPODE_TOL:
             return (np.arange(n) + n // 2) % n
     prod = directions @ directions.T
     idx = np.argmin(prod, axis=1)
-    if np.max(np.abs(directions[idx] + directions)) > tol:
+    if np.max(np.abs(directions[idx] + directions)) > _ANTIPODE_TOL:
         raise ValueError("direction grid is not centrally symmetric")
     return idx
 

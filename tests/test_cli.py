@@ -109,11 +109,14 @@ def _one_line_error(res, code, text):
 
 
 @pytest.mark.parametrize("args, text", [
-    (("--s-min", "-1", "--s-max", "1"), "--s-min must be positive"),
+    (("--s-min", "-1", "--s-max", "1"),
+     "Invalid value for '--s-min': -1.0 is not in the range x>0."),
     (("--s-min", "0.1"), "--s-min and --s-max must be given together"),
-    (("--horizon", "4"), "--horizon 8 or more"),
-    (("--grid", "0"), "must be at least 1"),
-    (("--steps", "0"), "must be at least 1"),
+    (("--horizon", "4"), "Invalid value for '--horizon': 4 is not in the range x>=8."),
+    (("--grid", "0"),
+     "Invalid value for '--grid': 0 is not in the range 1<=x<=2048."),
+    (("--steps", "0"),
+     "Invalid value for '--steps': 0 is not in the range 2<=x<=10000."),
     (("--s-min", "0.02", "--s-max", "0.01"), "--s-min must be below --s-max"),
     (("--s-min", "0.01", "--s-max", "0.01"), "--s-min must be below --s-max"),
 ])
@@ -200,9 +203,12 @@ def test_config_digest_golden(args, digest):
     (("--tol", "bogus=1", "collapse"), "only fit=VALUE is known"),
     (("constants", "--n", "3..1"), "--n range 3..1 is empty"),
     (("bounds", "--genus", "5..2"), "--genus range 5..2 is empty"),
-    (("verovic", "--k-max", "1"), "not in the range x>=2"),
-    (("verovic", "--k-max", "0"), "not in the range x>=2"),
-    (("collapse", "--steps", "1"), "needs --steps 2 or more"),
+    (("verovic", "--k-max", "1"),
+     "Invalid value for '--k-max': 1 is not in the range 2<=x<=10000."),
+    (("verovic", "--k-max", "0"),
+     "Invalid value for '--k-max': 0 is not in the range 2<=x<=10000."),
+    (("collapse", "--steps", "1"),
+     "Invalid value for '--steps': 1 is not in the range 2<=x<=10000."),
     (("estimate", "--what", "htop", "--delta", "0.3,"), "comma-separated numbers"),
     (("estimate", "--what", "htop", "--delta", "0.3,0"), "must be positive"),
     (("spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "-1", "--c", "2.0"),
@@ -226,7 +232,8 @@ def test_config_digest_golden(args, digest):
     (("collapse", "--s-min", "1e-3", "--s-max", "inf", "--steps", "2",
       "--horizon", "8"), "'inf' is not a finite number"),
     (("--tol", "fit=nan", "collapse"), "'nan' is not a finite number"),
-    (("--tol", "fit=-1", "collapse"), "fit must be positive"),
+    (("--tol", "fit=-1", "collapse"),
+     "Invalid value for '--tol': -1.0 is not in the range x>0."),
     (("spectrum", "--v-bar", "0.5", "--h", "1e-200", "--n", "2", "--c", "1"),
      "leaves the float range"),
     (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "400", "--c", "10"),
@@ -239,13 +246,23 @@ def test_config_digest_golden(args, digest):
       "--cloud", "50", "--horizon", "2"), "at or above the cat chart's diameter"),
     (("constants", "--n", "1..10001"), "has 10001 values, more than 10000"),
     (("bounds", "--genus", "2..20001"), "has 20000 values, more than 10000"),
-    (("verovic", "--k-max", "10001"), "--k-max 10001 is above 10000"),
-    (("collapse", "--steps", "10001"), "--steps 10001 is above 10000"),
-    (("collapse", "--returns", "10001"), "--returns 10001 is above 10000"),
-    (("collapse", "--grid", "2049"), "--grid 2049 is above 2048"),
+    (("verovic", "--k-max", "10001"),
+     "Invalid value for '--k-max': 10001 is not in the range 2<=x<=10000."),
+    (("collapse", "--steps", "10001"),
+     "Invalid value for '--steps': 10001 is not in the range 2<=x<=10000."),
+    (("collapse", "--returns", "10001"),
+     "Invalid value for '--returns': 10001 is not in the range 1<=x<=10000."),
+    (("collapse", "--grid", "2049"),
+     "Invalid value for '--grid': 2049 is not in the range 1<=x<=2048."),
     # 100 values of s x 24 states x 500 steps: each s alone is in budget
     (("collapse", "--steps", "100", "--horizon", "500"),
      "gamma over 500 steps of 2400 states exceeds the budget"),
+    (("collapse", "--twists", "1000001"),
+     "Invalid value for '--twists': 1000001 is not in the range -1000000<=x<=1000000."),
+    (("--seed", "-1", "collapse"),
+     "Invalid value for '--seed': -1 is not in the range x>=0."),
+    (("estimate", "--system", "hyperbolic", "--what", "hvol", "--horizon",
+      str(10 ** 400)), "hvol needs --horizon 1 or more, up to 1000000, got 1000"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
@@ -303,6 +320,22 @@ def test_bad_body_file_is_usage_error(tmp_path, content, text):
     _one_line_error(run_cli("bodies", "--body", str(path)), 1, text)
 
 
+@pytest.mark.parametrize("dim, n, radial, text", [
+    # the volume itself overflows
+    (2, 720, 1e160, "the exact2d volume nan of radial up to 1e+160"),
+    (3, 4096, 1e110, "the radial_quadrature volume inf of radial up to 1e+110"),
+    # finite volumes whose squares, like the fits' determinants, do not fit
+    (2, 720, 1e100, "the exact2d volume 3.14e+200 of radial up to 1e+100"),
+    (3, 64, 1e-100, "the radial_quadrature volume 4.19e-300 of radial up to 1e-100"),
+])
+def test_overflowing_body_volume_is_validation_failure(tmp_path, dim, n,
+                                                        radial, text):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"dim": dim, "radial": [radial] * n}))
+    _one_line_error(run_cli("bodies", "--body", str(path)), 2,
+                    f"bodies: BodyError: {text} squared leaves the float range")
+
+
 def test_flat_3d_body_is_validation_failure(tmp_path):
     # four samples of a 3-D body on the canonical grid lie in one plane
     path = tmp_path / "body.json"
@@ -352,6 +385,13 @@ def test_john_sandwich_violation_is_validation_failure(monkeypatch, capsys,
     ({"tau_support": [0.5, 2.0]},
      "FormsError: tau_support must have positive width inside r_range"),
     ({"r_range": ["one", "three"]}, "ValueError: could not convert string"),
+    ({"r_range": [1, float("inf")]},
+     "FormsError: r_range must be finite, got [1.0, inf]"),
+    ({"k_twists": 1.7}, "k_twists must be an integer of size <= 1000000, got 1.7"),
+    ({"k_twists": "1"}, "k_twists must be an integer of size <= 1000000, got '1'"),
+    ({"k_twists": -10 ** 400}, "k_twists must be an integer of size <= 1000000"),
+    ({"k_twist": 2}, "FormsError: unknown spec key(s) ['k_twist']"),
+    ({"k_twists": 1, "s": 0.01}, "FormsError: unknown spec key(s) ['s']"),
 ])
 def test_bad_spec_fields_are_usage_error(tmp_path, spec, text):
     path = tmp_path / "spec.json"
@@ -359,6 +399,16 @@ def test_bad_spec_fields_are_usage_error(tmp_path, spec, text):
     _one_line_error(run_cli("collapse", "--spec", str(path), "--steps", "2",
                             "--returns", "2", "--horizon", "8", "--grid", "16"),
                     1, text)
+
+
+def test_narrow_twist_support_has_a_threshold(tmp_path):
+    # the threshold lattice on r_range has no row inside this support
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"k_twists": 1, "tau_support": [1.3, 1.31]}))
+    res = run_cli("collapse", "--spec", str(path), "--steps", "2",
+                  "--returns", "2", "--horizon", "8", "--grid", "16")
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout.splitlines()[2].split(",")[0]) < 0.0024
 
 
 def test_usage_error_in_process_exits_1():

@@ -214,6 +214,13 @@ def test_hvol_hyperbolic_unit():
     assert abs(est.value - 1.0) <= 1e-3
 
 
+def test_hvol_hyperbolic_past_cosh_overflow():
+    # cosh overflows past R = 710; the log-volume is taken in closed form
+    est = hvol_ball_growth(("hyperbolic",), r_max=800.0)
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert math.isfinite(est.fit_residual)
+
+
 def test_hvol_euclidean_zero():
     # polynomial growth: the log-volume slope is 2/R, so it reaches the
     # 1e-3 band once the horizon is long enough

@@ -200,6 +200,22 @@ def test_contact_threshold_ordering_and_grid_stability(spec):
     assert abs(s1a - s1b) <= 2e-3 * max(s1a, s1b)
 
 
+def test_spec_json_round_trip():
+    spec = MappingTorusSpec(k_twists=3, r_range=(1.0, 2.5), tau_support=(1.2, 2.0))
+    assert spec.to_json() == {"k_twists": 3, "r_range": [1.0, 2.5],
+                              "tau_support": [1.2, 2.0]}
+    assert MappingTorusSpec.from_json(spec.to_json()) == spec
+
+
+def test_contact_threshold_narrow_twist_support():
+    # no row of the 64-row lattice on [1, 3] lies inside [1.3, 1.31]
+    narrow = MappingTorusSpec(k_twists=1, tau_support=(1.3, 1.31))
+    s0, s1 = contact_threshold(narrow)
+    assert s1 <= s0 < S_SCAN_CAP
+    np.testing.assert_allclose((s0, s1), contact_threshold(narrow, grid=512),
+                               rtol=1e-6)
+
+
 # ---------------------------------------------------------------- returns
 
 def test_return_off_support_is_2pi_identity(spec):
