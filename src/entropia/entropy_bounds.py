@@ -45,10 +45,6 @@ class GenusTooSmall(BoundsError):
     pass
 
 
-class SigmaBelowOne(BoundsError):
-    pass
-
-
 class TargetBelowRange(BoundsError):
     pass
 
@@ -104,23 +100,6 @@ def finsler_floor(genus: int, reversible: bool = False) -> float:
     return 2.0 * base if reversible else base
 
 
-def general_floor(n: int, h_vol_q: float, reversible: bool = False) -> float:
-    """c_n h_vol(Q), doubled in the reversible case."""
-    if h_vol_q < 0:
-        raise BoundsError("h_vol(Q) must be >= 0")
-    factor = 2.0 * c_n(n) if reversible else c_n(n)
-    return factor * h_vol_q
-
-
-def floer_floor(sigma: float, h_vol_hat: float) -> float:
-    """Starshapedness-controlled floor h_vol_hat / sigma."""
-    if sigma < 1.0:
-        raise SigmaBelowOne("sigma must be >= 1")
-    if h_vol_hat < 0:
-        raise BoundsError("normalized volume entropy must be >= 0")
-    return h_vol_hat / sigma
-
-
 # ----------------------------------------------------------------- Verovic
 
 def verovic_constants(k: int):
@@ -137,23 +116,6 @@ def verovic_constants(k: int):
     c_bh = math.exp(log_bh) / math.sqrt(2.0 * k)
     c_ht = math.exp(math.lgamma(k + 1) / (2.0 * k)) / math.sqrt(k)
     return c_bh, c_ht
-
-
-def hvol_products(factors):
-    """Products of hyperbolic surfaces of genus k_j:
-
-        vol = 2^k prod_j sqrt(pi (k_j - 1)),   hat h = vol^(1/2k) sqrt(k).
-    """
-    factors = list(factors)
-    if not factors:
-        raise BoundsError("need at least one factor")
-    for kj in factors:
-        if kj < 2:
-            raise GenusTooSmall("every factor genus must be >= 2")
-    k = len(factors)
-    vol = 2.0 ** k * float(np.prod([math.sqrt(math.pi * (kj - 1)) for kj in factors]))
-    h_vol = vol ** (1.0 / (2 * k)) * math.sqrt(k)
-    return h_vol, vol
 
 
 # ----------------------------------------------------------- Weyl integrals

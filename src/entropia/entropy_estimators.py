@@ -8,7 +8,7 @@ extrapolation beyond that; the numbers stay auditable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,15 @@ class DiscreteSystem:
     """A map with enough structure to estimate growth rates.
 
     Every system gives its time-one map twice, and both are required:
-    step      states (m, d) -> image states (m, d); the separated-set
-              search and the finite-difference check use it
+    step      states (m, d) -> image states (m, d)
     step_jacobian
               states (m, d) -> (image (m, d), Jacobian (m, d, d)) from one
               evaluation; its image equals step's bit for bit
-    Callers go through `time_one` and `time_one_jacobian`, the call sites
-    that the benchmark's tracer wraps by name.
+    `gamma_plus`, the finite-difference check and the Jacobians of the
+    composed systems call them through `time_one_jacobian` and `time_one`,
+    the call sites that the benchmark's tracer wraps by name; the
+    separated-set search and the images of the composed systems call
+    `step` directly.
 
     metric    (a, b) -> distances; defaults to the unit-torus metric
     sampler   (m, rng) -> seed states; defaults to uniform on [0,1)^d
@@ -102,7 +104,6 @@ class DiscreteSystem:
     period: float = 1.0
     name: str = ""
     copies: int | None = None
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.metric is None:
@@ -357,10 +358,8 @@ def suspension_cat_system(amplitude: float = 0.0, t_sample: float = 1.0
         s[:, 2] = 0.2 + 0.6 * s[:, 2]  # keep seeds away from the page seam
         return s
 
-    sys = DiscreteSystem(3, step, step_jacobian, sampler=sampler,
-                         name=f"suspension_cat(a={amplitude},t={t_sample})")
-    sys.meta["speed_sup"] = 1.0 + abs(amplitude)
-    return sys
+    return DiscreteSystem(3, step, step_jacobian, sampler=sampler,
+                          name=f"suspension_cat(a={amplitude},t={t_sample})")
 
 
 # --------------------------------------------------------------- norm growth

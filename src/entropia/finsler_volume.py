@@ -1,5 +1,5 @@
 """Holmes-Thompson and Busemann-Hausdorff volumes of discretized Finsler
-fields, the dimension constants c_n, and the contact-volume correspondence.
+fields and the dimension constants c_n.
 
 A Finsler field assigns to every cell of a flat-torus base a fiber body,
 by convention the unit co-disk in the cotangent fiber.  The two volume
@@ -8,7 +8,6 @@ cotangent fibers) and omega_n / |fiber| (Busemann-Hausdorff, tangent
 fibers); base curvature never enters.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,10 +22,6 @@ class FinslerError(Exception):
 
 
 class DimensionMismatch(FinslerError):
-    pass
-
-
-class NonPositiveVolume(FinslerError):
     pass
 
 
@@ -115,23 +110,6 @@ class FinslerField:
             convention,
         )
 
-    @classmethod
-    def from_json(cls, obj) -> "FinslerField":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        base = BaseChart(tuple(obj["base"]["lengths"]), tuple(obj["base"]["grid"]))
-        fibers = [StarBody.from_json(b) for b in obj["fibers"]]
-        return cls(fibers[0].dim, base, fibers,
-                   obj.get("reversible", False), obj.get("convention", "cotangent"))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "base": {"lengths": list(self.base.lengths), "grid": list(self.base.grid)},
-            "fibers": [json.loads(f.to_json()) for f in self.fibers],
-            "reversible": self.reversible_flag,
-            "convention": self.co_or_tangent,
-        })
-
 
 def _fiber_volume(body: StarBody) -> float:
     if body.dim == 2:
@@ -153,23 +131,3 @@ def busemann_hausdorff_volume(field: FinslerField) -> float:
     w = unit_ball_volume(field.dim)
     cell = work.base.cell_volume
     return cell * float(sum(w / _fiber_volume(f) for f in work.cell_fibers()))
-
-
-def contact_volume_from_ht(ht_vol: float, n: int) -> float:
-    """vol_alpha(S*Q) = n! omega_n vol_HT(Q)."""
-    if ht_vol < 0:
-        raise NonPositiveVolume("HT volume must be >= 0")
-    return math.factorial(n) * unit_ball_volume(n) * ht_vol
-
-
-def ht_from_contact_volume(contact_vol: float, n: int) -> float:
-    if contact_vol < 0:
-        raise NonPositiveVolume("contact volume must be >= 0")
-    return contact_vol / (math.factorial(n) * unit_ball_volume(n))
-
-
-def normalized_entropy(vol: float, n: int, h: float) -> float:
-    """hat h = vol^(1/n) * h, invariant under (vol, h) -> (c^n vol, h/c)."""
-    if vol <= 0:
-        raise NonPositiveVolume("volume must be positive")
-    return vol ** (1.0 / n) * h

@@ -17,9 +17,10 @@ OpenBook3D         the one-complex-dimensional page instance of the general
                    solid torus uses the higher profile family on [0, r_eps].
 
 All coordinates are (theta, r, x) with theta the open-book angle and x the
-fiber/binding angle.  Everything is x-independent, so flows reduce to
-(theta, r)-dependent quadratures, but the public ops integrate the actual
-ODEs as a cross-check.
+fiber/binding angle.  Everything is x-independent and r is constant along
+both Reeb flows, so the page return map and the solid-torus flow are closed
+forms; the mapping-torus time-one map (sweep.py) still integrates its ODE
+by RK4, and `solid_torus_flow_rk4` is the solid-torus oracle.
 
 Each part of the glued form (chi and its derivatives, tau, y_x, the page
 midpoint rule, int h dr, and in profiles.py the solid-torus speeds) has
@@ -48,6 +49,9 @@ _GL_NODES = 96
 
 # time step of the solid-torus RK4 oracle
 _RK4_DT = 1e-3
+
+# largest value of chi', taken at theta = pi: (140 / 2 pi) (1/4)^3
+_CHI_PRIME_MAX = 35.0 / (32.0 * math.pi)
 
 
 class FormsError(Exception):
@@ -255,30 +259,26 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     return s0, s1
 
 
-def return_map_and_time(spec: MappingTorusSpec, start, s: float,
-                        n_steps: int = 4096):
+def return_map_and_time(spec: MappingTorusSpec, start, s: float):
     """First return to the page {theta = 0}: (T_s, (r, x) image).
 
-    Integrates dt/dtheta = 1 + s lambda_theta(Y) and dx/dtheta = y_x over
-    one revolution (Runge-Kutta nodes batched over theta; r is constant
-    along the flow), then applies the monodromy gluing
-    (2 pi, p) ~ (0, psi(p)).  Raises NoReturn past time 8 pi.
+    r is constant along the flow and chi' integrates to 1 over a turn, so
+    with c = s lambda^2 tau'(r) and a = -lambda tau'(r), T_s = 2 pi - c and
+    x gains a before the monodromy gluing adds tau(r).  Raises NoReturn
+    where dt/dtheta = 1 - c chi' is not positive (c chi'(pi) >= 1) or past
+    time 8 pi.
     """
     r, x0 = float(start[0]), float(start[1])
-    h = TWO_PI / n_steps
-    nodes = np.arange(2 * n_steps + 1) * (0.5 * h)
-    y = spec.y_x(nodes, r)
-    dt = 1.0 + s * spec.lam(r) * y
-    if np.any(dt[::2] <= 0.0):
+    lam = float(spec.lam(r))
+    tau_p = float(spec.tau_prime(np.array([r]))[0])
+    c = s * lam * lam * tau_p
+    if c * _CHI_PRIME_MAX >= 1.0:
         raise NoReturn("Reeb field not positively transverse to the pages")
-    left, mid, right = dt[0:-2:2], dt[1::2], dt[2::2]
-    t_acc = float(np.sum(h / 6.0 * (left + 4.0 * mid + right)))
-    yl, ym, yr = y[0:-2:2], y[1::2], y[2::2]
-    x = x0 + float(np.sum(h / 6.0 * (yl + 4.0 * ym + yr)))
-    if t_acc > 8.0 * math.pi:
+    t_return = TWO_PI - c
+    if t_return > 8.0 * math.pi:
         raise NoReturn("no page return within time 8 pi")
-    r_im, x_im = spec.monodromy(r, x)
-    return t_acc, (r_im, x_im % TWO_PI)
+    r_im, x_im = spec.monodromy(r, x0 - lam * tau_p)
+    return t_return, (r_im, float(x_im) % TWO_PI)
 
 
 def _page_volume(density, r0: float, r1: float, grid: int) -> float:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +8,8 @@ from entropia import entropy_bounds
 from entropia.entropy_bounds import (
     GenusTooSmall,
     QuadratureDisagreement,
-    SigmaBelowOne,
     TargetBelowRange,
     finsler_floor,
-    floer_floor,
-    general_floor,
-    hvol_products,
     katok_bound,
     sl3_constants,
     spectrum_range_left,
@@ -56,31 +51,6 @@ def test_finsler_floor_chain_identity():
     for k in range(2, 10):
         assert abs(finsler_floor(k, False) - c_n(2) * katok_bound(k, True)) < 1e-12
         assert abs(finsler_floor(k, True) - 2 * c_n(2) * katok_bound(k, True)) < 1e-12
-
-
-def test_general_floor():
-    assert abs(general_floor(2, 2 * math.sqrt(math.pi), False) - math.sqrt(2)) < 1e-12
-    assert general_floor(4, 0.0, True) == 0.0
-    assert abs(general_floor(4, 1.0, True) - 0.606) < 5e-4
-
-
-def test_floer_floor():
-    assert floer_floor(1.0, 0.37) == 0.37
-    assert abs(floer_floor(2.0, math.sqrt(2)) - math.sqrt(2) / 2) < 1e-15
-    with pytest.raises(SigmaBelowOne):
-        floer_floor(0.9, 1.0)
-
-
-def test_floer_floor_composed_with_starshapedness():
-    # a genus-2 spiky star field: the floor is sqrt(2(k-1)) / sigma_upper
-    from entropia.convex_body import StarBody, sigma_starshapedness
-
-    star = StarBody.from_radial_function(
-        2, lambda d: 0.625 + 0.375 * np.cos(4 * np.arctan2(d[:, 1], d[:, 0])))
-    sigma_upper, _ = sigma_starshapedness(star)
-    bound = floer_floor(sigma_upper, finsler_floor(2, False))
-    assert abs(bound - math.sqrt(2) / sigma_upper) < 1e-15
-    assert 0.0 < bound < finsler_floor(2, False)
 
 
 # ---------------------------------------------------------------- verovic
@@ -212,33 +182,3 @@ def test_tuner_round_trip(v, h, n, t):
     c = spectrum_range_left(v, h, n) * (1.0 + t)
     delta = spectrum_tuner(v, h, n, c)
     assert abs(spectrum_value(v, h, n, delta) - c) / c <= 1e-12
-
-
-# ---------------------------------------------------------------- products
-
-def test_hvol_products_single_genus2():
-    h, vol = hvol_products([2])
-    assert abs(vol - 2 * math.sqrt(math.pi)) < 1e-12
-    assert abs(vol - katok_bound(2, True)) < 1e-12
-
-
-def test_hvol_products_two_genus2():
-    h, vol = hvol_products([2, 2])
-    assert abs(vol - 4 * math.pi) < 1e-12
-    assert abs(h - (4 * math.pi) ** 0.25 * math.sqrt(2)) < 1e-12
-
-
-def test_hvol_products_equal_factors_expansion():
-    # all factors equal genus g: vol = (2 sqrt(pi (g-1)))^k and
-    # hat h = sqrt(k) (2 sqrt(pi (g-1)))^(1/2)
-    for g in (2, 3, 5):
-        for k in (1, 2, 4):
-            h, vol = hvol_products([g] * k)
-            a = 2 * math.sqrt(math.pi * (g - 1))
-            assert abs(vol - a ** k) < 1e-9
-            assert abs(h - math.sqrt(k) * math.sqrt(a)) < 1e-9
-
-
-def test_hvol_products_guard():
-    with pytest.raises(GenusTooSmall):
-        hvol_products([2, 1])

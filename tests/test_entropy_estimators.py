@@ -38,11 +38,6 @@ def test_jacobian_consistency_builtin_systems():
         assert sys.validate_jacobian(100, seed=1, tol=1e-4) < 1e-4
 
 
-def test_suspension_speed_sup():
-    sys = suspension_cat_system(0.3)
-    assert abs(sys.meta["speed_sup"] - 1.3) < 1e-12
-
-
 # ---------------------------------------------------------------- gamma
 
 def test_gamma_plus_rotation_is_zero():

@@ -8,13 +8,9 @@ from entropia.finsler_volume import (
     BaseChart,
     DimensionMismatch,
     FinslerField,
-    NonPositiveVolume,
     busemann_hausdorff_volume,
     c_n,
-    contact_volume_from_ht,
     holmes_thompson_volume,
-    ht_from_contact_volume,
-    normalized_entropy,
 )
 
 
@@ -126,47 +122,3 @@ def test_ht_le_bh_reversible_equality_iff_ellipse():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         FinslerField(2, BaseChart((1.0, 1.0), (2, 2)), [square_body()] * 3)
-
-
-# ------------------------------------------------------------------- contact
-
-def test_contact_volume_n2():
-    assert abs(contact_volume_from_ht(1.0, 2) - 2 * math.pi) < 1e-12
-
-
-def test_contact_volume_zero():
-    assert contact_volume_from_ht(0.0, 5) == 0.0
-
-
-def test_contact_volume_roundtrip():
-    v = 1.2345
-    assert abs(ht_from_contact_volume(contact_volume_from_ht(v, 3), 3) - v) < 1e-15
-
-
-# ------------------------------------------------------------------- hat h
-
-def test_normalized_entropy_identity():
-    assert normalized_entropy(1.0, 4, 0.7) == 0.7
-
-
-def test_normalized_entropy_rescale_invariance():
-    c, n, vol, h = 3.0, 2, 1.7, 0.9
-    a = normalized_entropy(vol, n, h)
-    b = normalized_entropy(c ** n * vol, n, h / c)
-    assert abs(a - b) < 1e-12
-
-
-def test_normalized_entropy_genus2():
-    # hyperbolic genus-2 normalization: vol = 4 pi, h = 1 gives 2 sqrt(pi)
-    assert abs(normalized_entropy(4 * math.pi, 2, 1.0) - 2 * math.sqrt(math.pi)) < 1e-12
-
-
-def test_normalized_entropy_rejects_nonpositive():
-    with pytest.raises(NonPositiveVolume):
-        normalized_entropy(0.0, 2, 1.0)
-
-
-def test_field_json_roundtrip():
-    field = torus_field(square_body(), grid=(2, 2))
-    back = FinslerField.from_json(field.to_json())
-    assert abs(holmes_thompson_volume(back) - holmes_thompson_volume(field)) < 1e-12

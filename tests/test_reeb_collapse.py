@@ -246,7 +246,7 @@ def test_return_time_window_thousand_starts(spec):
     for _ in range(1000):
         r = rng.uniform(1.0, 3.0)
         x = rng.uniform(0, TWO_PI)
-        t, _ = return_map_and_time(spec, (r, x), s1, n_steps=1024)
+        t, _ = return_map_and_time(spec, (r, x), s1)
         assert math.pi <= t <= 4 * math.pi
 
 
@@ -274,6 +274,62 @@ def test_no_return_above_contact_threshold(spec):
     r_star = float(r_grid[np.argmax(dens)])
     with pytest.raises(NoReturn):
         return_map_and_time(spec, (r_star, 0.0), 3.0 * s0)
+
+
+def _chi_prime(theta):
+    """chi' written out from the smoothstep 35u^4 - 84u^5 + 70u^6 - 20u^7,
+    u = theta / 2 pi."""
+    u = theta / TWO_PI
+    return 140.0 * (u * (1.0 - u)) ** 3 / TWO_PI
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_return_map_matches_quadrature_oracle(k):
+    # T_s = int_0^2pi (1 - c chi') and x gains int_0^2pi a chi', then tau(r),
+    # with c = s lambda^2 tau'(r) and a = -lambda tau'(r), by adaptive
+    # quadrature; r below, inside and above the twist support
+    spec = MappingTorusSpec(k_twists=k)
+    s0, s1 = contact_threshold(spec)
+    lo, hi = spec.tau_support
+    for r in (1.1, lo + 0.1, 1.7, 2.0, 2.4, hi - 0.05, 2.9):
+        tau = spec.tau_dual(np.array([r]))
+        lam, tau_v, tau_p = 2.0 - r, tau.v[0], tau.d1[0]
+        images = set()
+        for s in (s1 / 3, s1, 0.95 * s0):
+            t, (r_im, x_im) = return_map_and_time(spec, (r, 0.7), s)
+            c = s * lam ** 2 * tau_p
+            t_quad, _ = integrate.quad(lambda th: 1.0 - c * _chi_prime(th),
+                                       0.0, TWO_PI, epsabs=0.0, epsrel=1.2e-14)
+            dx, _ = integrate.quad(lambda th: -lam * tau_p * _chi_prime(th),
+                                   0.0, TWO_PI, epsabs=0.0, epsrel=1.2e-14)
+            np.testing.assert_allclose(t, t_quad, rtol=1e-12, atol=0.0)
+            assert r_im == r
+            gap = abs(x_im - (0.7 + dx + tau_v)) % TWO_PI
+            assert min(gap, TWO_PI - gap) <= 1e-12 * TWO_PI
+            images.add(x_im)
+        # the image does not depend on s: a sweep's return_map_spread is 0
+        assert len(images) == 1
+
+
+def test_no_return_at_the_transversality_boundary(spec):
+    # dt/dtheta = 1 - s lambda^2 tau' chi' first reaches 0 at theta = pi,
+    # where chi' is largest (35 / (32 pi)), at the r where lambda^2 tau' is
+    r_grid = np.linspace(1.0, 3.0, 4001)
+    dens = (2 - r_grid) ** 2 * spec.tau_prime(r_grid)
+    r_star = float(r_grid[np.argmax(dens)])
+    s_crit = 32.0 * math.pi / (35.0 * dens.max())
+    with pytest.raises(NoReturn, match="transverse"):
+        return_map_and_time(spec, (r_star, 0.0), 1.001 * s_crit)
+    t, _ = return_map_and_time(spec, (r_star, 0.0), 0.999 * s_crit)
+    assert 0.0 < t < TWO_PI
+    # a negative twist slows the return instead: T_s = 2 pi + |c| passes
+    # 8 pi at |c| = 6 pi
+    back = MappingTorusSpec(k_twists=-1)
+    s_late = 6.0 * math.pi / dens.max()
+    with pytest.raises(NoReturn, match="8 pi"):
+        return_map_and_time(back, (r_star, 0.0), 1.001 * s_late)
+    t, _ = return_map_and_time(back, (r_star, 0.0), 0.999 * s_late)
+    assert TWO_PI < t <= 8.0 * math.pi
 
 
 # ---------------------------------------------------------------- volumes
@@ -359,6 +415,21 @@ def test_normalize_form_identity_and_idempotence():
     assert abs(v2 - v1) < 1e-12 and s2 == 1.0
     with pytest.raises(NonPositiveVolume):
         normalize_form(0.0, 1, 1.0)
+
+
+def test_normalize_form_rescale_invariance():
+    # (vol, gamma) -> (c^(n+1) vol, gamma / c) leaves gamma vol^(1/(n+1)) fixed
+    c, n, vol, gamma = 3.0, 1, 1.7, 0.9
+    _, a = normalize_form(vol, n, gamma)
+    _, b = normalize_form(c ** (n + 1) * vol, n, gamma / c)
+    assert abs(a - b) < 1e-12
+
+
+def test_normalize_form_genus2():
+    # a hyperbolic genus-2 surface, area 4 pi and entropy 1, normalizes to
+    # Katok's floor 2 sqrt(pi)
+    _, value = normalize_form(4 * math.pi, 1, 1.0)
+    assert abs(value - 2 * math.sqrt(math.pi)) < 1e-12
 
 
 # ---------------------------------------------------------------- open book

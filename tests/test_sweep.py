@@ -60,31 +60,33 @@ def test_collapse_sweep_without_twist_needs_s_list():
 # Exact pins of collapse_sweep(spec, S_LISTS[k], n_returns=3,
 # gamma_horizon=8, gamma_states=6, seed=4, grid=32), recorded before the
 # mapping-torus Gamma of a sweep was stacked over every s: one list per
-# row, in ROW_KEYS order.
+# row, in ROW_KEYS order.  T_s_min and T_s_max were re-recorded when the
+# return time became the closed form 2 pi - s lambda^2 tau' (1-2 ulp from
+# the Simpson rule's; test_reeb_collapse checks it against quadrature).
 S_LISTS = {1: [0.3, 0.9, 2.0], 3: [0.1, 0.4, 0.8]}
 ROW_KEYS = ["s", "vol_mt", "vol_st", "vol_total", "T_s_min", "T_s_max",
             "gamma_est", "gamma_times_vol_pow"]
 ROW_PINS = {
     1: [
         [0.3, 23.49958556319355, 24.809217137271986, 48.308802700465534,
-         6.281804674793685, 6.283185307179588, 0.1722442120152794,
+         6.281804674793684, 6.283185307179586, 0.1722442120152794,
          1.1971753719424583],
         [0.9, 69.3739666930552, 74.42765141181596, 143.80161810487115,
-         6.279043410021881, 6.283185307179588, 0.17211892022370945,
+         6.279043410021881, 6.283185307179586, 0.17211892022370945,
          2.06400383244422],
         [2.0, 149.58189266538926, 165.39478091514658, 314.9766735805358,
-         6.2739810912735745, 6.283185307179588, 0.17202020291508513,
+         6.273981091273575, 6.283185307179586, 0.17202020291508513,
          3.0529426895261826],
     ],
     3: [
         [0.1, 7.833195187731184, 8.26973904575733, 16.102934233488515,
-         6.281804674793685, 6.283185307179588, 0.17227267779798505,
+         6.281804674793684, 6.283185307179586, 0.17227267779798505,
          0.691303752064741],
         [0.4, 30.582920753241087, 33.07895618302932, 63.6618769362704,
-         6.27766277763598, 6.283185307179588, 0.17222338443730234,
+         6.27766277763598, 6.283185307179586, 0.17222338443730234,
          1.3741427120239473],
         [0.8, 59.166214845992464, 66.15791236605864, 125.32412721205111,
-         6.272140248092373, 6.283185307179588, 0.17213684559896278,
+         6.272140248092374, 6.283185307179586, 0.17213684559896278,
          1.9270420196139664],
     ],
 }
