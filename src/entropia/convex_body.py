@@ -359,7 +359,9 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
 
     Khachiyan barycentric coordinate ascent with Wolfe away steps.  Returns
     the form A of {x : x^T A x <= 1}, rescaled so every input point is
-    contained exactly (the extreme point sits on the boundary).
+    contained exactly (the extreme point sits on the boundary).  A fit stops
+    when it converges or at LOEWNER_MAX_ITER iterations; one whose weights
+    repeat bit for bit jumps to the cap and returns the same form.
     """
     m, d = points.shape
     if m <= d or np.linalg.matrix_rank(points) < d:
@@ -379,7 +381,13 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
         np.matmul(weighted.T, points, out=M)
         _quadratic_form_rows(cols, np.linalg.inv(M), w, terms)
 
-    for _ in range(LOEWNER_MAX_ITER):
+    # Brent's cycle detection.  u is the whole iteration state (M, w and the
+    # buffers are rewritten from it), so when its bits repeat with period p
+    # every later state is one already seen, and failed the stopping test:
+    # the state at the cap is the one (cap - it) mod p updates ahead.
+    saved, saved_kappa, saved_at, power = None, math.nan, 0, 1
+    it = 0
+    while it < LOEWNER_MAX_ITER:
         gram_and_distances()
         j = int(np.argmax(w))
         kappa = w[j]
@@ -388,6 +396,12 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
         kmin = w[jm]
         if kappa / d - 1.0 <= kappa_tol and 1.0 - kmin / d <= kappa_tol:
             break
+        if it == power:
+            saved, saved_kappa, saved_at, power = u.tobytes(), kappa, it, 2 * power
+        elif kappa == saved_kappa and u.tobytes() == saved:
+            it = LOEWNER_MAX_ITER - (LOEWNER_MAX_ITER - it) % (it - saved_at)
+            if it == LOEWNER_MAX_ITER:
+                break  # M and w already belong to the state at the cap
         if kappa - d >= d - kmin:
             beta = (kappa - d) / (d * (kappa - 1.0))
             u *= 1.0 - beta
@@ -396,6 +410,7 @@ def _mvee_centered(points: np.ndarray) -> np.ndarray:
             beta = min((d - kmin) / (d * (kmin - 1.0)), u[jm] / (1.0 - u[jm]))
             u *= 1.0 + beta
             u[jm] -= beta
+        it += 1
     else:
         gram_and_distances()
     return np.linalg.inv(M * w.max())

@@ -7,11 +7,11 @@ dim3    on [0, 1]: f decreases from 2 - r^4 behaviour at 0 to 2 - r at 1;
         g rises from r^2/2 to 1 with all derivatives vanishing at 1.
         Near 0 this gives h(r) = r (2 + r^4) identically.
 
-higher  on [0, r_eps], parameters 0 < s < r_eps/2: f = 1 near 0, passes
-        through 1/2 at r_eps/2, equals s/r near r_eps, with slope bounded
-        by 2/r_eps; g = r^2/2 near 0 and 1 on [r_eps/2, r_eps] with slope
-        bounded by 4/r_eps.  Then h > 0 on (0, r_eps], h = r near 0,
-        h <= 6/r_eps and g'/h <= 2.
+higher  on [0, r_eps], parameters 0 < s < r_eps/2 and r_eps <= 2.7074:
+        f = 1 near 0, passes through 1/2 at r_eps/2, equals s/r near
+        r_eps, with slope bounded by 2/r_eps; g = r^2/2 near 0 and 1 on
+        [r_eps/2, r_eps] with slope bounded by 4/r_eps.  Then h > 0 on
+        (0, r_eps], h = r near 0, h <= 6/r_eps and g'/h <= 2.
 
 The constructions are closed-form blends of smooth steps.  A validator
 samples the profiles densely and asserts every required property; the
@@ -37,6 +37,10 @@ _DIM3_F_WINDOW = (0.15, 0.85)  # r^4 into r, in r
 _DIM3_G_WINDOW = (0.25, 1.0)  # r^2/2 into 1, in r
 _HIGHER_F_WINDOW = (0.05, 0.48)  # 1 into the middle line, in r / r_eps
 _HIGHER_G_WINDOW = (0.1, 1.0)  # r^2/2 into 1, in 2 r / r_eps
+# The higher g depends on r_eps alone, and its slope stays within 4/r_eps
+# only up to this r_eps (the edge is 2.7074225 on a grid of 4e6 points;
+# above 2.9, g' is also negative somewhere).
+_HIGHER_R_EPS_MAX = 2.7074
 
 # the branch 1 of f and g, as a record with zero derivatives
 _ONE = Dual(1.0, 0.0, 0.0)
@@ -242,7 +246,8 @@ def _validate_higher(p: ProfileFunctions):
 def build_profiles(r_eps: float, s: float, family: str = "higher") -> ProfileFunctions:
     """Construct and validate a profile triple.
 
-    family "higher" requires 0 < s < r_eps/2.  family "dim3" fixes
+    family "higher" requires 0 < s < r_eps/2 and r_eps <= 2.7074, where
+    the blend of r^2/2 into 1 can keep g' <= 4/r_eps.  family "dim3" fixes
     r_eps = 1; s is only used downstream in the contact form and the
     validator ignores it.
     """
@@ -252,6 +257,9 @@ def build_profiles(r_eps: float, s: float, family: str = "higher") -> ProfileFun
     elif family == "higher":
         if not (0.0 < s < r_eps / 2.0):
             raise InfeasibleParameters("need 0 < s < r_eps / 2")
+        if r_eps > _HIGHER_R_EPS_MAX:
+            raise InfeasibleParameters(
+                f"need r_eps <= {_HIGHER_R_EPS_MAX}: above it g' exceeds 4/r_eps")
         p = ProfileFunctions(float(r_eps), float(s), "higher")
         _validate_higher(p)
     else:

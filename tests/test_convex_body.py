@@ -8,6 +8,7 @@ import pytest
 from entropia.convex_body import (
     EPS_FIT,
     EPS_HULL_REL,
+    EPS_VOL,
     DegenerateBody,
     NotConvex,
     OriginNotInterior,
@@ -347,6 +348,23 @@ def _p_ball_cloud(d, n, seed):
     return x @ lin.T
 
 
+@pytest.fixture
+def distance_evaluations(monkeypatch):
+    """Counts the Khachiyan fit's distance evaluations, one per iteration
+    plus the last: calls of convex_body._quadratic_form_rows."""
+    from entropia import convex_body
+
+    calls = [0]
+    inner = convex_body._quadratic_form_rows
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(convex_body, "_quadratic_form_rows", counted)
+    return calls
+
+
 # _mvee_centered forms recorded while the fit still evaluated its distances
 # with np.einsum (980 and 1048 iterations, both converged), as hex floats
 MVEE_PINS = {
@@ -358,16 +376,91 @@ MVEE_PINS = {
                   "0x1.04fbfcb86adf1p-1", "0x1.3f4bb35b06374p-1",
                   "0x1.3bffa37025fd7p+0"],
 }
+# distance evaluations of those fits, one per iteration: a converged fit
+# must not pay for the cycle detection with a single extra iteration
+MVEE_EVALUATIONS = {(2, 720, 2): 980, (3, 128, 3): 1048}
 
 
 @pytest.mark.parametrize("key", sorted(MVEE_PINS))
-def test_mvee_centered_forms_are_pinned_bit_for_bit(key):
+def test_mvee_centered_forms_are_pinned_bit_for_bit(key, distance_evaluations):
     from entropia.convex_body import _mvee_centered
 
     d = key[0]
     form = _mvee_centered(_p_ball_cloud(*key))
     expected = np.array([float.fromhex(h) for h in MVEE_PINS[key]]).reshape(d, d)
     assert np.array_equal(form, expected)
+    assert distance_evaluations[0] == MVEE_EVALUATIONS[key]
+
+
+PENTAGON = np.array([[1.0, 0.0], [0.2, 0.9], [-0.7, 0.4], [-0.5, -0.6],
+                     [0.4, -0.8]]) + [0.15, 0.05]
+
+
+def _pentagon_cloud():
+    """The samples and reflections that outer_loewner fits for the pentagon."""
+    pts = StarBody.from_points(PENTAGON, n=64).points
+    return np.vstack([pts, -pts])
+
+
+# the pentagon's fit never converges (ROADMAP B); its form at the cap of
+# 100,000 iterations, recorded while the fit still ran every one of them
+PENTAGON_MVEE_PIN = ["0x1.5bf3ef30623e4p-1", "0x1.23401cfd60ef5p+0",
+                     "0x1.23401cfd60ef6p+0", "-0x1.ecb8c5e7d92c9p+2"]
+
+
+def test_mvee_centered_capped_pentagon_is_pinned_bit_for_bit(distance_evaluations):
+    from entropia.convex_body import _mvee_centered
+
+    form = _mvee_centered(_pentagon_cloud())
+    expected = np.array([float.fromhex(h) for h in PENTAGON_MVEE_PIN]).reshape(2, 2)
+    assert np.array_equal(form, expected)
+    # its weights repeat from iteration 713 with period 6, which the fit
+    # sees at iteration 1030 (100,001 evaluations without the jump)
+    assert distance_evaluations[0] <= 2000
+
+
+def _plain_loop_forms(points):
+    """Reference: the fit's loop without cycle detection.  Yields, for
+    cap = 0, 1, 2, ..., the form _mvee_centered returns with
+    LOEWNER_MAX_ITER = cap, and stops once the fit converges."""
+    m, d = points.shape
+    u = np.full(m, 1.0 / m)
+    kappa_tol = 2.0 * EPS_VOL / d
+    while True:
+        M = (points * u[:, None]).T @ points
+        w = np.einsum("ij,jk,ik->i", points, np.linalg.inv(M), points)
+        yield np.linalg.inv(M * w.max())
+        j = int(np.argmax(w))
+        kappa = w[j]
+        jm = int(np.argmin(np.where(u > 1e-16, w, np.inf)))
+        kmin = w[jm]
+        if kappa / d - 1.0 <= kappa_tol and 1.0 - kmin / d <= kappa_tol:
+            return
+        if kappa - d >= d - kmin:
+            beta = (kappa - d) / (d * (kappa - 1.0))
+            u *= 1.0 - beta
+            u[j] += beta
+        else:
+            beta = min((d - kmin) / (d * (kmin - 1.0)), u[jm] / (1.0 - u[jm]))
+            u *= 1.0 + beta
+            u[jm] -= beta
+
+
+# every cap up to 40; the cycle of the pentagon's weights starts at 713 and
+# is seen at 1030, so the caps from 1024 to 1100 meet the jump at every
+# remainder mod its period, and those past 2048 after a second save
+REPLAY_CAPS = [*range(1, 41), *range(700, 1024, 17), *range(1024, 1101),
+               2047, 2048, 2049, *range(5000, 5006)]
+
+
+def test_mvee_centered_matches_the_plain_loop_at_every_cap(monkeypatch):
+    from entropia import convex_body
+
+    cloud = _pentagon_cloud()
+    reference = list(itertools.islice(_plain_loop_forms(cloud), max(REPLAY_CAPS) + 1))
+    for cap in REPLAY_CAPS:
+        monkeypatch.setattr(convex_body, "LOEWNER_MAX_ITER", cap)
+        assert np.array_equal(convex_body._mvee_centered(cloud), reference[cap]), cap
 
 
 def _mvee_area_oracle(points):
@@ -408,9 +501,7 @@ def test_mvee_area_oracle_on_square():
     "Khachiyan away step: beta = (d - kmin) / (d (kmin - 1)) is negative once "
     "kmin < 1, so u *= 1 + beta drives weights below zero (ROADMAP B)"))
 def test_outer_loewner_nonsymmetric_pentagon_is_optimal():
-    pentagon = np.array([[1.0, 0.0], [0.2, 0.9], [-0.7, 0.4], [-0.5, -0.6],
-                         [0.4, -0.8]]) + [0.15, 0.05]
-    body = StarBody.from_points(pentagon, n=64)
+    body = StarBody.from_points(PENTAGON, n=64)
     oracle = _mvee_area_oracle(body.points)
     assert abs(outer_loewner(body).volume / oracle - 1.0) <= 1e-6
 

@@ -63,6 +63,15 @@ def test_build_profiles_infeasible():
         build_profiles(0.4, 0.3, "higher")
 
 
+def test_build_profiles_higher_r_eps_bound():
+    # g depends on r_eps alone; past about 2.7074 its slope exceeds 4/r_eps
+    # for every s, which build_profiles reports before constructing anything
+    assert build_profiles(2.70, 0.2 * 2.70, "higher").r_eps == 2.70
+    for r_eps in (2.71, 3.0):
+        with pytest.raises(InfeasibleParameters, match=r"r_eps <= 2\.7074"):
+            build_profiles(r_eps, 0.2 * r_eps, "higher")
+
+
 def test_profiles_higher_parameter_range():
     for frac in (0.05, 0.25, 0.45):
         p = build_profiles(0.7, frac * 0.7, "higher")
