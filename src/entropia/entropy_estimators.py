@@ -84,7 +84,8 @@ class DiscreteSystem:
     period    coordinate period of the chart.  The separated-set search
               buckets the first min(d, 2) coordinates in cells of side
               period / floor(period / delta), adjacent cyclically, and tests
-              only pairs in adjacent cells.  When the metric bounds each of
+              new pairs only in adjacent cells, then each blocker on every
+              later slice wherever it lies.  When the metric bounds each of
               those coordinates' cyclic differences, no pair closer than
               delta is missed; a coordinate that does not wrap (the
               solid-torus r) only adds pairs that the metric then rejects.
@@ -459,24 +460,32 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
 
     Greedy maximal construction over a seeded candidate cloud, nested in T:
     the set accepted at T seeds the search at T+1, so for each delta the
-    counts are non-decreasing in T (checked).  Every delta starts from an
-    empty set, so counts need not be monotone in delta.  The reported value
-    is the max over delta of the tail-half slope of log nu(T, delta); greedy
-    counts are lower bounds, so the estimate is biased down.
+    counts are non-decreasing in T (checked).  Each distinct delta is
+    searched once, from an empty set, so counts need not be monotone in
+    delta.  The reported value is the max over delta of the tail-half slope
+    of log nu(T, delta); greedy counts are lower bounds, so the estimate is
+    biased down.
 
     At step T each candidate not yet accepted is accepted, in index order,
-    unless it conflicts with a point accepted before it.  Only near pairs
-    are tested: at slice T the two points lie in the same or cyclically
-    adjacent cells of side period / floor(period / delta) on the first
-    min(d, 2) coordinates.  A near pair conflicts when `sys.metric` is below
-    delta on every slice 0..T, slice T first.  The candidates go in blocks:
-    a block is tested against every accepted point with array work, and its
-    survivors are resolved against each other in index order, so the counts
-    are those of the one-at-a-time greedy.  A block holds at most HTOP_PAIRS
-    near pairs (more only when one candidate alone has more), which bounds
-    the memory of the search beyond the trajectories.
+    unless it conflicts with a point accepted before it: `sys.metric` is
+    below delta on every slice 0..T.  This Bowen distance never shrinks as
+    T grows, so each pair is tested in full once.  A candidate c keeps
+    seen[c], the number of points accepted when it was last tested in full,
+    and its blockers, the conflicts found then.  Step T tests all blockers
+    on slice T alone; a candidate with a surviving blocker is rejected, and
+    the ranks from seen[c] on wait.  Every other candidate is tested, slice
+    T first, against the accepted points of rank seen[c] or more that lie
+    in the same or cyclically adjacent cells of side
+    period / floor(period / delta) on the first min(d, 2) coordinates at
+    slice T.  These go in blocks: a block is tested against the accepted
+    points with array work, and its survivors are resolved against each
+    other in index order, so the counts are those of the one-at-a-time
+    greedy.  A block holds at most HTOP_PAIRS untested near pairs (more only
+    when one candidate alone has more) and HTOP_PAIRS / 3^min(d, 2)
+    candidates (256 if that is fewer); beyond the trajectories and the
+    blockers the search holds a few arrays of one entry per candidate.
     """
-    deltas = sorted(delta_list, reverse=True)
+    deltas = sorted(set(delta_list), reverse=True)
     if n_candidates * len(deltas) * (horizon + 1) > HTOP_BUDGET:
         raise BudgetExceeded("separated-set search exceeds budget")
     rng = np.random.default_rng(seed)
@@ -492,10 +501,11 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
     def run_delta(delta):
         n_cells = max(1, int(math.floor(sys.period / delta)))
         if n_cells ** dims >= 2 ** 62:
-            raise EstimatorError(f"delta {delta} is too small for the cell grid")
+            raise BudgetExceeded(f"delta {delta} is too small for the cell grid")
         cell = sys.period / n_cells
         # -1, 0, +1 modulo n_cells: they coincide below three cells
         offsets = np.array(sorted({-1 % n_cells, 0, 1 % n_cells}))
+        max_width = max(256, HTOP_PAIRS // len(offsets) ** dims)
 
         def conflicts(a, b, t):
             """Positions of the pairs (a[i], b[i]) closer than delta at
@@ -510,18 +520,44 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
                 live = live[near]
             return live
 
-        accepted = np.zeros(n_candidates, bool)
+        def by_cell(ids):
+            """The positions in ids sorted stably by cell, and their index:
+            the sorted cells, the segment of each, and the keys
+            seg * n_candidates + position, so that a cell's positions from
+            lo to hi are a range of keys."""
+            order = np.argsort(cell_id[ids], kind="stable")
+            own = cell_id[ids[order]]
+            seg = np.concatenate(([0], np.cumsum(own[1:] != own[:-1])))
+            return order, (own, seg, seg * n_candidates + order)
+
+        def windows(index, nb, lo, hi):
+            """For each cell of nb, the range of the index's entries in that
+            cell whose positions lie in [lo, hi)."""
+            own, seg, keys = index
+            if not len(own):
+                return (np.zeros(nb.shape, np.intp),) * 2
+            at = np.minimum(np.searchsorted(own, nb), len(own) - 1)
+            base = np.where(own[at] == nb, seg[at] * n_candidates, -n_candidates)
+            return np.searchsorted(keys, base + lo), np.searchsorted(keys, base + hi)
+
+        ranked = np.empty(n_candidates, np.int32)  # accepted ids by rank
+        seen = np.zeros(n_candidates, np.int32)
+        blocked = blocker = np.empty(0, np.int32)  # pairs (candidate, accepted)
+        n_acc = 0
         counts = []
         for t in range(1, horizon + 1):
-            idx = np.floor(traj[t, :, :dims] / cell).astype(int) % n_cells
+            x = traj[t]
+            if len(blocked):
+                near = metric(x.take(blocked, axis=0),
+                              x.take(blocker, axis=0)) < delta
+                blocked, blocker = blocked[near], blocker[near]
+            idx = np.floor(x[:, :dims] / cell).astype(int) % n_cells
             cell_id = idx[:, 0] if dims == 1 else idx[:, 0] * n_cells + idx[:, 1]
-
-            def by_cell(ids):
-                ids = ids[np.argsort(cell_id[ids], kind="stable")]
-                return ids, cell_id[ids]
-
-            acc_ids, acc_cells = by_cell(np.flatnonzero(accepted))
-            pending = np.flatnonzero(~accepted)
+            waiting = np.ones(n_candidates, bool)
+            waiting[ranked[:n_acc]] = False
+            waiting[blocked] = False
+            pending = np.flatnonzero(waiting).astype(np.int32)
+            acc_order, acc = by_cell(ranked[:n_acc])
             start, width = 0, 256
             while start < len(pending):
                 block = pending[start:start + width]
@@ -530,49 +566,52 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
                     nb = (nb[:, :, None] * n_cells
                           + (idx[block, 1, None, None] + offsets) % n_cells)
                     nb = nb.reshape(len(block), -1)
-                a_lo = np.searchsorted(acc_cells, nb)
-                a_hi = np.searchsorted(acc_cells, nb, "right")
+                a_lo, a_hi = windows(acc, nb, seen[block, None], n_candidates)
                 load = np.cumsum((a_hi - a_lo).sum(axis=1))
                 b = max(1, int(np.searchsorted(load, HTOP_PAIRS, "right")))
                 block, nb = block[:b], nb[:b]
                 rows, pos = _expand(a_lo[:b], a_hi[:b])
+                pos = ranked[acc_order[pos]]
+                hit = conflicts(block[rows], pos, t)
+                rows, pos = rows[hit], pos[hit]
                 free = np.ones(b, bool)
-                free[rows[conflicts(block[rows], acc_ids[pos], t)]] = False
+                free[rows] = False
                 surv = np.flatnonzero(free)
-                take = []
-                if len(surv):
-                    # survivors against the lower-index survivors of the
-                    # block: sorted by (cell, index), a cell's run of lower
-                    # indices is a range of the keys seg * m + index
-                    m = len(surv)
-                    order = np.argsort(cell_id[block[surv]], kind="stable")
-                    own = cell_id[block[surv]][order]
-                    seg = np.concatenate(([0], np.cumsum(own[1:] != own[:-1])))
-                    keys = seg * m + order
-                    at = np.minimum(np.searchsorted(own, nb[surv]), m - 1)
-                    base = np.where(own[at] == nb[surv], seg[at] * m, -m)
-                    s_lo = np.searchsorted(keys, base)
-                    s_hi = np.searchsorted(keys, base + np.arange(m)[:, None])
-                    load = np.cumsum((s_hi - s_lo).sum(axis=1))
-                    c = max(1, int(np.searchsorted(load, HTOP_PAIRS, "right")))
-                    if c < m:  # end the block before the first unresolved one
-                        b, surv = surv[c], surv[:c]
-                    rows, pos = _expand(s_lo[:c], s_hi[:c])
-                    lower = order[pos]
-                    hit = conflicts(block[surv[rows]], block[surv[lower]], t)
-                    # conflict edges (j, i < j) come in increasing j, so
-                    # take[i] is final when an edge of j reads it
-                    take = [True] * len(surv)
-                    for j, i in zip(rows[hit].tolist(), lower[hit].tolist()):
-                        if take[i]:
-                            take[j] = False
-                new = block[surv[np.array(take, bool)]]
+                # survivors against the lower-index survivors of the block
+                m = len(surv)
+                order, index = by_cell(block[surv])
+                s_lo, s_hi = windows(index, nb[surv], 0, np.arange(m)[:, None])
+                load = np.cumsum((s_hi - s_lo).sum(axis=1))
+                c = max(1, int(np.searchsorted(load, HTOP_PAIRS, "right")))
+                if c < m:  # end the block before the first unresolved one
+                    b, surv = surv[c], surv[:c]
+                j, i = _expand(s_lo[:c], s_hi[:c])
+                i = order[i]
+                hit = conflicts(block[surv[j]], block[surv[i]], t)
+                j, i = j[hit], i[hit]
+                # conflict edges (j, i < j) come in increasing j, so
+                # take[i] is final when an edge of j reads it
+                take = [True] * len(surv)
+                for jj, ii in zip(j.tolist(), i.tolist()):
+                    if take[ii]:
+                        take[jj] = False
+                take = np.array(take, bool)
+                # the conflicts of the resolved candidates with accepted
+                # points become their blockers
+                cut, edge = np.searchsorted(rows, b), take[i]
+                blocked = np.concatenate((blocked, block[rows[:cut]],
+                                          block[surv[j[edge]]]))
+                blocker = np.concatenate((blocker, pos[:cut], block[surv[i[edge]]]))
+                seen[block[:b]] = n_acc
+                seen[block[surv]] += np.cumsum(take) - take
+                new = block[surv[take]]
                 if len(new):
-                    accepted[new] = True
-                    acc_ids, acc_cells = by_cell(np.concatenate([acc_ids, new]))
+                    ranked[n_acc:n_acc + len(new)] = new
+                    n_acc += len(new)
+                    acc_order, acc = by_cell(ranked[:n_acc])
                 start += b
-                width = 2 * b
-            counts.append(int(accepted.sum()))
+                width = min(2 * b, max_width)
+            counts.append(n_acc)
         return counts
 
     all_counts = {}

@@ -142,6 +142,14 @@ def test_estimate_htop_over_budget_is_usage_error():
     _one_line_error(res, 1, "exceeds budget")
 
 
+def test_estimate_htop_delta_below_the_cell_grid_is_usage_error():
+    # like a delta at or above the chart diameter, an input bound, not an
+    # invariant violated at run time
+    res = run_cli("estimate", "--what", "htop", "--delta", "1e-10",
+                  "--horizon", "1", "--cloud", "10")
+    _one_line_error(res, 1, "usage error: delta 1e-10 is too small for the cell grid")
+
+
 @pytest.mark.parametrize("args", [
     ("estimate", "--what", "gamma", "--horizon", "100000000"),
     ("collapse", "--steps", "2", "--returns", "2", "--grid", "16",

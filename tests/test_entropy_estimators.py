@@ -191,15 +191,31 @@ def test_htop_product_counts_dominate_factor():
 
 
 def test_htop_rejects_delta_below_the_cell_grid():
-    # two cell indices of 2**31 or more do not pack into one int64 cell id
-    with pytest.raises(EstimatorError, match="too small for the cell grid"):
+    # two cell indices of 2**31 or more do not pack into one int64 cell id;
+    # an input bound like the work budget, so the CLI exits 1
+    with pytest.raises(BudgetExceeded, match="too small for the cell grid"):
         htop_separated(cat_system(), [1e-10], 1, n_candidates=10)
 
 
+def test_htop_searches_each_distinct_delta_once(monkeypatch):
+    # a repeated delta is one search, counted once against HTOP_BUDGET
+    monkeypatch.setattr("entropia.entropy_estimators.HTOP_BUDGET", 300 * 4)
+    sys = cat_system()
+    metric, rows = sys.metric, []
+    sys.metric = lambda a, b: rows.append(len(b)) or metric(a, b)
+    once = htop_separated(sys, [0.3], 3, n_candidates=300, return_counts=True)
+    n_rows = sum(rows)
+    twice = htop_separated(sys, [0.3, 0.3], 3, n_candidates=300,
+                           return_counts=True)
+    assert twice == once
+    assert sum(rows) == 2 * n_rows
+
+
 def test_htop_budget_guard():
+    # 40 distinct deltas: a repeated one would count once
     with pytest.raises(BudgetExceeded):
-        htop_separated(cat_system(), [0.1] * 40, horizon=200,
-                       n_candidates=200000)
+        htop_separated(cat_system(), [0.1 + 0.001 * k for k in range(40)],
+                       horizon=200, n_candidates=200000)
 
 
 # ---------------------------------------------------------------- h_vol

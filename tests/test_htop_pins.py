@@ -1,7 +1,8 @@
 """Separated-set counts recorded before the search was rewritten as a
 chunked array greedy, with the one-candidate-at-a-time loop (commit
-1293c7a).  The rewrite keeps the bucket rule and the greedy order, so every
-count list must match exactly."""
+1293c7a).  That rewrite and the incremental blocker search after it keep
+the greedy order and find the same conflicts, so every count list must
+match exactly."""
 
 import tracemalloc
 
@@ -92,10 +93,13 @@ def test_htop_counts_pinned(make, deltas, horizon, n, seed, counts):
     assert got == counts
 
 
-# tracemalloc peak of this call with the one-candidate loop: 6.96 MB (two
-# arrays of horizon + 1 by 40000 floats, 2.9 MB each, plus the buckets);
-# the bound leaves that a quarter of headroom.  An unchunked pair search
-# holds about 80 M near pairs here, over 1 GB.
+# tracemalloc peak of this call (MB of 2**20 bytes), in a fresh process and
+# after the pins above: 6.23 and 5.56 with the block search that re-tested
+# every slice, 7.62 and 6.95 with the incremental search, which also holds
+# its blockers (up to 64 k pairs of int32 here) and tests them in one metric
+# call.  The trajectories take 2.9 MB.  The bound is a quarter above the
+# 6.96 MB of the one-candidate loop that preceded both.  An unchunked pair
+# search holds about 80 M near pairs here, over 1 GB.
 DOUBLING_PEAK_BOUND = 1.25 * 6.96 * 2 ** 20
 
 
