@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import click
 import numpy as np
 from click import UsageError
+from click.core import ParameterSource
 
 from . import entropy_bounds as eb
 from . import entropy_estimators as ee
@@ -368,6 +369,10 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
             "horizon": horizon, "grid": grid, "spec": spec}
     if (s_min is None) != (s_max is None):
         raise UsageError("--s-min and --s-max must be given together")
+    if spec and click.get_current_context().get_parameter_source(
+            "twists") is ParameterSource.COMMANDLINE:
+        raise UsageError("--twists and --spec cannot be given together: "
+                         "the spec file sets k_twists")
     if spec:
         try:
             with open(spec) as fh:

@@ -451,3 +451,15 @@ def test_collapse_without_twist_needs_explicit_range(tmp_path):
     res = run_cli("collapse", *sweep, "--twists", "0",
                   "--s-min", "0.01", "--s-max", "0.02")
     assert res.returncode == 0, res.stderr
+
+
+def test_collapse_twists_with_spec_is_usage_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"k_twists": 2}))
+    sweep = ("--steps", "2", "--returns", "2", "--horizon", "8", "--grid", "16")
+    # the spec sets k_twists, so a given --twists would change nothing; the
+    # default value counts as given too
+    for twists in ("2", "1"):
+        _one_line_error(run_cli("collapse", *sweep, "--spec", str(spec),
+                                "--twists", twists), 1,
+                        "usage error: --twists and --spec cannot be given together")

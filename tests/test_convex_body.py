@@ -224,6 +224,25 @@ def test_reflection_fixes_symmetric_bodies():
     assert refl.is_symmetric()
 
 
+# long thin symmetric hexagon; the edges of its polar dual at x = +-1/3 are
+# near-vertical runs of samples whose abscissae differ by rounding only
+THIN_HEXAGON = np.array(
+    [[3.0, 0.0], [1.5, 0.4], [-1.5, 0.4], [-3.0, 0.0], [-1.5, -0.4], [1.5, -0.4]]
+)
+
+
+def thin_hexagon_dual():
+    return polar_dual(StarBody.from_points(THIN_HEXAGON, n=1440))
+
+
+def test_reflection_fixes_the_thin_hexagon_dual():
+    # the planar hull must keep the corners at the ends of the near-vertical
+    # edges; dropping one moved the radial function by 3e-3
+    body = thin_hexagon_dual()
+    refl = reflection_body(body)
+    assert np.max(np.abs(refl.radial - body.radial) / body.radial) <= 1e-12
+
+
 def test_reflection_origin_vertex_triangle_ratio_four():
     # sharp equality case: triangle with one vertex at the origin; the apex
     # is nudged inside so the origin stays interior.  Vertices sit on grid
@@ -463,6 +482,54 @@ def test_mvee_centered_matches_the_plain_loop_at_every_cap(monkeypatch):
         assert np.array_equal(convex_body._mvee_centered(cloud), reference[cap]), cap
 
 
+def _symmetric_polytope_3d(seed):
+    pts = np.random.default_rng(seed).normal(size=(7, 3))
+    return StarBody.from_points(np.vstack([pts, -pts]), n=512)
+
+
+SYMMETRIC_FIT_BODIES = {
+    **{f"polygon-{seed}": lambda seed=seed: random_convex_polygon(
+        np.random.default_rng(seed), symmetric=True) for seed in range(3)},
+    "thin-hexagon-dual": thin_hexagon_dual,
+    **{f"polytope3d-{seed}": lambda seed=seed: _symmetric_polytope_3d(seed)
+       for seed in range(2)},
+    "disk": lambda: StarBody.ball(2),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_FIT_BODIES))
+def test_symmetric_outer_loewner_fits_on_hull_vertices(name, distance_evaluations):
+    from entropia.convex_body import Ellipsoid, _mvee_centered
+
+    body = SYMMETRIC_FIT_BODIES[name]()
+    assert body.is_symmetric(tol=1e-7)
+    samples = np.vstack([body.points, -body.points])
+    vertex_fit = outer_loewner(body)
+    vertex_evaluations = distance_evaluations[0]
+    distance_evaluations[0] = 0
+    full_fit = Ellipsoid(body.dim, _mvee_centered(samples))
+    assert abs(vertex_fit.volume / full_fit.volume - 1.0) <= 2 * EPS_VOL
+    # every sample inside, the extreme one on the boundary
+    q = np.einsum("ij,jk,ik->i", samples, vertex_fit.form, samples)
+    assert abs(q.max() - 1.0) <= EPS_FIT
+    # the disk's uniform weights are optimal at once: one evaluation either way
+    assert vertex_evaluations < distance_evaluations[0] or distance_evaluations[0] == 1
+
+
+@pytest.mark.parametrize("body", [
+    lambda: StarBody.from_points(PENTAGON, n=128),
+    lambda: random_convex_polygon(np.random.default_rng(0), n_pts=6, n_grid=256),
+], ids=["pentagon", "polygon"])
+def test_nonsymmetric_outer_loewner_fits_every_sample_bit_for_bit(body):
+    from entropia.convex_body import Ellipsoid, _mvee_centered
+
+    body = body()
+    assert not body.is_symmetric(tol=1e-7)
+    samples = np.vstack([body.points, -body.points])
+    expected = Ellipsoid(body.dim, _mvee_centered(samples)).form
+    assert np.array_equal(outer_loewner(body).form, expected)
+
+
 def _mvee_area_oracle(points):
     """Least area of a centered ellipse containing the 2-D points, by
     enumeration: the optimum touches 2 or 3 of the hull vertices (and their
@@ -522,13 +589,10 @@ def test_inner_loewner_disk_fixed_point():
 
 
 def test_inner_loewner_thin_hexagon_sandwich():
-    # long thin symmetric hexagon; dense boundary check of the sandwich
-    verts = np.array(
-        [[3.0, 0.0], [1.5, 0.4], [-1.5, 0.4], [-3.0, 0.0], [-1.5, -0.4], [1.5, -0.4]]
-    )
-    body = StarBody.from_points(verts, n=1440)
+    # dense boundary check of the sandwich
+    body = StarBody.from_points(THIN_HEXAGON, n=1440)
     ell = inner_loewner(body)
-    dense = StarBody.from_points(verts, n=2 ** 13)
+    dense = StarBody.from_points(THIN_HEXAGON, n=2 ** 13)
     r_e = ell.radial(dense.directions)
     tol = grid_tolerance(dense)
     assert np.all(r_e <= dense.radial * (1 + tol))
