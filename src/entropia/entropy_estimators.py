@@ -375,21 +375,20 @@ def check_gamma_budget(horizon: int, n_states: int):
 
 
 def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
-               seed: int = 0, weight: np.ndarray | None = None):
+               seed: int = 0):
     """Finite-horizon estimate of the norm growth
     lim (1/n) log ||d phi^n||_infty.
 
     The Jacobian cocycle accumulates with per-step scalar rescaling (the
     log of the scale is tracked), so arbitrarily long products never
     overflow; ||d phi^n||_infty is the max over a seeded state grid of the
-    operator norm.  An optional SPD weight changes the Riemannian norm.
-    Each step takes the image and the Jacobian from one `time_one_jacobian`
-    call.  A stacked system (`copies` k) steps its k systems together on k
-    copies of the same n_states states, and the result is a list of k
-    estimates, each equal bit for bit to that system's own estimate; every
-    per-state operation is elementwise, and the maximum over states is
-    taken per copy.  Raises BudgetExceeded when horizon * n_states * k
-    exceeds GAMMA_BUDGET.
+    operator norm.  Each step takes the image and the Jacobian from one
+    `time_one_jacobian` call.  A stacked system (`copies` k) steps its k
+    systems together on k copies of the same n_states states, and the
+    result is a list of k estimates, each equal bit for bit to that
+    system's own estimate; every per-state operation is elementwise, and
+    the maximum over states is taken per copy.  Raises BudgetExceeded when
+    horizon * n_states * k exceeds GAMMA_BUDGET.
     """
     if horizon < 8:
         raise EstimatorError("horizon must be at least 8")
@@ -399,11 +398,6 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
     rng = np.random.default_rng(seed)
     x = np.tile(sys.sampler(n_states, rng), (k, 1))
     d = x.shape[1]
-    w_half = w_inv = None
-    if weight is not None:
-        vals, vecs = np.linalg.eigh(weight)
-        w_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-        w_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     cocycle = np.tile(np.eye(d), (m, 1, 1))
     log_scale = np.zeros(m)
     log_norms = np.empty((k, horizon))
@@ -416,10 +410,7 @@ def gamma_plus(sys: DiscreteSystem, horizon: int, n_states: int = 128,
         scale = np.maximum(scale, 1e-300)
         cocycle /= scale[:, None, None]
         log_scale += np.log(scale)
-        mat = cocycle
-        if weight is not None:
-            mat = np.einsum("ij,mjk,kl->mil", w_half, cocycle, w_inv)
-        ops = np.linalg.norm(mat, ord=2, axis=(1, 2))
+        ops = np.linalg.norm(cocycle, ord=2, axis=(1, 2))
         log_ops = log_scale + np.log(ops)
         log_norms[:, n - 1] = log_ops.reshape(k, n_states).max(axis=1)
     estimates = []

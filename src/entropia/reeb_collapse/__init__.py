@@ -12,7 +12,6 @@ from .forms import (
     OpenBook3D,
     collapse_volumes,
     contact_threshold,
-    mapping_torus_reeb,
     mapping_torus_volume,
     normalize_form,
     return_map_and_time,
@@ -32,10 +31,9 @@ from .sweep import collapse_sweep, mapping_torus_system, solid_torus_system
 __all__ = [
     "FitPoor", "FormsError", "GridTooCoarse",
     "MappingTorusSpec", "NoContactThreshold", "NoReturn", "OpenBook3D",
-    "collapse_volumes", "contact_threshold", "mapping_torus_reeb",
-    "mapping_torus_volume", "normalize_form", "return_map_and_time",
-    "solid_torus_flow", "solid_torus_flow_rk4", "solid_torus_reeb",
-    "solid_torus_volume",
+    "collapse_volumes", "contact_threshold", "mapping_torus_volume",
+    "normalize_form", "return_map_and_time", "solid_torus_flow",
+    "solid_torus_flow_rk4", "solid_torus_reeb", "solid_torus_volume",
     "InfeasibleParameters", "ProfileFunctions", "ProfileValidationError",
     "build_profiles", "collapse_sweep", "mapping_torus_system",
     "solid_torus_system",

@@ -19,14 +19,14 @@ OpenBook3D         the one-complex-dimensional page instance of the general
 All coordinates are (theta, r, x) with theta the open-book angle and x the
 fiber/binding angle.  Everything is x-independent and r is constant along
 both Reeb flows, so the page return map and the solid-torus flow are closed
-forms; the mapping-torus time-one map (sweep.py) still integrates its ODE
-by RK4, and `solid_torus_flow_rk4` is the solid-torus oracle.
+forms; the mapping-torus time-one map (sweep.py) still integrates
+`mapping_torus_field` by RK4, and `solid_torus_flow_rk4` is the
+solid-torus oracle.
 
-Each part of the glued form (chi and its derivatives, tau, y_x, the page
-midpoint rule, int h dr, and in profiles.py the solid-torus speeds) has
-one definition, which the systems in sweep.py call too.  Only the
-mapping-torus time-one map keeps its own fused field-and-gradient code,
-built on `_chi_derivatives` and `tau_dual`.
+Each part of the glued form (chi and its derivatives, tau, y_x, the
+mapping-torus Reeb field, the page midpoint rule, int h dr, and in
+profiles.py the solid-torus speeds) has one definition, which the systems
+in sweep.py call too.
 """
 
 import math
@@ -192,56 +192,71 @@ class MappingTorusSpec(_TwistedPage):
                    tuple(map(float, obj.get("tau_support", (1.3, 2.7)))))
 
 
-def mapping_torus_reeb(spec: MappingTorusSpec, state, s: float):
-    """Reeb velocity (theta_dot, r_dot, x_dot) of alpha_s at the state."""
-    theta, r, x = state
-    y = spec.y_x(theta, r)
-    denom = 1.0 + s * spec.lam(r) * y
-    return np.array([1.0, 0.0, y]) / denom if np.isscalar(theta) else (
-        np.stack([np.ones_like(y), np.zeros_like(y), y]) / denom)
+def mapping_torus_field(spec: MappingTorusSpec, r, s):
+    """Reeb field of alpha_s on the orbits at radii r (s: one value or one
+    per radius) as theta -> (theta_dot, x_dot, d theta_dot / d theta,
+    d theta_dot / d r, d x_dot / d theta, d x_dot / d r); r_dot = 0.  The
+    field is (1, y_x) / (1 + s lambda y_x) and does not depend on x, so
+    everything that depends on r alone is evaluated once, here."""
+    tau = spec.tau_dual(r)
+    lam = spec.lam(r)
+    s_lam = s * lam
+    dtau_dr = -tau.d1 + lam * tau.d2
+
+    def field(theta):
+        chi1, chi2 = _chi_derivatives(theta % TWO_PI)
+        yx = -chi1 * lam * tau.d1
+        denom = 1.0 + s_lam * yx
+        denom2 = denom ** 2
+        dy_dth = -chi2 * lam * tau.d1
+        dy_dr = -chi1 * dtau_dr
+        dden_dth = s_lam * dy_dth
+        dden_dr = s * (-yx + lam * dy_dr)
+        return (1.0 / denom, yx / denom,
+                -dden_dth / denom2, -dden_dr / denom2,
+                (dy_dth * denom - yx * dden_dth) / denom2,
+                (dy_dr * denom - yx * dden_dr) / denom2)
+
+    return field
 
 
 def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     """(s0, s1): contactness and bounded-speed thresholds.
 
-    s0 is (1 - 1e-4) times the largest s with alpha_s ^ dalpha_s > 0 on a
-    grid^3 lattice (refined around the extremum of lambda_theta(Y)); s1 is
-    (1 - 1e-4) times the largest s with 1/2 <= theta_dot <= 2 there, at most
-    s0.  The instance is x-independent, so the x-axis of the lattice
-    carries identical values; a twist support between two lattice rows gets
-    the rows of its own span.  tau' == 0 yields the scan cap for both.
-    Raises GridTooCoarse when a threshold fails the lattice test.
+    The correction density factors as lambda_theta(Y) = chi'(theta)
+    (-lambda^2 tau'(r)) with 0 <= chi' <= chi'(pi), so both of its
+    extrema lie on the row theta = pi.  That row is sampled at `grid`
+    values of r and each extremum is refined by a local zoom in r.  s0 is
+    (1 - 1e-4) times the largest s with alpha_s ^ dalpha_s > 0 there; s1
+    is (1 - 1e-4) times the largest s with 1/2 <= theta_dot <= 2 there, at
+    most s0.  A twist support between two samples gets the samples of its
+    own span.  tau' == 0 yields the scan cap for both.  Raises
+    GridTooCoarse when a threshold fails the test on the sampled row.
     """
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     r = np.linspace(spec.r_range[0], spec.r_range[1], grid)
     a, b = spec.tau_support
     if spec.k_twists and not np.any((r > a) & (r < b)):
         r = np.linspace(a, b, grid)
-    th, rr = np.meshgrid(theta, r, indexing="ij")
-    lam_y = spec.lambda_theta_of_y(th, rr)  # x-independent
+    lam_y = spec.lambda_theta_of_y(math.pi, r)
     if not np.all(np.isfinite(lam_y)):
         raise GridTooCoarse("non-finite correction density on the grid")
 
     def refine(sign):
-        """Polish the lattice extremum of sign*lam_y by local grid zoom."""
+        """Polish the sampled extremum of sign*lam_y by local zoom in r."""
         vals = sign * lam_y
         k = int(np.argmax(vals))
-        t0, r0 = th.flat[k], rr.flat[k]
-        wt, wr = TWO_PI / grid, (r[-1] - r[0]) / grid
-        best = vals.flat[k]
+        r0, wr = r[k], (r[-1] - r[0]) / grid
+        best = float(vals[k])
         for _ in range(6):
-            tg = np.linspace(t0 - wt, t0 + wt, 17)
             rg = np.clip(np.linspace(r0 - wr, r0 + wr, 17), r[0], r[-1])
-            tt, rr2 = np.meshgrid(tg, rg, indexing="ij")
-            local = sign * spec.lambda_theta_of_y(tt % TWO_PI, rr2)
+            local = sign * spec.lambda_theta_of_y(math.pi, rg)
             j = int(np.argmax(local))
-            best = max(best, float(local.flat[j]))
-            t0, r0 = tt.flat[j], rr2.flat[j]
-            wt, wr = wt / 4.0, wr / 4.0
+            best = max(best, float(local[j]))
+            r0, wr = rg[j], wr / 4.0
         return best
 
-    neg = max(float(-lam_y.min()), refine(-1.0))  # kills contactness
-    pos = max(float(lam_y.max()), refine(+1.0))
+    neg = refine(-1.0)  # kills contactness
+    pos = refine(+1.0)
 
     def below(limit):
         return S_SCAN_CAP if limit <= 0.0 else 1.0 / limit * (1.0 - 1e-4)
@@ -250,7 +265,7 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     s0 = below(neg)
     # speed: 1/2 <= 1/(1 + s lam_y) <= 2  <=>  s <= 1/(2 neg) and s <= 1/(2 pos)
     s1 = min(below(2.0 * neg), below(2.0 * pos), s0)
-    # neg and pos bound the lattice extrema, so both tests hold with room
+    # neg and pos bound the sampled extrema, so both tests hold with room
     # to spare
     q0, q1 = 1.0 + s0 * lam_y, 1.0 + s1 * lam_y
     if (s0 < S_SCAN_CAP and not q0.min() > 0.0) or (

@@ -6,17 +6,17 @@ import numpy as np
 from ..entropy_estimators import DiscreteSystem, check_gamma_budget, gamma_plus
 from .forms import (
     S_SCAN_CAP,
+    TWO_PI,
     MappingTorusSpec,
     NoContactThreshold,
-    _chi_derivatives,
     collapse_volumes,
     contact_threshold,
+    mapping_torus_field,
     normalize_form,
     return_map_and_time,
 )
 from .profiles import ProfileFunctions, build_profiles
 
-TWO_PI = 2.0 * np.pi
 # RK4 steps of the mapping-torus time-one map (step 0.02)
 _MT_STEPS = 50
 
@@ -65,8 +65,14 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
 
 
 def mapping_torus_system(spec: MappingTorusSpec, s) -> DiscreteSystem:
-    """Time-one map of the mapping-torus Reeb flow with the variational
-    Jacobian integrated alongside (RK4, step 0.02, analytic field derivatives).
+    """Time-one map of the mapping-torus Reeb flow with its Jacobian (RK4,
+    step 0.02, on `mapping_torus_field`).
+
+    r is fixed along the flow and the field does not depend on x, so the
+    Jacobian in (theta, r, x) has the r row (0, 1, 0) and the x column
+    (0, 0, 1).  One RK4 integrates z = (theta, x, a, b, c, d), where (a, b)
+    and (c, d) are the theta row and the x row of the Jacobian in
+    (theta, r); the (m, 3, 3) Jacobian is assembled once, at the end.
 
     s is one value, or a 1-D array of k values for k stacked systems
     (`copies` k): the maps then take k equal blocks of rows, block i at
@@ -80,64 +86,39 @@ def mapping_torus_system(spec: MappingTorusSpec, s) -> DiscreteSystem:
     single = np.ndim(s) == 0
 
     def step_jacobian(states):
-        y = states.copy().astype(float)
-        m = len(y)
+        states = np.asarray(states, float)
+        m = len(states)
         if m % k:
             raise ValueError(f"{m} states do not split into {k} blocks")
-        th, r, x = y[:, 0], y[:, 1], y[:, 2]
-        # the flow preserves r, so tau, lambda and every product of them
-        # with s are constant on each orbit
+        r = states[:, 1]
+        field = mapping_torus_field(spec, r, np.repeat(s_values, m // k))
         tau = spec.tau_dual(r)
-        lam = 2.0 - r
-        s_rows = np.repeat(s_values, m // k)
-        s_lam = s_rows * lam
-        dtau_dr = -tau.d1 + lam * tau.d2
 
-        def field(theta):
-            """(theta_dot, x_dot) and their gradient in (theta, r) as a
-            (m, 3, 3) matrix field."""
-            chi1, chi2 = _chi_derivatives(theta % TWO_PI)
-            # Y = y_x d_x with y_x = -chi' lam tau', and its theta and r
-            # derivatives
-            yx = -chi1 * lam * tau.d1
-            denom = 1.0 + s_lam * yx
-            denom2 = denom ** 2
-            vth = 1.0 / denom
-            vx = yx / denom
-            dy_dth = -chi2 * lam * tau.d1
-            dy_dr = -chi1 * dtau_dr
-            dden_dth = s_lam * dy_dth
-            dden_dr = s_rows * (-yx + lam * dy_dr)
-            grad = np.zeros((m, 3, 3))
-            grad[:, 0, 0] = -dden_dth / denom2
-            grad[:, 0, 1] = -dden_dr / denom2
-            grad[:, 2, 0] = (dy_dth * denom - yx * dden_dth) / denom2
-            grad[:, 2, 1] = (dy_dr * denom - yx * dden_dr) / denom2
-            return vth, vx, grad
+        def rhs(z):
+            th_dot, x_dot, t_th, t_r, x_th, x_r = field(z[0])
+            return np.stack([th_dot, x_dot, t_th * z[2], t_th * z[3] + t_r,
+                             x_th * z[2], x_th * z[3] + x_r])
 
-        jac = np.tile(np.eye(3), (m, 1, 1))
+        z = np.zeros((6, m))
+        z[0], z[1], z[2] = states[:, 0], states[:, 2], 1.0
         h = 1.0 / _MT_STEPS
         for _ in range(_MT_STEPS):
-            k1, l1, g1 = field(th)
-            k2, l2, g2 = field(th + 0.5 * h * k1)
-            k3, l3, g3 = field(th + 0.5 * h * k2)
-            k4, l4, g4 = field(th + h * k3)
-            th = th + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x = x + h / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4)
-            j1 = np.einsum("mij,mjk->mik", g1, jac)
-            j2 = np.einsum("mij,mjk->mik", g2, jac + 0.5 * h * j1)
-            j3 = np.einsum("mij,mjk->mik", g3, jac + 0.5 * h * j2)
-            j4 = np.einsum("mij,mjk->mik", g4, jac + h * j3)
-            jac = jac + h / 6.0 * (j1 + 2 * j2 + 2 * j3 + j4)
-            # monodromy gluing when theta passes 2 pi: x gains tau(r), so the
-            # differential adds tau' times the r row to the x row
-            wrap = th >= TWO_PI
-            if wrap.any():
-                idx = np.flatnonzero(wrap)
-                th[idx] -= TWO_PI
-                x[idx] = x[idx] + tau.v[idx]
-                jac[idx, 2] += tau.d1[idx, None] * jac[idx, 1]
-        return np.stack([th, r, x], axis=1), jac
+            k1 = rhs(z)
+            k2 = rhs(z + 0.5 * h * k1)
+            k3 = rhs(z + 0.5 * h * k2)
+            k4 = rhs(z + h * k3)
+            z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            # monodromy gluing when theta passes 2 pi: x gains tau(r) and
+            # d = dx/dr gains tau'(r)
+            idx = np.flatnonzero(z[0] >= TWO_PI)
+            if len(idx):
+                z[0, idx] -= TWO_PI
+                z[1, idx] += tau.v[idx]
+                z[5, idx] += tau.d1[idx]
+        jac = np.zeros((m, 3, 3))
+        jac[:, [0, 0, 2, 2], [0, 1, 0, 1]] = z[2:].T
+        jac[:, [1, 2], [1, 2]] = 1.0
+        return np.stack([z[0], r, z[1]], axis=1), jac
 
     def step(states):
         return step_jacobian(states)[0]

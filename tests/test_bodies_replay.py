@@ -1,17 +1,18 @@
-"""The bodies workload of the benchmark, replayed in process.
+"""The bodies and collapse workloads of the benchmark, replayed in process.
 
-Every pool entry of the benchmark's bodies classes, and of quick's default
-disk, is built with perfbench/workloads.py, its body file written under a
-temporary directory (at the relative path the benchmark's argv names), and
-run through `cli.run`.
+Every pool entry of the benchmark's bodies and collapse classes, and of
+quick's default disk, is built with perfbench/workloads.py, its body file
+(if any) written under a temporary directory (at the relative path the
+benchmark's argv names), and run through `cli.run`.
 
 - The non-symmetric planar entries nonsym2d-0..5 are the bodies whose
   outer fit runs to LOEWNER_MAX_ITER (see ROADMAP B): entries 1-4 must
   print exactly the rows recorded in perfbench/goldens.json, and entries 0
   and 5 must fail validation with one DegenerateBody line.
-- Every entry of sym2d, sym3d, star2d and disk must pass perfbench's own
-  `check.verdict` against its golden, so a fit that drifts past a row's
-  declared tolerance fails here without a benchmark run.
+- Every entry of sym2d, sym3d, star2d, disk and the collapse sweeps
+  sweep-k1..k3 must pass perfbench's own `check.verdict` against its
+  golden, so a fit or a sweep row that drifts past a row's declared
+  tolerance fails here without a benchmark run.
 
 The test reads perfbench/ and writes nothing there.
 """
@@ -48,7 +49,7 @@ def _run_entry(klass_name, k, tmp_path, monkeypatch):
     """(exit code, stdout, stderr) of pool entry <klass_name>-k run in
     tmp_path."""
     wl = _load("workloads")
-    klass = next(c for c in wl.WORKLOADS["bodies"] + wl.WORKLOADS["quick"]
+    klass = next(c for classes in wl.WORKLOADS.values() for c in classes
                  if c.name == klass_name)
     inv = wl.pool_entry(klass, k)
     monkeypatch.chdir(tmp_path)
@@ -76,7 +77,8 @@ def test_failing_nonsym2d_entry_exits_2_with_one_line(k, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("key", [f"{klass}-{k}" for klass in
-                                 ("sym2d", "sym3d", "star2d", "disk")
+                                 ("sym2d", "sym3d", "star2d", "disk",
+                                  "sweep-k1", "sweep-k2", "sweep-k3")
                                  for k in range(6)])
 def test_pool_entry_passes_the_benchmark_check(key, goldens, tmp_path,
                                                monkeypatch):

@@ -61,13 +61,6 @@ def test_gamma_long_horizon_no_overflow():
     assert abs(est.value - CAT_ENTROPY) < 1e-4
 
 
-def test_gamma_norm_choice_invariance():
-    w = np.array([[2.0, 0.3], [0.3, 0.5]])
-    a = gamma_plus(cat_system(), horizon=64, n_states=32)
-    b = gamma_plus(cat_system(), horizon=64, n_states=32, weight=w)
-    assert abs(a.value - b.value) <= 2e-2
-
-
 def test_gamma_solid_torus_tends_to_zero(rng):
     profiles = build_profiles(1.0, 0.1, "dim3")
     sys = solid_torus_system(profiles, s=0.05)

@@ -22,11 +22,8 @@ from entropia.entropy_estimators import (
     union_system,
 )
 from entropia.reeb_collapse import MappingTorusSpec, build_profiles
-from entropia.reeb_collapse.sweep import (
-    _chi_derivatives,
-    mapping_torus_system,
-    solid_torus_system,
-)
+from entropia.reeb_collapse.forms import _chi_derivatives
+from entropia.reeb_collapse.sweep import mapping_torus_system, solid_torus_system
 
 TWO_PI = 2.0 * np.pi
 

@@ -6,7 +6,9 @@ Public means a module-level function, or a method of a module-level
 class, whose name (and its class's) has no leading underscore; click
 commands and properties are skipped.  A reference is a name, an attribute
 or an imported name anywhere in src/ or in tests/test_acceptance.py, so a
-method counts as reached when any attribute of that name is used.
+method counts as reached when any attribute of that name is used.  A
+package's `__init__.py` only re-exports, so its imports are not
+references: a name it imports must still be used somewhere.
 """
 
 import ast
@@ -62,7 +64,7 @@ def _referenced_names():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
                 names.add(node.name)
     return names
 

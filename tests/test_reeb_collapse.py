@@ -12,7 +12,7 @@ from entropia.reeb_collapse import (
     build_profiles,
     collapse_volumes,
     contact_threshold,
-    mapping_torus_reeb,
+    mapping_torus_system,
     mapping_torus_volume,
     normalize_form,
     return_map_and_time,
@@ -25,6 +25,7 @@ from entropia.reeb_collapse.forms import (
     NonPositiveVolume,
     S_SCAN_CAP,
     VolumeOverflow,
+    mapping_torus_field,
 )
 
 TWO_PI = 2 * math.pi
@@ -145,12 +146,18 @@ def test_solid_torus_volume_quadrature_vs_mc(dim3):
 
 # ---------------------------------------------------------------- mapping torus
 
+def _reeb_velocity(spec, theta, r, s):
+    """(theta_dot, r_dot, x_dot) of the field the time-one map integrates."""
+    th_dot, x_dot = mapping_torus_field(spec, np.array([r]), s)(np.array([theta]))[:2]
+    return np.array([th_dot[0], 0.0, x_dot[0]])
+
+
 def test_mapping_torus_reeb_off_support(spec):
-    # off supp(tau') or supp(chi'): velocity (1, 0, 0)
-    v = mapping_torus_reeb(spec, (0.0, 2.0, 0.3), s=0.01)
-    assert np.allclose(v, [1.0, 0.0, 0.0])
-    v = mapping_torus_reeb(spec, (3.0, 1.1, 0.3), s=0.01)
-    assert np.allclose(v, [1.0, 0.0, 0.0])
+    # off supp(tau') or supp(chi'): velocity (1, 0, 0), no derivatives
+    assert np.allclose(_reeb_velocity(spec, 0.0, 2.0, 0.01), [1.0, 0.0, 0.0])
+    assert np.allclose(_reeb_velocity(spec, 3.0, 1.1, 0.01), [1.0, 0.0, 0.0])
+    field = mapping_torus_field(spec, np.array([1.1, 2.0]), 0.01)
+    assert np.allclose(np.stack(field(np.array([3.0, 0.0]))[2:]), 0.0)
 
 
 def test_mapping_torus_contact_equations(spec):
@@ -164,7 +171,7 @@ def test_mapping_torus_contact_equations(spec):
     for _ in range(1000):
         th = rng.uniform(0, TWO_PI)
         r = rng.uniform(1.0, 3.0)
-        vth, vr, vx = mapping_torus_reeb(spec, (th, r, 0.0), s)
+        vth, vr, vx = _reeb_velocity(spec, th, r, s)
         chi = spec.chi(np.array([th]))[0]
         chi_p = spec.chi_prime(np.array([th]))[0]
         tau_p = spec.tau_prime(np.array([r]))[0]
@@ -191,8 +198,34 @@ def test_mapping_torus_speed_bounds(spec):
     for _ in range(500):
         th = rng.uniform(0, TWO_PI)
         r = rng.uniform(1.0, 3.0)
-        vth = mapping_torus_reeb(spec, (th, r, 0.0), s1)[0]
+        vth = _reeb_velocity(spec, th, r, s1)[0]
         assert 0.5 - 1e-9 <= vth <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_time_one_map_keeps_the_first_integrals(k):
+    # with c = s lam^2 tau' and a = -lam tau', theta - c chi(theta) grows
+    # like time and x - a chi(theta) is constant along the flow; a crossing
+    # of the page subtracts 2 pi - c from the first and adds tau + a to the
+    # second
+    spec = MappingTorusSpec(k_twists=k)
+    _, s1 = contact_threshold(spec)
+    for s in (0.01, s1 / 2, s1):
+        sys = mapping_torus_system(spec, s)
+        states = sys.sampler(2000, np.random.default_rng(k))
+        image = sys.step(states)
+        th0, r, x0 = states.T
+        th1, x1 = image[:, 0], image[:, 2]
+        lam, tau_p = spec.lam(r), spec.tau_prime(r)
+        c, a = s * lam ** 2 * tau_p, -lam * tau_p
+        crossed = th1 < th0
+        assert crossed.any() and not crossed.all()
+        time = (th1 - c * spec.chi(th1)) - (th0 - c * spec.chi(th0))
+        np.testing.assert_allclose(time + crossed * (TWO_PI - c), 1.0,
+                                   rtol=0.0, atol=1e-8)
+        drift = (x1 - a * spec.chi(th1)) - (x0 - a * spec.chi(th0))
+        np.testing.assert_allclose(drift - crossed * (spec.tau(r) + a), 0.0,
+                                   rtol=0.0, atol=1e-8)
 
 
 def test_contact_threshold_trivial_monodromy():
