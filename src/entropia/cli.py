@@ -11,10 +11,15 @@ included, and a run over an estimator's work budget, reported as one
 line on stderr), 2 validation failure (a numeric invariant violated at
 run time); any other error ends in a traceback.
 All output is deterministic for a fixed (argv, seed).
+
+Importing this module loads no layer but entropy_bounds: each command
+imports what it runs, so `constants`, `bounds`, `verovic` and `spectrum`
+load no numpy.
 """
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -22,26 +27,11 @@ import sys
 from dataclasses import dataclass, field
 
 import click
-import numpy as np
 from click import UsageError
 from click.core import ParameterSource
 
+from . import MAX_TWISTS
 from . import entropy_bounds as eb
-from . import entropy_estimators as ee
-from .convex_body import (
-    BodyError,
-    StarBody,
-    inner_loewner,
-    irreversibility_ratio,
-    outer_loewner,
-    polar_dual,
-    sigma_starshapedness,
-    volume,
-)
-from .reeb_collapse import FormsError, MappingTorusSpec, build_profiles
-from .reeb_collapse.forms import MAX_TWISTS
-from .reeb_collapse.profiles import ProfileError
-from .reeb_collapse.sweep import collapse_sweep
 
 # relative residual allowed to the collapse volume fit, unless --tol fit=X
 _FIT_TOL = 0.01
@@ -54,6 +44,23 @@ _MAX_RADIUS = 1_000_000  # largest hvol --horizon; past it the fit residual is r
 # largest collapse --grid: the volume integrals hold about 130 B per point
 # of the grid x grid mesh, so 2,048 per axis is about 0.5 GB
 _MAX_GRID = 2_048
+
+# The layer functions that perfbench's tracer wraps on this module, each
+# bound on first access (PEP 562); the commands call them as attributes of
+# `_this`, so a wrapper bound after the import is the one that runs.  The
+# shim goes when the program traces itself (ROADMAP A).
+_TRACED = {"collapse_sweep": ".reeb_collapse.sweep", **dict.fromkeys([
+    "inner_loewner", "irreversibility_ratio", "outer_loewner", "polar_dual",
+    "sigma_starshapedness", "volume"], ".convex_body")}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_TRACED[name], __package__)
+    globals()[name] = getattr(module, name)
+    return globals()[name]
 
 
 @dataclass
@@ -106,9 +113,15 @@ class ValidationFailure(Exception):
     pass
 
 
-# numeric invariants that the collapse and estimate layers check at run time
-_VALIDATION_ERRORS = (ValidationFailure, FormsError, ProfileError,
-                      ee.EstimatorError)
+# (module, class, exit code) of the layer errors run() reports, looked up in
+# sys.modules, as a layer's error implies its module is loaded: a work budget
+# (1, before its base class) or a numeric invariant checked at run time (2)
+_LAYER_ERRORS = [
+    (".entropy_estimators", "BudgetExceeded", 1),
+    (".entropy_estimators", "EstimatorError", 2),
+    (".reeb_collapse.forms", "FormsError", 2),
+    (".reeb_collapse.profiles", "ProfileError", 2),
+]
 
 
 def run(argv) -> int:
@@ -126,13 +139,15 @@ def run(argv) -> int:
     except UsageError as exc:
         _fail(fmt, f"usage error: {exc.format_message()}")
         return 1
-    except ee.BudgetExceeded as exc:
-        # the htop and gamma work budgets cap input sizes, not invariants
-        _fail(fmt, f"usage error: {exc}")
-        return 1
-    except _VALIDATION_ERRORS as exc:
+    except ValidationFailure as exc:
         _fail(fmt, str(exc))
         return 2
+    except Exception as exc:
+        for module, name, code in _LAYER_ERRORS:
+            if isinstance(exc, getattr(sys.modules.get(__package__ + module), name, ())):
+                _fail(fmt, f"usage error: {exc}" if code == 1 else str(exc))
+                return code
+        raise
 
 
 def _fail(fmt, message):
@@ -294,6 +309,8 @@ def spectrum(config, v_bar, h, n, c):
 @click.pass_obj
 def bodies(config, body):
     """Convex-geometric summary of a star body."""
+    from .convex_body import BodyError, StarBody
+
     if body:
         try:
             with open(body) as fh:
@@ -310,9 +327,13 @@ def bodies(config, body):
     _emit(config, rows, body=body)
 
 
-def _body_rows(star: StarBody) -> list:
-    """The rows of `bodies` for one star body; a failed body operation
+def _body_rows(star) -> list:
+    """The rows of `bodies` for one StarBody; a failed body operation
     raises BodyError."""
+    import numpy as np
+
+    from .convex_body import BodyError, is_convex
+
     rows = []
 
     def add(name, value, formula, tol):
@@ -322,26 +343,24 @@ def _body_rows(star: StarBody) -> list:
 
     vol_method = "exact2d" if star.dim == 2 else "radial_quadrature"
     with np.errstate(over="ignore", invalid="ignore"):
-        vol = volume(star, vol_method)
+        vol = _this.volume(star, vol_method)
     # the hulls and ellipsoid fits take determinants that scale as vol^2
     if not sys.float_info.min < vol * vol < math.inf:
         raise BodyError(f"the {vol_method} volume {vol:.3g} of radial up to "
                         f"{star.radial.max():.3g} squared leaves the float range")
     add("volume", vol, vol_method, 0.0)
-    sigma, _ = sigma_starshapedness(star)
+    sigma, _ = _this.sigma_starshapedness(star)
     add("sigma_upper", sigma, "sigma_starshapedness", 0.0)
-    from .convex_body import is_convex
-
     if is_convex(star):
-        add("theta", irreversibility_ratio(star), "irreversibility_ratio", 0.0)
-        outer = outer_loewner(star)
+        add("theta", _this.irreversibility_ratio(star), "irreversibility_ratio", 0.0)
+        outer = _this.outer_loewner(star)
         add("outer_loewner_volume", outer.volume, "outer_loewner", 1e-6)
         if star.is_symmetric(tol=1e-7):
-            inner = inner_loewner(star)
+            inner = _this.inner_loewner(star)
             add("inner_loewner_volume", inner.volume, "inner_loewner", 1e-6)
-        dual = polar_dual(star)
+        dual = _this.polar_dual(star)
         add("santalo_product",
-            vol * volume(dual, vol_method),
+            vol * _this.volume(dual, vol_method),
             "santalo", 1e-3)
     return rows
 
@@ -365,6 +384,8 @@ def _body_rows(star: StarBody) -> list:
 @click.pass_obj
 def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
     """Entropy-collapse sweep over the contact parameter s."""
+    from .reeb_collapse import FormsError, MappingTorusSpec
+
     args = {"steps": steps, "twists": twists, "returns": returns,
             "horizon": horizon, "grid": grid, "spec": spec}
     if (s_min is None) != (s_max is None):
@@ -391,11 +412,12 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         if not s_min < s_max:
             raise UsageError(
                 f"--s-min must be below --s-max, got {s_min} and {s_max}")
+        import numpy as np
         s_list = list(np.linspace(s_min, s_max, steps))
         # an omitted --s-min/--s-max stays out of the config hash
         args.update(s_min=s_min, s_max=s_max)
     fit_tol = config.args["tol"]["fit"] if "tol" in config.args else _FIT_TOL
-    rows, fit, _ = collapse_sweep(
+    rows, fit, _ = _this.collapse_sweep(
         mt_spec, s_list=s_list, n_steps=steps,
         n_returns=returns, gamma_horizon=horizon,
         gamma_states=_GAMMA_STATES, seed=config.seed, grid=grid, fit_tol=fit_tol)
@@ -405,11 +427,7 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
     _emit(config, out, **args)
 
 
-_SYSTEMS = {
-    "cat": ee.cat_system,
-    "rotation": lambda: ee.rotation_system(0.37),
-    "doubling": ee.doubling_system,
-}
+_SYSTEMS = ("cat", "rotation", "doubling")
 
 
 @main.command()
@@ -426,6 +444,8 @@ _SYSTEMS = {
 @click.pass_obj
 def estimate(config, system, what, horizon, delta, cloud):
     """Finite-horizon entropy and norm-growth estimates."""
+    from . import entropy_estimators as ee
+
     if horizon is None:
         horizon = 8 if what == "htop" else 48
     try:
@@ -444,6 +464,7 @@ def estimate(config, system, what, horizon, delta, cloud):
         est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
     else:
         if system == "reeb-solid-torus":
+            from .reeb_collapse import build_profiles
             from .reeb_collapse.sweep import solid_torus_system
 
             profiles = build_profiles(1.0, 0.1, "dim3")
@@ -451,7 +472,8 @@ def estimate(config, system, what, horizon, delta, cloud):
             # its chart metric: two angles mod 2 pi and r in [0, r_eps]
             diameter = math.hypot(math.pi, math.pi, profiles.r_eps)
         else:
-            sys_ = _SYSTEMS[system]()
+            sys_ = {"cat": ee.cat_system, "doubling": ee.doubling_system,
+                    "rotation": lambda: ee.rotation_system(0.37)}[system]()
             # the unit torus under torus_metric
             diameter = math.sqrt(sys_.state_dim) / 2.0
         if what == "gamma":

@@ -4,14 +4,11 @@ Every constant that is also reported numerically in the literature is
 computed twice here: once from its closed form (in the log domain whenever
 factorials appear) and once by an independent quadrature or Monte Carlo
 route.  The dual-path discipline is the module's core correctness check.
+numpy is imported only where a quadrature or Monte Carlo check runs.
 """
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from .finsler_volume import c_n
 
 
 class integrate:
@@ -25,6 +22,8 @@ class integrate:
     def quad(f, a: float, b: float, nodes: int) -> float:
         """int_a^b f by the `nodes`-point rule, exact for polynomials of
         degree below 2 nodes; f is called once per node with a float."""
+        import numpy as np
+
         x, w = np.polynomial.legendre.leggauss(nodes)
         half = 0.5 * (b - a)
         return half * float(np.dot(w, [f(a + half * (t + 1.0)) for t in x]))
@@ -79,6 +78,18 @@ class BoundReport:
 
 
 # ----------------------------------------------------------------- floors
+
+def c_n(n: int) -> float:
+    """c_n = 1 / (n! omega_n)^(1/n); for instance c_2 = 1/sqrt(2 pi).
+
+    Evaluated in the log domain: n! omega_n overflows long before the
+    constant itself becomes small.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    log_omega = 0.5 * n * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
+    return math.exp(-(math.lgamma(n + 1) + log_omega) / n)
+
 
 def katok_bound(genus: int, orientable: bool = True) -> float:
     """Minimal normalized entropy of surfaces of genus k >= 2:
@@ -161,6 +172,8 @@ def _weyl_mc(k: int, body: str, n_samples: int):
 
     Returns (estimate, standard_error).
     """
+    import numpy as np
+
     strata = WEYL_MC_STRATA
     per = n_samples // strata
     means = np.empty(strata)

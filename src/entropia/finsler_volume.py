@@ -1,5 +1,5 @@
 """Holmes-Thompson and Busemann-Hausdorff volumes of discretized Finsler
-fields and the dimension constants c_n.
+fields.
 
 A Finsler field assigns to every cell of a flat-torus base a fiber body,
 by convention the unit co-disk in the cotangent fiber.  The two volume
@@ -8,7 +8,6 @@ cotangent fibers) and omega_n / |fiber| (Busemann-Hausdorff, tangent
 fibers); base curvature never enters.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +22,6 @@ class FinslerError(Exception):
 
 class DimensionMismatch(FinslerError):
     pass
-
-
-def c_n(n: int) -> float:
-    """c_n = 1 / (n! omega_n)^(1/n); for instance c_2 = 1/sqrt(2 pi).
-
-    Evaluated in the log domain: n! omega_n overflows long before the
-    constant itself becomes small.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    log_omega = 0.5 * n * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
-    return math.exp(-(math.lgamma(n + 1) + log_omega) / n)
 
 
 @dataclass

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import MAX_TWISTS
 from .duals import Dual, product, smooth_step_on
 from .profiles import ProfileFunctions
 
@@ -41,8 +42,6 @@ TWO_PI = 2.0 * math.pi
 
 # reported in place of an infinite contact threshold (trivial monodromy)
 S_SCAN_CAP = 1e6
-
-MAX_TWISTS = 1_000_000  # most Dehn twists a spec takes; tau = 2 pi k stays finite
 
 # Gauss-Legendre nodes per breakpoint panel of the solid-torus volume
 _GL_NODES = 96

@@ -22,6 +22,7 @@ from entropia.convex_body import (
 )
 from entropia.entropy_bounds import (
     TargetBelowRange,
+    c_n,
     finsler_floor,
     katok_bound,
     sl3_constants,
@@ -48,7 +49,6 @@ from entropia.finsler_volume import (
     BaseChart,
     FinslerField,
     busemann_hausdorff_volume,
-    c_n,
     holmes_thompson_volume,
 )
 from entropia.reeb_collapse import (

@@ -9,6 +9,7 @@ from entropia.entropy_bounds import (
     GenusTooSmall,
     QuadratureDisagreement,
     TargetBelowRange,
+    c_n,
     finsler_floor,
     katok_bound,
     sl3_constants,
@@ -19,7 +20,6 @@ from entropia.entropy_bounds import (
     weyl_cell_integrals,
     weyl_closed_form,
 )
-from entropia.finsler_volume import c_n
 
 
 # ---------------------------------------------------------------- katok

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from entropia.convex_body import StarBody
+from entropia.entropy_bounds import c_n
 from entropia.finsler_volume import (
     BaseChart,
     DimensionMismatch,
     FinslerField,
     busemann_hausdorff_volume,
-    c_n,
     holmes_thompson_volume,
 )
 

@@ -1,11 +1,14 @@
 """scipy stays off `import entropia.cli` and every command but `bodies` on
-a body of dimension >= 3.
+a body of dimension >= 3; numpy stays off `import entropia.cli` and the
+closed-form commands `constants`, `bounds`, `verovic` and `spectrum`.
 
 Each check starts a fresh interpreter, so no module imported by another
 test can hide an import.  Planar hulls are a numpy monotone chain, and the
 Weyl and hexagon checks of `sl3` and the solid-torus volume of `collapse`
 are fixed Gauss-Legendre rules from numpy; only the qhull hull of a body
-of dimension >= 3 imports scipy (`scipy.spatial`), where it runs.  The
+of dimension >= 3 imports scipy (`scipy.spatial`), where it runs.  The CLI
+imports each layer, and with it numpy, inside the commands that run it,
+so numpy loads with `sl3`, `bodies`, `collapse` and `estimate` only.  The
 assertions are on module sets only, never on timings.
 """
 
@@ -21,25 +24,26 @@ from entropia.convex_body import StarBody
 SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[2])
 
 report = {}
 from entropia import cli
-report["import"] = scipy_modules()
+report["import"] = modules()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.run(argv)
-    report[" ".join(argv)] = [rc, scipy_modules()]
+    report[" ".join(argv)] = [rc, modules()]
 print(json.dumps(report))
 """
 
 
-def _fresh_run(*commands):
-    """{"import": scipy modules after `import entropia.cli`, command:
-    [exit code, scipy modules after it]} from one fresh interpreter that
-    runs the commands in order."""
-    res = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
+def _fresh_run(*commands, package="scipy"):
+    """{"import": `package` modules after `import entropia.cli`, command:
+    [exit code, `package` modules after it]} from one fresh interpreter
+    that runs the commands in order."""
+    res = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands),
+                          package],
                          capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
@@ -78,3 +82,16 @@ def test_3d_body_imports_scipy_spatial_and_succeeds(tmp_path):
     rc, modules = report[" ".join(argv)]
     assert rc == 0
     assert "scipy.spatial" in modules
+
+
+def test_cli_import_and_closed_form_commands_load_no_numpy():
+    commands = [
+        ["constants"],
+        ["bounds"],
+        ["verovic"],
+        ["spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "1", "--c", "2.0"],
+    ]
+    report = _fresh_run(*commands, package="numpy")
+    assert report["import"] == []
+    for argv in commands:
+        assert report[" ".join(argv)] == [0, []], argv
