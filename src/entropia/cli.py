@@ -467,7 +467,7 @@ def estimate(config, system, what, horizon, delta, cloud):
             from .reeb_collapse import build_profiles
             from .reeb_collapse.sweep import solid_torus_system
 
-            profiles = build_profiles(1.0, 0.1, "dim3")
+            profiles = build_profiles()
             sys_ = solid_torus_system(profiles, s=0.05)
             # its chart metric: two angles mod 2 pi and r in [0, r_eps]
             diameter = math.hypot(math.pi, math.pi, profiles.r_eps)

@@ -103,7 +103,7 @@ def katok_bound(genus: int, orientable: bool = True) -> float:
 
 
 def finsler_floor(genus: int, reversible: bool = False) -> float:
-    """Finsler entropy floor on higher-genus surfaces:
+    """Finsler entropy floor on surfaces of genus k >= 2:
     sqrt(2(k-1)) in general, 2 sqrt(2(k-1)) for reversible metrics."""
     if genus < 2:
         raise GenusTooSmall("genus must be >= 2")

@@ -9,7 +9,6 @@ from .forms import (
     MappingTorusSpec,
     NoContactThreshold,
     NoReturn,
-    OpenBook3D,
     collapse_volumes,
     contact_threshold,
     mapping_torus_volume,
@@ -21,7 +20,6 @@ from .forms import (
     solid_torus_volume,
 )
 from .profiles import (
-    InfeasibleParameters,
     ProfileFunctions,
     ProfileValidationError,
     build_profiles,
@@ -30,11 +28,11 @@ from .sweep import collapse_sweep, mapping_torus_system, solid_torus_system
 
 __all__ = [
     "FitPoor", "FormsError", "GridTooCoarse",
-    "MappingTorusSpec", "NoContactThreshold", "NoReturn", "OpenBook3D",
+    "MappingTorusSpec", "NoContactThreshold", "NoReturn",
     "collapse_volumes", "contact_threshold", "mapping_torus_volume",
     "normalize_form", "return_map_and_time", "solid_torus_flow",
     "solid_torus_flow_rk4", "solid_torus_reeb", "solid_torus_volume",
-    "InfeasibleParameters", "ProfileFunctions", "ProfileValidationError",
+    "ProfileFunctions", "ProfileValidationError",
     "build_profiles", "collapse_sweep", "mapping_torus_system",
     "solid_torus_system",
 ]

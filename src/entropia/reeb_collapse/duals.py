@@ -50,17 +50,12 @@ def blend(w: Dual, lo: Dual, hi: Dual) -> Dual:
 _STEP_CLIP = 0.004
 
 
-def smooth_step_on(x: Dual, a: float, b: float, p: float = 1.0) -> Dual:
-    """C-infinity step from 0 at a to 1 at b (a < b): S_p((x - a) / (b - a))
-    with S_p(u) = 1 / (1 + exp(p (1/u - 1/(1-u)))).
+def smooth_step_on(x: Dual, a: float, b: float) -> Dual:
+    """C-infinity step from 0 at a to 1 at b (a < b): S((x - a) / (b - a))
+    with S(u) = 1 / (1 + exp(1/u - 1/(1-u))).
 
     Identically 0 for x <= a and 1 for x >= b with infinitely flat contact.
-    The parameter p < 1 slows the step; the profile constructions use it to
-    respect slope budgets.  The slope in u is 2p at the midpoint, and that
-    is the maximal slope only for p >= sqrt(3)/2.  For smaller p the
-    midpoint is a local minimum of the slope and the maximum moves off it,
-    symmetrically: 1.534 at u = 0.21 and 0.79 for p = 0.5, 1.503 for
-    p = 0.55, 1.491 for p = 0.6; no p takes it below about 1.491.
+    Its steepest slope in u is 2, at the midpoint.
     """
     k = 1.0 / (b - a)
     u = (x.v - a) * k
@@ -70,11 +65,11 @@ def smooth_step_on(x: Dual, a: float, b: float, p: float = 1.0) -> Dual:
     mid = ~(lo | hi)
     u = np.where(mid, u, 0.5)
     ia, ib = 1.0 / u, 1.0 / (1.0 - u)
-    # q = p (1/u - 1/(1 - u)), then S = 1 / (1 + e^q)
-    q = (ia - ib) * p
-    q1 = (-du * ia ** 2 - du * ib ** 2) * p
+    # q = 1/u - 1/(1 - u), then S = 1 / (1 + e^q)
+    q = ia - ib
+    q1 = -du * ia ** 2 - du * ib ** 2
     q2 = ((2.0 * du ** 2 * ia - ddu) * ia ** 2
-          - (2.0 * du ** 2 * ib + ddu) * ib ** 2) * p
+          - (2.0 * du ** 2 * ib + ddu) * ib ** 2)
     e = np.exp(q)
     e1, e2 = q1 * e, (q2 + q1 ** 2) * e
     inv = 1.0 / (e + 1.0)

@@ -1,20 +1,11 @@
-"""Entropy-collapse contact forms on mapping tori and solid tori, their
-Reeb fields, flows, return maps and volume estimates.
+"""Entropy-collapse contact forms on the mapping torus and the solid torus,
+their Reeb fields, flows, return maps and volume estimates.
 
-Concrete instances:
-
-MappingTorusSpec   page = annulus [1,3] x S^1 with primitive (2-r) dx and
-                   monodromy a k-fold Dehn twist (r, x) -> (r, x + tau(r)).
-                   The glued solid torus uses the dim3 profile family, so
-                   the collar forms match exactly: near r = 1 both read
-                   dtheta + s (2-r) dx.
-
-OpenBook3D         the one-complex-dimensional page instance of the general
-                   construction: page (0, R] x S^1 with primitive
-                   (eps_hat / r) dx, binding circle with base form
-                   eps_hat dx where eps_hat = eps / (2 pi), so the raw
-                   contact integral over the binding is eps.  The glued
-                   solid torus uses the higher profile family on [0, r_eps].
+The mapping torus (`MappingTorusSpec`) has the page annulus [1,3] x S^1
+with primitive (2-r) dx and monodromy a k-fold Dehn twist
+(r, x) -> (r, x + tau(r)).  The glued solid torus uses the profiles of
+profiles.py, so the collar forms match exactly: near r = 1 both read
+dtheta + s (2-r) dx.
 
 All coordinates are (theta, r, x) with theta the open-book angle and x the
 fiber/binding angle.  Everything is x-independent and r is constant along
@@ -93,42 +84,19 @@ def _chi_derivatives(theta):
     return (140.0 / TWO_PI) * w ** 3, (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
 
 
-class _TwistedPage:
-    """The monodromy and cutoff shared by the page instances, which carry
-    `k_twists` and `tau_support`.
-
-    tau is the k-fold Dehn-twist angle, a smooth monotone step of total
-    increment 2 pi k on tau_support; chi is the 7th-order polynomial
-    smoothstep in theta / 2 pi, 0 for theta <= 0 and 1 for theta >= 2 pi
-    (chi' vanishes to third order at the ends).
-    """
-
-    def tau_dual(self, r) -> Dual:
-        """tau(r) with its first and second derivatives in r."""
-        w = smooth_step_on(Dual(np.asarray(r, float), 1.0, 0.0), *self.tau_support)
-        return product(w, Dual(TWO_PI * self.k_twists, 0.0, 0.0))
-
-    def tau(self, r):
-        return self.tau_dual(r).v
-
-    def tau_prime(self, r):
-        return self.tau_dual(r).d1
-
-    def chi(self, theta):
-        u = np.clip(np.asarray(theta, float) * (1.0 / TWO_PI), 0.0, 1.0)
-        u2 = u * u
-        return u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 + u * (-20.0))))
-
-    def chi_prime(self, theta):
-        theta = np.asarray(theta, float)
-        inside = (theta > 0.0) & (theta < TWO_PI)
-        return np.where(inside, _chi_derivatives(theta)[0], 0.0)
+def _chi(theta):
+    """The cutoff chi(theta) = smoothstep7(theta / 2 pi), 0 for theta <= 0
+    and 1 for theta >= 2 pi (chi' vanishes to third order at the ends)."""
+    u = np.clip(np.asarray(theta, float) * (1.0 / TWO_PI), 0.0, 1.0)
+    u2 = u * u
+    return u2 * u2 * (35.0 + u * (-84.0 + u * (70.0 + u * (-20.0))))
 
 
 @dataclass
-class MappingTorusSpec(_TwistedPage):
+class MappingTorusSpec:
     """Annulus page [1, 3] x S^1, lambda = (2 - r) dx, k-fold Dehn twist
-    tau supported in the middle of the annulus."""
+    tau supported in the middle of the annulus: a smooth monotone step of
+    total increment 2 pi k on tau_support."""
 
     k_twists: int = 1
     r_range: tuple = (1.0, 3.0)
@@ -143,6 +111,22 @@ class MappingTorusSpec(_TwistedPage):
         if not r0 <= a < b <= r1:
             raise FormsError("tau_support must have positive width inside r_range, "
                              f"got {list(self.tau_support)} in {list(self.r_range)}")
+
+    def tau_dual(self, r) -> Dual:
+        """tau(r) with its first and second derivatives in r."""
+        w = smooth_step_on(Dual(np.asarray(r, float), 1.0, 0.0), *self.tau_support)
+        return product(w, Dual(TWO_PI * self.k_twists, 0.0, 0.0))
+
+    def tau(self, r):
+        return self.tau_dual(r).v
+
+    def tau_prime(self, r):
+        return self.tau_dual(r).d1
+
+    def chi_prime(self, theta):
+        theta = np.asarray(theta, float)
+        inside = (theta > 0.0) & (theta < TWO_PI)
+        return np.where(inside, _chi_derivatives(theta)[0], 0.0)
 
     def lam(self, r):
         """Coefficient of dx in the primitive lambda."""
@@ -295,33 +279,26 @@ def return_map_and_time(spec: MappingTorusSpec, start, s: float):
     return t_return, (r_im, float(x_im) % TWO_PI)
 
 
-def _page_volume(density, r0: float, r1: float, grid: int) -> float:
-    """int of density(theta, r) dtheta dr dx over [0, 2 pi) x [r0, r1] x S^1
-    by the grid x grid midpoint rule (the x direction contributes a factor
-    2 pi exactly)."""
+def mapping_torus_volume(spec: MappingTorusSpec, s: float,
+                         grid: int = 256) -> float:
+    """int alpha_s ^ dalpha_s over the mapping torus by the grid x grid
+    midpoint rule in (theta, r); the x direction contributes a factor 2 pi
+    exactly."""
+    r0, r1 = spec.r_range
     theta = (np.arange(grid) + 0.5) * TWO_PI / grid
     r = r0 + (np.arange(grid) + 0.5) * (r1 - r0) / grid
     th, rr = np.meshgrid(theta, r, indexing="ij")
-    return TWO_PI * float(density(th, rr).mean()) * TWO_PI * (r1 - r0)
-
-
-def mapping_torus_volume(spec: MappingTorusSpec, s: float,
-                         grid: int = 256) -> float:
-    """int alpha_s ^ dalpha_s over the mapping torus by midpoint quadrature."""
-    return _page_volume(lambda th, rr: spec.contact_density(s, th, rr),
-                        *spec.r_range, grid)
+    return TWO_PI * float(spec.contact_density(s, th, rr).mean()) * TWO_PI * (r1 - r0)
 
 
 # --------------------------------------------------------------- solid torus
 
 def solid_torus_reeb(profiles: ProfileFunctions, state, s: float):
     """Reeb velocity of sigma_s = g dtheta + s f dx at (theta, r, x):
-    (-f'/h, 0, g'/(s h)); on the core circle the dim3 family gives
-    (0, 0, 1/(2s)) and the higher family (0, 0, 1/s)."""
+    (-f'/h, 0, g'/(s h)), and (0, 0, 1/(2s)) on the core circle."""
     theta, r, x = state
     if r <= 1e-12:
-        core = 0.5 / s if profiles.family == "dim3" else 1.0 / s
-        return np.array([0.0, 0.0, core])
+        return np.array([0.0, 0.0, 0.5 / s])
     ang, fib = profiles.speeds(np.asarray([r], float))
     return np.array([ang[0], 0.0, fib[0] / s])
 
@@ -365,10 +342,8 @@ def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float):
     return tuple(y)
 
 
-def solid_torus_volume(profiles: ProfileFunctions, s: float,
-                       x_coefficient: float = 1.0) -> float:
-    """int sigma_s ^ dsigma_s = s c (2 pi)^2 int h dr, c the dx scale of the
-    base form (1 for the dim3 torus, eps/(2 pi) for the open-book binding).
+def solid_torus_volume(profiles: ProfileFunctions, s: float) -> float:
+    """int sigma_s ^ dsigma_s = s (2 pi)^2 int h dr.
 
     int h dr is a composite Gauss-Legendre rule, _GL_NODES nodes on each
     panel between neighbouring profile breakpoints, where h is analytic;
@@ -379,7 +354,7 @@ def solid_torus_volume(profiles: ProfileFunctions, s: float,
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     val = float(half @ (profiles.h(mid[:, None] + half[:, None] * x) @ w))
-    return s * x_coefficient * TWO_PI ** 2 * val
+    return s * TWO_PI ** 2 * val
 
 
 # --------------------------------------------------------------- assembly
@@ -432,60 +407,3 @@ def normalize_form(vol: float, n: int, gamma_or_h: float):
         raise NonPositiveVolume("volume must be positive")
     scale = vol ** (-1.0 / (n + 1))
     return scale, gamma_or_h * vol ** (1.0 / (n + 1))
-
-
-# --------------------------------------------------------------- open book 3d
-
-@dataclass
-class OpenBook3D(_TwistedPage):
-    """The one-dimensional-binding instance of the general construction.
-
-    Page (0, R] x S^1 with ideal primitive lambda = (eps_hat / r) dx,
-    eps_hat = eps / (2 pi) so the raw contact integral of the base form
-    eps_hat dx over the binding circle equals eps.  Monodromy is a k-fold
-    Dehn twist supported in [tau_lo, tau_hi], away from [0, r_eps].
-    """
-
-    eps: float = 0.1
-    r_eps: float = 0.4
-    page_r_max: float = 3.0
-    k_twists: int = 1
-    tau_support: tuple = (1.0, 2.5)
-
-    def __post_init__(self):
-        if self.tau_support[0] <= self.r_eps:
-            raise FormsError("monodromy support must avoid [0, r_eps]")
-
-    @property
-    def eps_hat(self) -> float:
-        return self.eps / TWO_PI
-
-    def lambda_theta_of_y(self, theta, r):
-        """lambda_theta(Y) = -eps_hat chi'(theta) tau'(r)."""
-        return -self.eps_hat * self.chi_prime(theta) * self.tau_prime(r)
-
-    def dlambda_page_integral(self, r_lo: float) -> float:
-        """int of dlambda over the truncated page {r >= r_lo}."""
-        return self.eps * (1.0 / r_lo - 1.0 / self.page_r_max)
-
-    def mapping_torus_volume(self, s: float, r_lo: float,
-                             grid: int = 256) -> float:
-        return _page_volume(
-            lambda th, rr: s * (self.eps_hat / rr ** 2) * (
-                1.0 + s * self.lambda_theta_of_y(th, rr)),
-            r_lo, self.page_r_max, grid)
-
-    def total_volume(self, profiles: ProfileFunctions, s: float) -> float:
-        if profiles.family != "higher" or profiles.r_eps != self.r_eps:
-            raise FormsError("open book needs higher-family profiles on [0, r_eps]")
-        mt = self.mapping_torus_volume(s, self.r_eps)
-        st = solid_torus_volume(profiles, 1.0, x_coefficient=self.eps_hat)
-        return mt + st
-
-    def volume_bound(self, s: float) -> float:
-        """Right-hand side 2 s int_{F_eps} dlambda + 12 pi n eps, n = 1."""
-        return 2.0 * s * self.dlambda_page_integral(self.r_eps) + 12.0 * math.pi * self.eps
-
-    def return_time(self, s: float, r: float) -> float:
-        """T_s(r) = 2 pi + s int lambda_theta(Y) dtheta = 2 pi - s eps_hat tau'(r)."""
-        return TWO_PI - s * self.eps_hat * self.tau_prime(np.array([r]))[0]

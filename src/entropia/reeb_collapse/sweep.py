@@ -155,7 +155,7 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
     """
     n_s = n_steps if s_list is None else len(s_list)
     check_gamma_budget(gamma_horizon, n_s * gamma_states)
-    profiles = build_profiles(1.0, 0.1, "dim3")
+    profiles = build_profiles()
     s0, s1 = contact_threshold(spec)
     if s_list is None:
         if s1 >= S_SCAN_CAP:

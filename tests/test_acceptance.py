@@ -168,7 +168,7 @@ def test_criterion_06_convex_sharp_cases():
 
 
 def test_criterion_07_reeb_solid_torus():
-    profiles = build_profiles(1.0, 0.1, "dim3")
+    profiles = build_profiles()
     s = 0.05
     # closed form vs RK4 at t = 100
     start = (0.3, 0.5, 1.1)

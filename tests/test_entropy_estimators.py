@@ -62,7 +62,7 @@ def test_gamma_long_horizon_no_overflow():
 
 
 def test_gamma_solid_torus_tends_to_zero(rng):
-    profiles = build_profiles(1.0, 0.1, "dim3")
+    profiles = build_profiles()
     sys = solid_torus_system(profiles, s=0.05)
     short = gamma_plus(sys, horizon=25, n_states=64, seed=2)
     long = gamma_plus(sys, horizon=200, n_states=64, seed=2)

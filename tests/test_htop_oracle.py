@@ -42,7 +42,7 @@ CASES = [
                  [0.35], 4, 300, 4, id="cat-x-rotation-4d"),
     pytest.param(lambda: ee.suspension_cat_system(0.3), [0.4, 0.3], 4, 300, 5,
                  id="suspension-3d"),
-    pytest.param(lambda: solid_torus_system(build_profiles(1.0, 0.1, "dim3"),
+    pytest.param(lambda: solid_torus_system(build_profiles(),
                                             s=0.05),
                  [0.3, 0.2], 5, 250, 6, id="solid-torus"),
     pytest.param(ee.cat_system, [0.6], 5, 150, 7, id="wrap-1-cell"),

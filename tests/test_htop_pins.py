@@ -22,7 +22,7 @@ from entropia.reeb_collapse.sweep import solid_torus_system
 
 def _solid_torus():
     # the system of `entropia estimate --system reeb-solid-torus`
-    return solid_torus_system(build_profiles(1.0, 0.1, "dim3"), s=0.05)
+    return solid_torus_system(build_profiles(), s=0.05)
 
 
 def _rotation():

@@ -170,7 +170,7 @@ SYSTEMS = {
         [cat_system(), _linear_torus_system(np.eye(2), "id")]),
     "suspension_cat": lambda: suspension_cat_system(0.3),
     "solid_torus": lambda: solid_torus_system(
-        build_profiles(1.0, 0.1, "dim3"), 0.05),
+        build_profiles(), 0.05),
     "mapping_torus": lambda: mapping_torus_system(
         MappingTorusSpec(k_twists=3), 0.4),
 }

@@ -5,10 +5,8 @@ import pytest
 from scipy import integrate
 
 from entropia.reeb_collapse import (
-    InfeasibleParameters,
     MappingTorusSpec,
     NoReturn,
-    OpenBook3D,
     build_profiles,
     collapse_volumes,
     contact_threshold,
@@ -25,6 +23,7 @@ from entropia.reeb_collapse.forms import (
     NonPositiveVolume,
     S_SCAN_CAP,
     VolumeOverflow,
+    _chi,
     mapping_torus_field,
 )
 
@@ -33,7 +32,7 @@ TWO_PI = 2 * math.pi
 
 @pytest.fixture(scope="module")
 def dim3():
-    return build_profiles(1.0, 0.1, "dim3")
+    return build_profiles()
 
 
 @pytest.fixture(scope="module")
@@ -43,42 +42,9 @@ def spec():
 
 # ---------------------------------------------------------------- profiles
 
-def test_build_profiles_higher_pins():
-    p = build_profiles(0.4, 0.1, "higher")
-    assert abs(p.f(np.array([0.2]))[0] - 0.5) < 1e-12  # f(r_eps/2) = 1/2
-    r = np.linspace(1e-6, 0.04 * 0.4, 200)
-    assert np.max(np.abs(p.h(r) - r)) < 1e-10  # h = r near 0
-    rr = np.linspace(1e-6, 0.4, 5000)
-    assert np.max(p.gp(rr) / p.h(rr)) <= 2.0 + 1e-9
-
-
 def test_build_profiles_dim3_h_near_zero(dim3):
     r = np.linspace(1e-6, 0.05, 500)
     assert np.max(np.abs(dim3.h(r) - r * (2 + r ** 4))) < 1e-10
-
-
-def test_build_profiles_infeasible():
-    with pytest.raises(InfeasibleParameters):
-        build_profiles(0.4, 0.2, "higher")
-    with pytest.raises(InfeasibleParameters):
-        build_profiles(0.4, 0.3, "higher")
-
-
-def test_build_profiles_higher_r_eps_bound():
-    # g depends on r_eps alone; past about 2.7074 its slope exceeds 4/r_eps
-    # for every s, which build_profiles reports before constructing anything
-    assert build_profiles(2.70, 0.2 * 2.70, "higher").r_eps == 2.70
-    for r_eps in (2.71, 3.0):
-        with pytest.raises(InfeasibleParameters, match=r"r_eps <= 2\.7074"):
-            build_profiles(r_eps, 0.2 * r_eps, "higher")
-
-
-def test_profiles_higher_parameter_range():
-    for frac in (0.05, 0.25, 0.45):
-        p = build_profiles(0.7, frac * 0.7, "higher")
-        r = np.linspace(1e-9, 0.7, 2000)
-        assert np.all(p.h(r) > 0)
-        assert np.max(p.h(r)) <= 6.0 / 0.7 * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------- solid torus
@@ -172,7 +138,7 @@ def test_mapping_torus_contact_equations(spec):
         th = rng.uniform(0, TWO_PI)
         r = rng.uniform(1.0, 3.0)
         vth, vr, vx = _reeb_velocity(spec, th, r, s)
-        chi = spec.chi(np.array([th]))[0]
+        chi = _chi(np.array([th]))[0]
         chi_p = spec.chi_prime(np.array([th]))[0]
         tau_p = spec.tau_prime(np.array([r]))[0]
         lam = 2.0 - r
@@ -220,10 +186,10 @@ def test_time_one_map_keeps_the_first_integrals(k):
         c, a = s * lam ** 2 * tau_p, -lam * tau_p
         crossed = th1 < th0
         assert crossed.any() and not crossed.all()
-        time = (th1 - c * spec.chi(th1)) - (th0 - c * spec.chi(th0))
+        time = (th1 - c * _chi(th1)) - (th0 - c * _chi(th0))
         np.testing.assert_allclose(time + crossed * (TWO_PI - c), 1.0,
                                    rtol=0.0, atol=1e-8)
-        drift = (x1 - a * spec.chi(th1)) - (x0 - a * spec.chi(th0))
+        drift = (x1 - a * _chi(th1)) - (x0 - a * _chi(th0))
         np.testing.assert_allclose(drift - crossed * (spec.tau(r) + a), 0.0,
                                    rtol=0.0, atol=1e-8)
 
@@ -472,32 +438,3 @@ def test_normalize_form_genus2():
     # Katok's floor 2 sqrt(pi)
     _, value = normalize_form(4 * math.pi, 1, 1.0)
     assert abs(value - 2 * math.sqrt(math.pi)) < 1e-12
-
-
-# ---------------------------------------------------------------- open book
-
-def test_open_book_volume_bound():
-    ob = OpenBook3D(eps=0.05, r_eps=0.4, k_twists=1)
-    for s in (0.02, 0.05, 0.1, 0.19):
-        p = build_profiles(0.4, s, "higher")
-        total = ob.total_volume(p, s)
-        assert total <= ob.volume_bound(s)
-        assert total > 0
-
-
-def test_open_book_solid_part_le_12_pi_eps():
-    ob = OpenBook3D(eps=0.07, r_eps=0.4)
-    p = build_profiles(0.4, 0.1, "higher")
-    st = solid_torus_volume(p, 1.0, x_coefficient=ob.eps_hat)
-    assert st <= 12 * math.pi * ob.eps * (1 + 1e-9)
-
-
-def test_open_book_return_times():
-    ob = OpenBook3D(eps=0.05, r_eps=0.4, k_twists=1)
-    rng = np.random.default_rng(3)
-    s = 0.05
-    for r in rng.uniform(0.4, 3.0, size=50):
-        t = ob.return_time(s, r)
-        assert math.pi <= t <= 4 * math.pi
-    # away from the twist support the return time is exactly 2 pi
-    assert abs(ob.return_time(s, 0.6) - TWO_PI) < 1e-12

@@ -17,7 +17,6 @@ from scipy import integrate
 
 from entropia.reeb_collapse import (
     MappingTorusSpec,
-    OpenBook3D,
     build_profiles,
     collapse_volumes,
     contact_threshold,
@@ -88,26 +87,8 @@ VOLUME_FIT = {"a": 161.65422566628823, "b": -2.082907838778406,
               "residual": 9.500086383193072e-17,
               "a_predicted": 161.65422566628814,
               "curvature_ratio": 5.1539830281412324e-05}
-OPEN_BOOK_MT = 0.00680627638167056
-# (v, d1, d2) of the higher family's f and g at r_eps 0.4, s 0.1, one
-# radius before, in and between its blend windows and one past them; and
-# of tau for k_twists 3 across its support.  Recorded from the forward-mode
-# Dual arithmetic that the closed forms replaced.
-HIGHER_R = [0.01, 0.1, 0.21, 0.3, 0.39]
-HIGHER_F = [
-    [1.0, 0.0, 0.0],
-    [0.776766380724939, -3.483866084555789, 6.785564176219388],
-    [0.49873737373737376, -0.1262626262626263, 0.0],
-    [0.41035353535353536, -1.5814393939393936, -8.606902356902342],
-    [0.2564102564102564, -0.6574621959237343, 3.371601004737099],
-]
-HIGHER_G = [
-    [5e-05, 0.01, 1.0],
-    [0.44124673501548534, 6.2709717670784855, -27.5081175405991],
-    [1.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0],
-]
+# (v, d1, d2) of tau for k_twists 3 across its support, recorded from the
+# forward-mode Dual arithmetic that the closed forms replaced.
 TAU_R = [1.35, 1.6, 2.0, 2.3, 2.65]
 TAU3 = [
     [3.676504420600253e-11, 2.0616666764587784e-08, 1.0737675457936122e-05],
@@ -120,7 +101,7 @@ TAU3 = [
 
 @pytest.fixture(scope="module")
 def dim3():
-    return build_profiles(1.0, 0.1, "dim3")
+    return build_profiles()
 
 
 def test_solid_torus_system_exact(dim3):
@@ -144,31 +125,16 @@ def _triples(d):
     return np.stack([d.v, d.d1, d.d2], axis=1).tolist()
 
 
-def test_higher_profiles_exact():
-    f, g, _ = build_profiles(0.4, 0.1, "higher")._fgh(np.array(HIGHER_R))
-    assert _triples(f) == HIGHER_F
-    assert _triples(g) == HIGHER_G
-
-
 def test_tau_dual_exact():
     tau = MappingTorusSpec(k_twists=3).tau_dual(np.array(TAU_R))
     assert _triples(tau) == TAU3
 
 
-# (family, r_eps, s / r_eps); the higher family fails its profile
-# validation below about s / r_eps = 0.025
-ORACLE_CASES = [("dim3", 1.0, 0.1)] + [
-    ("higher", r_eps, frac) for r_eps in (0.05, 0.4, 1.0)
-    for frac in (0.05, 0.25, 0.49)]
-
-
-@pytest.mark.parametrize("family, r_eps, frac", ORACLE_CASES)
-def test_solid_torus_volume_matches_adaptive_quadrature(family, r_eps, frac):
-    p = build_profiles(r_eps, frac * r_eps, family)
-    val, _ = integrate.quad(lambda r: p.h(np.array([r]))[0], 0.0, p.r_eps,
-                            points=p.breakpoints[1:-1], epsabs=0.0,
+def test_solid_torus_volume_matches_adaptive_quadrature(dim3):
+    val, _ = integrate.quad(lambda r: dim3.h(np.array([r]))[0], 0.0, dim3.r_eps,
+                            points=dim3.breakpoints[1:-1], epsabs=0.0,
                             epsrel=1.2e-14, limit=4000)
-    np.testing.assert_allclose(solid_torus_volume(p, 1.0),
+    np.testing.assert_allclose(solid_torus_volume(dim3, 1.0),
                                (2.0 * np.pi) ** 2 * val, rtol=1e-14, atol=0.0)
 
 
@@ -195,9 +161,3 @@ def test_collapse_volumes(dim3):
     for key, want in VOLUME_FIT.items():
         np.testing.assert_allclose(fit[key], want, rtol=RTOL, atol=0.0,
                                    err_msg=key)
-
-
-def test_open_book_mapping_torus_volume():
-    np.testing.assert_allclose(
-        OpenBook3D(eps=0.05).mapping_torus_volume(0.01, 0.4), OPEN_BOOK_MT,
-        rtol=RTOL, atol=0.0)

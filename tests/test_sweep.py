@@ -17,7 +17,7 @@ def test_mapping_torus_system_jacobian_validates():
 
 
 def test_solid_torus_system_jacobian_validates():
-    profiles = build_profiles(1.0, 0.1, "dim3")
+    profiles = build_profiles()
     sys = solid_torus_system(profiles, 0.05)
     assert sys.validate_jacobian(60, seed=0, tol=1e-4) < 1e-4
 
