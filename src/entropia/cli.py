@@ -7,9 +7,10 @@ the `--n`/`--genus`/`--delta` lists, are checked in the subcommands.
 `--tol fit=X` sets the volume-fit tolerance and goes with `collapse` only.
 
 Exit codes: 0 success, 1 usage error (every argument error, click's
-included, and a run over an estimator's work budget, reported as one
-line on stderr), 2 validation failure (a numeric invariant violated at
-run time); any other error ends in a traceback.
+included, a body file whose dim is past 341, where the unit-ball volume
+leaves the float range, and a run over an estimator's work budget,
+reported as one line on stderr), 2 validation failure (a numeric
+invariant violated at run time); any other error ends in a traceback.
 All output is deterministic for a fixed (argv, seed).
 
 Importing this module loads no layer but entropy_bounds: each command
@@ -332,7 +333,7 @@ def _body_rows(star) -> list:
     raises BodyError."""
     import numpy as np
 
-    from .convex_body import BodyError, is_convex
+    from .convex_body import BodyError, DegenerateBody, is_convex
 
     rows = []
 
@@ -344,6 +345,9 @@ def _body_rows(star) -> list:
     vol_method = "exact2d" if star.dim == 2 else "radial_quadrature"
     with np.errstate(over="ignore", invalid="ignore"):
         vol = _this.volume(star, vol_method)
+    if vol == 0.0:
+        raise DegenerateBody(f"the {vol_method} volume is 0: the samples span "
+                             "no volume")
     # the hulls and ellipsoid fits take determinants that scale as vol^2
     if not sys.float_info.min < vol * vol < math.inf:
         raise BodyError(f"the {vol_method} volume {vol:.3g} of radial up to "

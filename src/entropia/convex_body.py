@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spheres import (
+    MAX_BALL_DIM,
     antipodal_indices,
     circle_grid,
     grid_mesh,
@@ -113,11 +114,22 @@ class StarBody:
 
     @classmethod
     def from_json(cls, obj) -> "StarBody":
+        """Strict inverse of to_json: dim an integral number from 2 to
+        MAX_BALL_DIM, radial, and optional directions; no other key."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        unknown = sorted(set(obj) - {"dim", "radial", "directions"})
+        if unknown:
+            raise BodyError(f"unknown body key(s) {unknown}")
+        if type(dim) not in (int, float) or dim % 1:
+            raise UnsupportedDim(f"dim must be an integer, got {dim!r}")
+        dim = int(dim)
         if dim < 2:
             raise UnsupportedDim(f"dim must be at least 2, got {dim}")
+        if dim > MAX_BALL_DIM:
+            raise UnsupportedDim(f"dim must be at most {MAX_BALL_DIM}, where the "
+                                 f"unit-ball volume leaves the float range, got {dim}")
         radial = np.asarray(obj["radial"], dtype=float)
         if "directions" in obj and obj["directions"] is not None:
             dirs = np.asarray(obj["directions"], dtype=float)

@@ -14,12 +14,18 @@ import numpy as np
 CIRCLE_GRID = 720
 SPHERE_GRID = 4096  # 2**12, built as 2**11 points plus antipodes
 _ANTIPODE_TOL = 1e-9  # largest coordinate error of a matched antipode
+# largest dimension whose unit-ball volume is computed: Gamma(n/2 + 1)
+# overflows a float past it
+MAX_BALL_DIM = 341
 
 
 def unit_ball_volume(n: int) -> float:
     """omega_n = pi^(n/2) / Gamma(n/2 + 1), volume of the unit ball in R^n."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
+    if n > MAX_BALL_DIM:
+        raise ValueError(f"dimension {n} is past {MAX_BALL_DIM}, where "
+                         "Gamma(n/2 + 1) overflows a float")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 

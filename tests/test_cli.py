@@ -320,6 +320,18 @@ def test_validation_failure_is_one_line(args, text):
     ('{"dim": 2}', "KeyError: 'radial'"),
     ('{"dim": 2, "radial": [1.0, 0.0, 1.0, 1.0]}', "OriginNotInterior"),
     ('{"dim": 1, "radial": [1.0, 2.0]}', "UnsupportedDim: dim must be at least 2"),
+    # dim is an integral, finite number, and only the three keys are read
+    ('{"dim": 2.5, "radial": [1.0, 1.0, 1.0, 1.0]}',
+     "UnsupportedDim: dim must be an integer, got 2.5"),
+    ('{"dim": 1e400, "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got inf"),
+    ('{"dim": true, "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got True"),
+    ('{"dim": "2", "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got '2'"),
+    ('{"dim": 2, "radial": [1.0, 1.0], "radius": 2}',
+     "BodyError: unknown body key(s) ['radius']"),
+    # past dim 341 Gamma(n/2 + 1) overflows, so the unit-ball volume does
+    (json.dumps({"dim": 400, "radial": [1.0] * 64}),
+     "UnsupportedDim: dim must be at most 341, where the unit-ball volume"),
+    ('{"dim": 100000, "radial": [1.0, 1.0, 1.0, 1.0]}', "got 100000"),
 ])
 def test_bad_body_file_is_usage_error(tmp_path, content, text):
     path = tmp_path / "body.json"
@@ -342,6 +354,14 @@ def test_overflowing_body_volume_is_validation_failure(tmp_path, dim, n,
     path.write_text(json.dumps({"dim": dim, "radial": [radial] * n}))
     _one_line_error(run_cli("bodies", "--body", str(path)), 2,
                     f"bodies: BodyError: {text} squared leaves the float range")
+
+
+def test_zero_volume_body_is_degenerate(tmp_path):
+    # two opposite samples in the plane span no area
+    path = tmp_path / "body.json"
+    path.write_text('{"dim": 2, "radial": [1.0, 1.0]}')
+    _one_line_error(run_cli("bodies", "--body", str(path)), 2,
+                    "bodies: DegenerateBody: the exact2d volume is 0")
 
 
 def test_flat_3d_body_is_validation_failure(tmp_path):

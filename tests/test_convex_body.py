@@ -659,6 +659,20 @@ def test_volume_ball_3d():
     assert abs(volume(ball, "radial_quadrature") - 4 * math.pi / 3) < 1e-6
 
 
+def test_unit_ball_volume_ends_where_gamma_overflows():
+    from entropia.spheres import MAX_BALL_DIM, unit_ball_volume
+
+    # the last dimension keeps its closed form; past it Gamma(n/2 + 1)
+    # overflows and the error is a ValueError, not an OverflowError
+    n = MAX_BALL_DIM
+    assert unit_ball_volume(n) == math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) > 0.0
+    with pytest.raises(OverflowError):
+        math.gamma((n + 1) / 2.0 + 1.0)
+    for n in (MAX_BALL_DIM + 1, 100_000):
+        with pytest.raises(ValueError, match=f"dimension {n} is past 341"):
+            unit_ball_volume(n)
+
+
 # ---------------------------------------------------------------- theta, sigma
 
 def test_irreversibility_disk():
