@@ -49,6 +49,12 @@ def test_flat_beyond_the_clip(name):
         assert out.d2.tolist() == [0.0] * 4
 
 
+# p = 1 is the slope factor of the one step smooth_step_on draws
+@pytest.mark.parametrize("p", [1.0])
+def test_slope_at_the_midpoint_is_2p(p):
+    assert abs(_step(np.array([0.5]), 0.0, 1.0).d1[0] - 2.0 * p) < 1e-12
+
+
 def test_fast_step_is_steepest_at_the_midpoint():
     u = np.linspace(0.0, 1.0, 20001)
     d1 = _step(u, 0.0, 1.0).d1
