@@ -14,7 +14,8 @@ grid mesh; use grid_tolerance(body) for those.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,12 +70,14 @@ class StarBody:
     directions  (N, dim) unit vectors, centrally symmetric grid
     radial      (N,) positive distances to the boundary
     convex_flag cached convexity, None = unknown
+    hull        cached hull of the samples, None = not yet computed
     """
 
     dim: int
     directions: np.ndarray
     radial: np.ndarray
     convex_flag: bool | None = None
+    hull: "Hull | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.directions = np.asarray(self.directions, dtype=float)
@@ -86,7 +89,7 @@ class StarBody:
         if not np.all(np.isfinite(self.radial)) or np.any(self.radial <= 0.0):
             raise OriginNotInterior("radial function must be strictly positive")
         norms = np.linalg.norm(self.directions, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
             raise BodyError("directions must be unit vectors")
 
     # -- constructors ------------------------------------------------------
@@ -115,7 +118,8 @@ class StarBody:
     @classmethod
     def from_json(cls, obj) -> "StarBody":
         """Strict inverse of to_json: dim an integral number from 2 to
-        MAX_BALL_DIM, radial, and optional directions; no other key."""
+        MAX_BALL_DIM, radial, and optional directions, a centrally symmetric
+        grid of unit vectors; no other key."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         dim = obj["dim"]
@@ -131,11 +135,14 @@ class StarBody:
             raise UnsupportedDim(f"dim must be at most {MAX_BALL_DIM}, where the "
                                  f"unit-ball volume leaves the float range, got {dim}")
         radial = np.asarray(obj["radial"], dtype=float)
-        if "directions" in obj and obj["directions"] is not None:
-            dirs = np.asarray(obj["directions"], dtype=float)
-        else:
-            dirs = sphere_grid(dim, len(radial))
-        return cls(dim, dirs, radial)
+        if obj.get("directions") is None:
+            return cls(dim, sphere_grid(dim, len(radial)), radial)
+        body = cls(dim, np.asarray(obj["directions"], dtype=float), radial)
+        try:
+            antipodal_indices(body.directions)
+        except ValueError as exc:
+            raise BodyError(str(exc)) from exc
+        return body
 
     def to_json(self, include_directions: bool = False) -> str:
         obj = {"dim": self.dim, "radial": self.radial.tolist()}
@@ -184,8 +191,17 @@ def grid_tolerance(body: StarBody) -> float:
 # -- convex hull machinery ---------------------------------------------------
 
 
+class Hull(NamedTuple):
+    """conv(points): facet rows (a, b) of a.x + b <= 0, a unit and outward,
+    and the indices of the points that are its vertices."""
+
+    equations: np.ndarray
+    vertices: np.ndarray
+
+
 def _planar_hull_vertices(points: np.ndarray) -> np.ndarray:
-    """Counter-clockwise vertices of conv(points) in R^2 (monotone chain).
+    """Indices of the counter-clockwise vertices of conv(points) in R^2
+    (monotone chain).
 
     A middle point is dropped when its distance to the chord of its
     neighbours is at most EPS_TURN_REL times the largest |coordinate|, so
@@ -201,52 +217,260 @@ def _planar_hull_vertices(points: np.ndarray) -> np.ndarray:
     order = np.lexsort((points[:, 1], points[:, 0]))
     column = np.concatenate([[0], np.cumsum(np.diff(points[order, 0]) > tol)])
     order = order[np.lexsort((points[order, 1], column))]
-    pts = points[order].tolist()
+    pts = [(x, y, i) for i, (x, y) in zip(order.tolist(), points[order].tolist())]
 
     def chain(seq):
         out = []
-        for x, y in seq:
+        for x, y, i in seq:
             while len(out) >= 2:
-                (ox, oy), (ax, ay) = out[-2], out[-1]
+                (ox, oy, _), (ax, ay, _) = out[-2], out[-1]
                 cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
                 if cross > tol * math.hypot(x - ox, y - oy):
                     break
                 out.pop()
-            out.append((x, y))
+            out.append((x, y, i))
         return out
 
-    return np.array(chain(pts)[:-1] + chain(reversed(pts))[:-1])
+    hull = chain(pts)[:-1] + chain(reversed(pts))[:-1]
+    return np.array([i for _, _, i in hull], dtype=np.intp)
 
 
-def _qhull(points: np.ndarray):
-    """scipy's ConvexHull of points in dim >= 3; a cloud that qhull rejects
-    raises DegenerateBody."""
+def _planar_hull(points: np.ndarray) -> Hull:
+    idx = _planar_hull_vertices(points)
+    if len(idx) < 3:
+        raise DegenerateBody("point cloud spans fewer than 3 hull vertices")
+    verts = points[idx]
+    edge = np.roll(verts, -1, axis=0) - verts
+    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return Hull(np.hstack([normals, -np.einsum("ij,ij->i", normals, verts)[:, None]]),
+                idx)
+
+
+def _facet_planes(points: np.ndarray, tri: np.ndarray):
+    """Unit normals and offsets of the triangles tri, each row counter-
+    clockwise seen from the side its normal points to.  The normal is the
+    cross product of the two shorter edges, whose rounding error is the
+    smallest of the three choices."""
+    corner = points[tri]
+    edge = np.roll(corner, -1, axis=1) - corner
+    # edges e and e + 1 meet at corner e + 1; skip the longest edge
+    e = (np.argmax(np.einsum("fij,fij->fi", edge, edge), axis=1) + 1) % 3
+    rows = np.arange(len(tri))
+    normal = np.cross(edge[rows, e], edge[rows, (e + 1) % 3])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    return normal, -np.einsum("ij,ij->i", normal, corner.sum(axis=1)) / 3.0
+
+
+def _initial_tetrahedron(points: np.ndarray, tol: float) -> np.ndarray:
+    """Four facets (rows of point indices, outward counter-clockwise) of a
+    tetrahedron on extreme points; a cloud with no such tetrahedron of
+    height above tol raises DegenerateBody."""
+    lo, hi = points.argmin(axis=0), points.argmax(axis=0)
+    axis = int(np.argmax(points[hi, [0, 1, 2]] - points[lo, [0, 1, 2]]))
+    i, j = int(lo[axis]), int(hi[axis])
+    if points[j, axis] - points[i, axis] <= tol:
+        raise DegenerateBody("point cloud is degenerate: its points coincide")
+    rel = points - points[i]
+    u = rel[j] / np.linalg.norm(rel[j])
+    off_line = np.linalg.norm(rel - np.outer(rel @ u, u), axis=1)
+    k = int(np.argmax(off_line))
+    if off_line[k] <= tol:
+        raise DegenerateBody("point cloud is degenerate: its points lie on a line")
+    normal = np.cross(rel[j], rel[k])
+    height = rel @ (normal / np.linalg.norm(normal))
+    m = int(np.argmax(np.abs(height)))
+    if abs(height[m]) <= tol:
+        raise DegenerateBody("point cloud is degenerate: its points lie in a plane")
+    a, b, c = (i, k, j) if height[m] > 0 else (i, j, k)
+    return np.array([[a, b, c], [b, a, m], [c, b, m], [a, c, m]])
+
+
+def _spatial_facets(points: np.ndarray):
+    """The facets of conv(points) in R^3 as rows of point indices, counter-
+    clockwise seen from outside, and their equations; None when the result
+    fails its certificate.
+
+    Quickhull (Barber, Dobkin and Huhdanpaa 1996), run in rounds so that
+    numpy does the work of many insertions at once.
+
+    The hull is a closed surface of triangles; nbr[f, e] is the facet across
+    edge e of facet f, the edge from tri[f, e] to tri[f, (e + 1) % 3].  A
+    point counts as above a facet when it is more than EPS_TURN_REL times
+    the largest |coordinate| above its plane, so points on a facet within
+    that slack (coplanar samples, near-duplicates) are never inserted.
+    Each round takes the furthest point above every facet that has one,
+    finds the facets it sees, and inserts the points whose visible facets
+    no better-ranked point reaches, and which see no facet that a better-
+    ranked point reaches (a Luby-style independent set): their cones are
+    disjoint and not adjacent, so they can be built together.  The furthest
+    point ranks first and is always inserted.  Points above a deleted facet
+    move to the new facet of the same cone they are furthest above, or drop
+    out as inside.
+
+    Within the slack, facets may fold slightly.  Where many points crowd
+    far below that scale (clusters of points 1e-9 apart, say), a fold of a
+    sliver facet can tilt its plane far enough to misplace later points.
+    So the result is certified: no vertex across an edge of a facet, and no
+    point that is not a vertex, may lie more than the convexity slack
+    (EPS_HULL_REL times the diameter) above the facet's plane.
+    """
+    n = len(points)
+    tol = EPS_TURN_REL * float(np.abs(points).max())
+    tri = _initial_tetrahedron(points, tol)
+    nbr = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    normal, offset = _facet_planes(points, tri)
+    alive = np.ones(4, dtype=bool)
+    above = points @ normal.T + offset
+    facet = np.argmax(above, axis=1)
+    height = above[np.arange(n), facet]
+    pt = np.flatnonzero(height > tol)
+    facet, height = facet[pt], height[pt]
+    while len(pt):
+        nf = len(tri)
+        # candidates: the furthest point above each facet, furthest first
+        order = np.lexsort((-height, facet))
+        first = order[np.concatenate([[True], facet[order[1:]] != facet[order[:-1]]])]
+        first = first[np.argsort(-height[first], kind="stable")]
+        apex, nc = pt[first], len(first)
+        # visible facets by breadth-first search from each candidate's own
+        # facet.  A candidate is inserted unless a better-ranked one reaches
+        # a facet it sees, or sees a facet it reaches (two rims may meet)
+        seer, reacher = np.full(nf, nc), np.full(nf, nc)
+        lost = np.zeros(nc, dtype=bool)
+        vc, vf = np.arange(nc), facet[first]
+        seer[vf] = reacher[vf] = vc
+        reach_c, reach_f, sees = [vc], [vf], [np.ones(nc, dtype=bool)]
+        while len(vc):
+            key = np.sort(np.repeat(vc, 3) * nf + nbr[vf].ravel())
+            c, f = np.divmod(key[np.concatenate([[True], key[1:] != key[:-1]])], nf)
+            fresh = ~lost[c] & (reacher[f] != c)
+            c, f = c[fresh], f[fresh]
+            up = np.einsum("ij,ij->i", points[apex[c]], normal[f]) + offset[f] > tol
+            np.minimum.at(reacher, f, c)
+            np.minimum.at(seer, f[up], c[up])
+            lost[c[(seer[f] < c) | up & (reacher[f] < c)]] = True
+            reach_c.append(c)
+            reach_f.append(f)
+            sees.append(up)
+            vc, vf = c[up], f[up]
+        c, f, up = (np.concatenate(x) for x in (reach_c, reach_f, sees))
+        lost[c[(seer[f] < c) | up & (reacher[f] < c)]] = True
+        vc, vf = c[up & ~lost[c]], f[up & ~lost[c]]
+        # horizon: the edges from a visible facet to one its apex does not see
+        cone = np.full(nf, -1)
+        cone[vf] = vc
+        hf, he = np.repeat(vf, 3), np.tile(np.arange(3), len(vf))
+        hg = nbr[hf, he]
+        rim = cone[hg] < 0
+        hf, he, hg = hf[rim], he[rim], hg[rim]
+        by_cone = np.argsort(cone[hf], kind="stable")
+        hf, he, hg = hf[by_cone], he[by_cone], hg[by_cone]
+        hc = cone[hf]
+        a, b = tri[hf, he], tri[hf, (he + 1) % 3]
+        # one new facet (a, b, apex) per horizon edge a -> b
+        nh = len(hf)
+        new = nf + np.arange(nh)
+        new_tri = np.stack([a, b, apex[hc]], axis=1)
+        new_nbr = np.empty((nh, 3), dtype=nbr.dtype)
+        new_nbr[:, 0] = hg
+        nbr[hg, np.argmax(nbr[hg] == hf[:, None], axis=1)] = new
+        # within a cone, the facet on edge b -> apex starts its horizon edge at b
+        starts, ends = hc * n + a, hc * n + b
+        by_start = np.argsort(starts)
+        nxt = by_start[np.minimum(np.searchsorted(starts, ends, sorter=by_start),
+                                  nh - 1)]
+        if np.any(starts[nxt] != ends) or np.any(np.diff(starts[by_start]) == 0):
+            return None  # a horizon that is not one cycle
+        new_nbr[:, 1] = new[nxt]
+        new_nbr[nxt, 2] = new
+        new_normal, new_offset = _facet_planes(points, new_tri)
+        tri = np.concatenate([tri, new_tri])
+        nbr = np.concatenate([nbr, new_nbr])
+        normal = np.concatenate([normal, new_normal])
+        offset = np.concatenate([offset, new_offset])
+        alive = np.concatenate([alive, np.ones(nh, dtype=bool)])
+        alive[vf] = False
+        # reassign the points above deleted facets, except the new vertices
+        owner = cone[facet]
+        inserted = np.zeros(n, dtype=bool)
+        inserted[apex[~lost]] = True
+        moved = (owner >= 0) & ~inserted[pt]
+        keep = owner < 0
+        m_pt, m_c = pt[moved], owner[moved]
+        pt, facet, height = pt[keep], facet[keep], height[keep]
+        if len(m_pt):
+            count = np.bincount(hc, minlength=nc)
+            rep = count[m_c]
+            end = np.cumsum(rep)
+            begin = end - rep
+            fid = np.arange(end[-1]) + np.repeat(np.cumsum(count)[m_c] - count[m_c]
+                                                 - begin, rep)
+            d = np.einsum("ij,ij->i", points[np.repeat(m_pt, rep)],
+                          new_normal[fid]) + new_offset[fid]
+            best = np.maximum.reduceat(d, begin)
+            hit = np.flatnonzero(d == np.repeat(best, rep))
+            hit = hit[np.searchsorted(hit, begin)]
+            out = best > tol
+            pt = np.concatenate([pt, m_pt[out]])
+            facet = np.concatenate([facet, nf + fid[hit][out]])
+            height = np.concatenate([height, best[out]])
+    # certificate: no vertex across an edge, and no other point, lies more
+    # than the convexity slack above a facet
+    slack = EPS_HULL_REL * 2.0 * float(np.abs(points).max())
+    facets = np.flatnonzero(alive)
+    f, g = np.repeat(facets, 3), nbr[facets].ravel()
+    across = tri[g, (np.argmax(nbr[g] == f[:, None], axis=1) + 2) % 3]
+    tri, normal, offset = tri[facets], normal[facets], offset[facets]
+    rest = np.ones(n, dtype=bool)
+    rest[tri] = False
+    depth = _min_over_facets(points[rest], -normal,
+                             lambda prod: np.subtract(prod, offset, out=prod))
+    if (np.einsum("ij,ij->i", points[across], np.repeat(normal, 3, axis=0))
+            + np.repeat(offset, 3)).max() > slack or depth.min(initial=0.0) < -slack:
+        return None
+    return tri, np.hstack([normal, offset[:, None]])
+
+
+def _qhull(points: np.ndarray) -> Hull:
+    """scipy's ConvexHull of the points; a cloud that qhull rejects raises
+    DegenerateBody."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        return ConvexHull(points)
+        hull = ConvexHull(points)
     except QhullError as exc:
         # qhull's first line names the error; the rest is a manual
         reason = str(exc).strip().splitlines()[0]
         raise DegenerateBody(f"point cloud is degenerate: {reason}") from exc
+    return Hull(hull.equations, hull.vertices)
 
 
-def _hull_equations(points: np.ndarray) -> np.ndarray:
-    """Facets of conv(points) as rows (a, b) of a.x + b <= 0, a outward.
+def _convex_hull(points: np.ndarray) -> Hull:
+    """conv(points) as facet rows (a, b) of a.x + b <= 0, a unit and outward,
+    plus the indices of its vertices.
 
-    dim 2 runs a monotone chain with unit edge normals; other dims run qhull
-    (dim >= 3; it rejects dim 1).
+    dim 2 runs a monotone chain (vertices counter-clockwise), dim 3 a numpy
+    quickhull, and other dims, or a 3-D cloud whose quickhull fails its
+    certificate, qhull (scipy; it rejects dim 1).  A flat, collinear or
+    coincident cloud raises DegenerateBody.
     """
     points = np.asarray(points, dtype=float)
-    if points.shape[1] != 2:
-        return _qhull(points).equations
-    verts = _planar_hull_vertices(points)
-    if len(verts) < 3:
-        raise DegenerateBody("point cloud spans fewer than 3 hull vertices")
-    edge = np.roll(verts, -1, axis=0) - verts
-    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return np.hstack([normals, -np.einsum("ij,ij->i", normals, verts)[:, None]])
+    dim = points.shape[1]
+    if dim == 2:
+        return _planar_hull(points)
+    facets = _spatial_facets(points) if dim == 3 else None
+    if facets is None:
+        return _qhull(points)
+    tri, equations = facets
+    return Hull(equations, np.unique(tri))
+
+
+def _sample_hull(body: "StarBody") -> Hull:
+    """The hull of the body's samples, computed once per body."""
+    if body.hull is None:
+        body.hull = _convex_hull(body.points)
+    return body.hull
 
 
 def _min_over_facets(x: np.ndarray, normals: np.ndarray, value) -> np.ndarray:
@@ -259,9 +483,11 @@ def _min_over_facets(x: np.ndarray, normals: np.ndarray, value) -> np.ndarray:
     return out
 
 
-def hull_radial(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Radial function of conv(points) (origin interior) by facet ray casting."""
-    eq = _hull_equations(points)
+def hull_radial(points: np.ndarray, directions: np.ndarray,
+                hull: Hull | None = None) -> np.ndarray:
+    """Radial function of conv(points) (origin interior) by facet ray casting;
+    `hull` is conv(points) when it is already known."""
+    eq = (_convex_hull(points) if hull is None else hull).equations
     A, b = eq[:, :-1], eq[:, -1]
     if np.any(b >= 0.0):
         raise OriginNotInterior("origin is not interior to the hull")
@@ -271,16 +497,19 @@ def hull_radial(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 def is_convex(body: StarBody) -> bool:
     """All sampled boundary points lie on the boundary of their convex hull
-    (within EPS_HULL_REL times the diameter)."""
+    (within EPS_HULL_REL times the diameter).  The hull's vertices lie on it,
+    so only the other samples are measured."""
     if body.convex_flag is not None:
         return body.convex_flag
-    pts = body.points
+    hull = _sample_hull(body)
+    rest = np.ones(len(body.radial), dtype=bool)
+    rest[hull.vertices] = False
+    pts = body.points[rest]
     diam = 2.0 * float(body.radial.max())
-    eq = _hull_equations(pts)
-    A, b = eq[:, :-1], eq[:, -1]
+    A, b = hull.equations[:, :-1], hull.equations[:, -1]
     # distance of each sample to the hull boundary (samples are inside by def)
     depth = _min_over_facets(pts, A, lambda prod: -prod - b[None, :])
-    ok = bool(depth.max() <= max(EPS_HULL_REL * diam, 1e-12))
+    ok = bool(depth.max(initial=0.0) <= max(EPS_HULL_REL * diam, 1e-12))
     body.convex_flag = ok
     return ok
 
@@ -288,11 +517,6 @@ def is_convex(body: StarBody) -> bool:
 def _require_convex(body: StarBody):
     if not is_convex(body):
         raise NotConvex("operation requires a convex body")
-
-
-def _hull_facet_normals(points: np.ndarray) -> np.ndarray:
-    A = _hull_equations(points)[:, :-1]
-    return A / np.linalg.norm(A, axis=1, keepdims=True)
 
 
 # -- operations ---------------------------------------------------------------
@@ -322,7 +546,8 @@ def difference_body(body: StarBody) -> StarBody:
     """
     _require_convex(body)
     pts = body.points
-    normals = _hull_facet_normals(pts)
+    normals = _sample_hull(body).equations[:, :-1]
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     cand = np.vstack([normals, -normals, body.directions])
     h_plus = (pts @ cand.T).max(axis=0)
     h_minus = (pts @ (-cand.T)).max(axis=0)
@@ -460,10 +685,8 @@ def outer_loewner(body: StarBody) -> Ellipsoid:
         # tests/test_bodies_replay.py; on hull vertices they reach the true
         # minimum, 16-18% smaller.  Goes with the away-step fix (ROADMAP B).
         fit = pts
-    elif body.dim == 2:
-        fit = _planar_hull_vertices(samples)
     else:
-        fit = samples[_qhull(samples).vertices]
+        fit = samples[_sample_hull(body).vertices]
     ell = Ellipsoid(body.dim, _mvee_centered(fit))
     if not ell.contains(pts, EPS_FIT):
         raise BodyError("Loewner fit lost containment")
@@ -574,7 +797,7 @@ def sigma_starshapedness(body: StarBody):
     sigma_upper = max_u radial_C(u) / radial_K(u).  Returns the bound and
     the witness body C.  Equals 1 exactly when K is convex.
     """
-    rad_c = hull_radial(body.points, body.directions)
+    rad_c = hull_radial(body.points, body.directions, _sample_hull(body))
     witness = StarBody(body.dim, body.directions, rad_c, convex_flag=True)
     sigma_upper = float((rad_c / body.radial).max())
     return max(sigma_upper, 1.0), witness

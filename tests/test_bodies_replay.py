@@ -13,6 +13,9 @@ benchmark's argv names), and run through `cli.run`.
   sweep-k1..k3 must pass perfbench's own `check.verdict` against its
   golden, so a fit or a sweep row that drifts past a row's declared
   tolerance fails here without a benchmark run.
+- The non-symmetric 3-D entries of the benchmark's known failures: entries
+  nonsym3d-0, 1, 3 and 4 must pass `check.verdict` too, and entries 2 and 5
+  must fail validation with one DegenerateBody line.
 
 The test reads perfbench/ and writes nothing there.
 """
@@ -49,8 +52,8 @@ def _run_entry(klass_name, k, tmp_path, monkeypatch):
     """(exit code, stdout, stderr) of pool entry <klass_name>-k run in
     tmp_path."""
     wl = _load("workloads")
-    klass = next(c for classes in wl.WORKLOADS.values() for c in classes
-                 if c.name == klass_name)
+    klass = next(c for classes in [*wl.WORKLOADS.values(), wl.KNOWN_FAILURES]
+                 for c in classes if c.name == klass_name)
     inv = wl.pool_entry(klass, k)
     monkeypatch.chdir(tmp_path)
     wl.write_bodies(tmp_path, [inv])
@@ -68,18 +71,27 @@ def test_capped_nonsym2d_entry_prints_its_golden_rows(k, goldens, tmp_path,
     assert json.loads(out) == goldens[f"nonsym2d-{k}"]["rows"]
 
 
-@pytest.mark.parametrize("k", [0, 5])
-def test_failing_nonsym2d_entry_exits_2_with_one_line(k, tmp_path, monkeypatch):
-    rc, out, err = _run_entry("nonsym2d", k, tmp_path, monkeypatch)
+def _assert_not_positive_definite(rc, out, err):
     assert (rc, out) == (2, "")
     assert err.splitlines() == [json.dumps(
         {"error": "bodies: DegenerateBody: form must be positive definite"})]
 
 
+@pytest.mark.parametrize("k", [0, 5])
+def test_failing_nonsym2d_entry_exits_2_with_one_line(k, tmp_path, monkeypatch):
+    _assert_not_positive_definite(*_run_entry("nonsym2d", k, tmp_path, monkeypatch))
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_failing_nonsym3d_entry_exits_2_with_one_line(k, tmp_path, monkeypatch):
+    _assert_not_positive_definite(*_run_entry("nonsym3d", k, tmp_path, monkeypatch))
+
+
 @pytest.mark.parametrize("key", [f"{klass}-{k}" for klass in
                                  ("sym2d", "sym3d", "star2d", "disk",
                                   "sweep-k1", "sweep-k2", "sweep-k3")
-                                 for k in range(6)])
+                                 for k in range(6)]
+                         + [f"nonsym3d-{k}" for k in (0, 1, 3, 4)])
 def test_pool_entry_passes_the_benchmark_check(key, goldens, tmp_path,
                                                monkeypatch):
     klass, k = key.rsplit("-", 1)

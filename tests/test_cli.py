@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from entropia.spheres import sphere_grid
 
 CLI = [sys.executable, "-m", "entropia.cli"]
 
@@ -332,6 +334,20 @@ def test_validation_failure_is_one_line(args, text):
     (json.dumps({"dim": 400, "radial": [1.0] * 64}),
      "UnsupportedDim: dim must be at most 341, where the unit-ball volume"),
     ('{"dim": 100000, "radial": [1.0, 1.0, 1.0, 1.0]}', "got 100000"),
+    # a NaN norm is no unit norm
+    ('{"dim": 2, "radial": [1, 1, 1, 1], '
+     '"directions": [[NaN, 0], [0, 1], [-1, 0], [0, -1]]}',
+     "BodyError: directions must be unit vectors"),
+    # direction grids without antipodes: 5 planar directions, and the
+    # canonical 64-direction S^2 grid less its last direction
+    pytest.param(json.dumps({"dim": 2, "radial": [1.0] * 5, "directions": [
+        [math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)]
+        for k in range(5)]}),
+        "BodyError: direction grid is not centrally symmetric", id="pentagon-grid"),
+    pytest.param(json.dumps({"dim": 3, "radial": [1.0] * 63,
+                             "directions": sphere_grid(3, 64)[:-1].tolist()}),
+                 "BodyError: direction grid is not centrally symmetric",
+                 id="sphere-grid-less-one"),
 ])
 def test_bad_body_file_is_usage_error(tmp_path, content, text):
     path = tmp_path / "body.json"
@@ -369,7 +385,7 @@ def test_flat_3d_body_is_validation_failure(tmp_path):
     path = tmp_path / "body.json"
     path.write_text('{"dim": 3, "radial": [1.0, 1.0, 1.0, 1.0]}')
     _one_line_error(run_cli("bodies", "--body", str(path)), 2,
-                    "bodies: DegenerateBody: point cloud is degenerate: QH")
+                    "bodies: DegenerateBody: point cloud is degenerate: ")
 
 
 def _bodies_in_process(capsys):

@@ -179,6 +179,159 @@ def test_planar_hull_origin_on_or_outside_raises(shift):
         hull_radial(pts, StarBody.ball(2, n=8).directions)
 
 
+# ---------------------------------------------------------------- spatial hull
+# dim 3 hulls run a numpy quickhull; qhull (scipy) is the oracle
+
+def _gauss_cloud(rng):
+    pts = rng.normal(size=(int(rng.integers(4, 400)), 3))
+    return pts - pts.mean(axis=0)
+
+
+def _sphere_cloud(rng):
+    pts = rng.normal(size=(int(rng.integers(8, 400)), 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _rounded_cloud(rng):
+    # lattice points: exactly coplanar facets and repeated points
+    return np.round(rng.normal(size=(int(rng.integers(50, 400)), 3)), 1)
+
+
+def _pm_cloud_3d(rng):
+    pts = rng.normal(size=(int(rng.integers(2, 200)), 3)) * 10 ** rng.uniform(-3, 3)
+    return np.vstack([pts, -pts])
+
+
+def _near_duplicates_3d(rng):
+    pts = _gauss_cloud(rng)
+    return np.vstack([pts, pts + 1e-13 * rng.normal(size=pts.shape)])
+
+
+def _ray_polytope(rng):
+    """Random polytope sampled at the rays of the Fibonacci grid (vertices
+    are not samples; most samples lie in the planes of its facets)."""
+    dirs = StarBody.ball(3, n=256).directions
+    verts = rng.normal(size=(int(rng.integers(4, 20)), 3))
+    return _qhull_radial(verts - verts.mean(axis=0), dirs)[:, None] * dirs
+
+
+def _thin_slab(rng):
+    pts = rng.normal(size=(int(rng.integers(10, 400)), 3)) * [1.0, 1.0, 1e-3]
+    return pts - pts.mean(axis=0)
+
+
+SPATIAL_CLOUDS = [_gauss_cloud, _sphere_cloud, _rounded_cloud, _pm_cloud_3d,
+                  _near_duplicates_3d, _ray_polytope, _thin_slab]
+
+
+def _clusters(rng):
+    """Points in eight clusters 1e-10 wide: a fold of a sliver facet inside
+    the slack can misplace later points, and the certificate catches it."""
+    centres = rng.normal(size=(8, 3))
+    pts = centres[rng.integers(0, 8, 400)] + 1e-10 * rng.normal(size=(400, 3))
+    return pts - pts.mean(axis=0)
+
+
+@pytest.mark.parametrize("make", SPATIAL_CLOUDS + [_clusters])
+def test_spatial_hull_radial_matches_qhull(rng, make):
+    dirs = StarBody.ball(3, n=512).directions
+    for _ in range(15):
+        pts = make(rng)
+        ours, oracle = hull_radial(pts, dirs), _qhull_radial(pts, dirs)
+        assert np.max(np.abs(ours - oracle) / oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("make", SPATIAL_CLOUDS)
+def test_spatial_hull_surface_is_closed(rng, make):
+    from entropia.convex_body import _spatial_facets
+
+    for _ in range(15):
+        tri, _ = _spatial_facets(make(rng))
+        edges = [(int(a), int(b)) for row in tri for a, b in
+                 zip(row, np.roll(row, -1))]
+        assert len(set(edges)) == len(edges)
+        assert set(edges) == {(b, a) for a, b in edges}
+
+
+def test_uncertified_spatial_hull_is_recomputed_by_qhull(rng):
+    from entropia.convex_body import _convex_hull, _qhull, _spatial_facets
+
+    clouds = [_clusters(rng) for _ in range(10)]
+    uncertified = [pts for pts in clouds if _spatial_facets(pts) is None]
+    assert uncertified
+    for pts in uncertified:
+        assert np.array_equal(_convex_hull(pts).equations, _qhull(pts).equations)
+
+
+def _spatial_star(rng):
+    """Samples of r = 1 + a cos(k phi) sin(theta)^2 on the S^2 grid; convex
+    for some draws and not for others."""
+    dirs = StarBody.ball(3, n=512).directions
+    k = int(rng.integers(2, 6))
+    a = rng.uniform(0.2, 1.2) / (k * k - 1)
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0]) + rng.uniform(0, 6)
+    return (1.0 + a * np.cos(k * phi) * (1.0 - dirs[:, 2] ** 2))[:, None] * dirs
+
+
+@pytest.mark.parametrize("make", [_ray_polytope, _spatial_star])
+def test_spatial_is_convex_matches_qhull(rng, make):
+    decisions = set()
+    for _ in range(20):
+        pts = make(rng)
+        r = np.linalg.norm(pts, axis=1)
+        body = StarBody(3, pts / r[:, None], r)
+        ours = is_convex(body)
+        assert ours == _qhull_is_convex(body)
+        decisions.add(ours)
+    assert decisions == ({True} if make is _ray_polytope else {True, False})
+
+
+@pytest.mark.parametrize("pts, text", [
+    ([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [-3.0, 1.0, 0.0], [2.0, -2.0, 0.0]],
+     "lie in a plane"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 1e-20], [0.5, -1.0, 0.0]],
+     "lie in a plane"),                                        # flat to rounding
+    ([[1.0, 1.0, 1.0], [-2.0, -2.0, -2.0], [3.0, 3.0, 3.0], [0.5, 0.5, 0.5]],
+     "lie on a line"),
+    ([[1.0, 2.0, 3.0]] * 5, "coincide"),
+    ([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-15]], "coincide"),  # to rounding
+])
+def test_spatial_hull_degenerate_raises(pts, text):
+    with pytest.raises(DegenerateBody, match=f"point cloud is degenerate: .*{text}"):
+        hull_radial(np.array(pts), StarBody.ball(3, n=8).directions)
+
+
+def _body_hulls(monkeypatch, tmp_path, body):
+    """(exit code, number of hulls) of `bodies --body` on the body, in process."""
+    from entropia import cli, convex_body
+
+    hulls = []
+    hull = convex_body._convex_hull
+    monkeypatch.setattr(convex_body, "_convex_hull",
+                        lambda pts: hulls.append(len(pts)) or hull(pts))
+    path = tmp_path / "body.json"
+    path.write_text(body.to_json())
+    rc = cli.run(["--format", "json", "bodies", "--body", str(path)])
+    return rc, len(hulls)
+
+
+@pytest.mark.parametrize("make, hulls, rows", [
+    # a symmetric convex body: its own samples, and those of its polar dual
+    (lambda: square(), 2, 6),
+    (lambda: _symmetric_polytope_3d(0), 2, 6),
+    (lambda: StarBody.ball(3, n=256), 2, 6),
+    # otherwise only its own samples: no inner fit, no hull for the outer one
+    (lambda: random_convex_polygon(np.random.default_rng(0), n_pts=6), 1, 5),
+    (lambda: StarBody.from_points(_gauss_cloud(np.random.default_rng(1)), n=256),
+     1, 5),
+    (lambda: spiky_star(), 1, 2),
+], ids=["square", "polytope3d", "ball3d", "polygon", "polytope3d-nonsym", "star"])
+def test_bodies_computes_one_hull_per_point_set(monkeypatch, tmp_path, capsys,
+                                                make, hulls, rows):
+    assert _body_hulls(monkeypatch, tmp_path, make()) == (0, hulls)
+    assert len(json.loads(capsys.readouterr().out)) == rows
+
+
 # ---------------------------------------------------------------- polar_dual
 
 def test_polar_unit_disk_self_dual():

@@ -1,12 +1,13 @@
 """scipy stays off `import entropia.cli` and every command but `bodies` on
-a body of dimension >= 3; numpy stays off `import entropia.cli` and the
+a body of dimension >= 4; numpy stays off `import entropia.cli` and the
 closed-form commands `constants`, `bounds`, `verovic` and `spectrum`.
 
 Each check starts a fresh interpreter, so no module imported by another
-test can hide an import.  Planar hulls are a numpy monotone chain, and the
-Weyl and hexagon checks of `sl3` and the solid-torus volume of `collapse`
-are fixed Gauss-Legendre rules from numpy; only the qhull hull of a body
-of dimension >= 3 imports scipy (`scipy.spatial`), where it runs.  The CLI
+test can hide an import.  Planar hulls are a numpy monotone chain, spatial
+ones a numpy quickhull, and the Weyl and hexagon checks of `sl3` and the
+solid-torus volume of `collapse` are fixed Gauss-Legendre rules from numpy;
+only a body of dimension >= 4 imports scipy, for its Halton direction grid
+(`scipy.stats`) and its qhull hull (`scipy.spatial`), where they run.  The CLI
 imports each layer, and with it numpy, inside the commands that run it,
 so numpy loads with `sl3`, `bodies`, `collapse` and `estimate` only.  The
 assertions are on module sets only, never on timings.
@@ -67,6 +68,8 @@ def test_cli_import_and_short_commands_load_no_scipy(tmp_path):
          "--grid", "16"],
         ["bodies"],
         ["bodies", "--body", _body_file(tmp_path, "square.json", square)],
+        ["bodies", "--body",
+         _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))],
     ]
     report = _fresh_run(*commands)
     assert report["import"] == []
@@ -74,9 +77,9 @@ def test_cli_import_and_short_commands_load_no_scipy(tmp_path):
         assert report[" ".join(argv)] == [0, []], argv
 
 
-def test_3d_body_imports_scipy_spatial_and_succeeds(tmp_path):
+def test_4d_body_imports_scipy_spatial_and_succeeds(tmp_path):
     argv = ["bodies", "--body",
-            _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))]
+            _body_file(tmp_path, "ball4.json", StarBody.ball(4, n=64))]
     report = _fresh_run(argv)
     assert report["import"] == []
     rc, modules = report[" ".join(argv)]
