@@ -253,12 +253,13 @@ def _facet_planes(points: np.ndarray, tri: np.ndarray):
     cross product of the two shorter edges, whose rounding error is the
     smallest of the three choices."""
     corner = points[tri]
-    edge = np.roll(corner, -1, axis=1) - corner
+    edge = corner[:, [1, 2, 0]] - corner
     # edges e and e + 1 meet at corner e + 1; skip the longest edge
     e = (np.argmax(np.einsum("fij,fij->fi", edge, edge), axis=1) + 1) % 3
     rows = np.arange(len(tri))
-    normal = np.cross(edge[rows, e], edge[rows, (e + 1) % 3])
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    u, v = edge[rows, e], edge[rows, (e + 1) % 3]
+    normal = u[:, [1, 2, 0]] * v[:, [2, 0, 1]] - u[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    normal /= np.sqrt(np.einsum("ij,ij->i", normal, normal))[:, None]
     return normal, -np.einsum("ij,ij->i", normal, corner.sum(axis=1)) / 3.0
 
 
@@ -329,8 +330,11 @@ def _spatial_facets(points: np.ndarray):
     while len(pt):
         nf = len(tri)
         # candidates: the furthest point above each facet, furthest first
-        order = np.lexsort((-height, facet))
-        first = order[np.concatenate([[True], facet[order[1:]] != facet[order[:-1]]])]
+        top = np.zeros(nf)
+        np.maximum.at(top, facet, height)
+        first = np.full(nf, -1)
+        first[facet[height == top[facet]]] = np.flatnonzero(height == top[facet])
+        first = first[first >= 0]
         first = first[np.argsort(-height[first], kind="stable")]
         apex, nc = pt[first], len(first)
         # visible facets by breadth-first search from each candidate's own
