@@ -236,6 +236,7 @@ def _planar_hull_vertices(points: np.ndarray) -> np.ndarray:
 
 
 def _planar_hull(points: np.ndarray) -> Hull:
+    """conv(points) in R^2, with the unit normals of the chain's edges."""
     idx = _planar_hull_vertices(points)
     if len(idx) < 3:
         raise DegenerateBody("point cloud spans fewer than 3 hull vertices")
