@@ -33,7 +33,7 @@ EPS_FIT = 1e-6          # ellipsoid containment / fixed-point slack
 EPS_VOL = 1e-7          # relative volume optimality of the Loewner fit
 EPS_SYM = 1e-9          # relative central-symmetry slack
 EPS_HULL_REL = 1e-9     # convexity: hull-boundary distance, relative to diameter
-EPS_TURN_REL = 1e-12    # planar hull: collinearity slack, relative to max |coord|
+EPS_TURN_REL = 1e-12    # hulls: collinear/coplanar slack, relative to max |coord|
 LOEWNER_MAX_ITER = 100_000
 
 # grid-limited radial comparisons are good to about this many meshes
@@ -333,8 +333,9 @@ def _spatial_facets(points: np.ndarray):
         # candidates: the furthest point above each facet, furthest first
         top = np.zeros(nf)
         np.maximum.at(top, facet, height)
+        furthest = np.flatnonzero(height == top[facet])
         first = np.full(nf, -1)
-        first[facet[height == top[facet]]] = np.flatnonzero(height == top[facet])
+        first[facet[furthest]] = furthest
         first = first[first >= 0]
         first = first[np.argsort(-height[first], kind="stable")]
         apex, nc = pt[first], len(first)
