@@ -301,20 +301,6 @@ def test_spatial_hull_degenerate_raises(pts, text):
         hull_radial(np.array(pts), StarBody.ball(3, n=8).directions)
 
 
-def _body_hulls(monkeypatch, tmp_path, body):
-    """(exit code, number of hulls) of `bodies --body` on the body, in process."""
-    from entropia import cli, convex_body
-
-    hulls = []
-    hull = convex_body._convex_hull
-    monkeypatch.setattr(convex_body, "_convex_hull",
-                        lambda pts: hulls.append(len(pts)) or hull(pts))
-    path = tmp_path / "body.json"
-    path.write_text(body.to_json())
-    rc = cli.run(["--format", "json", "bodies", "--body", str(path)])
-    return rc, len(hulls)
-
-
 @pytest.mark.parametrize("make, hulls, rows", [
     # a symmetric convex body: its own samples, and those of its polar dual
     (lambda: square(), 2, 6),
@@ -328,7 +314,16 @@ def _body_hulls(monkeypatch, tmp_path, body):
 ], ids=["square", "polytope3d", "ball3d", "polygon", "polytope3d-nonsym", "star"])
 def test_bodies_computes_one_hull_per_point_set(monkeypatch, tmp_path, capsys,
                                                 make, hulls, rows):
-    assert _body_hulls(monkeypatch, tmp_path, make()) == (0, hulls)
+    from entropia import cli, convex_body
+
+    path = tmp_path / "body.json"
+    path.write_text(make().to_json())
+    calls = []
+    hull = convex_body._convex_hull
+    monkeypatch.setattr(convex_body, "_convex_hull",
+                        lambda pts: calls.append(len(pts)) or hull(pts))
+    assert cli.run(["--format", "json", "bodies", "--body", str(path)]) == 0
+    assert len(calls) == hulls
     assert len(json.loads(capsys.readouterr().out)) == rows
 
 
