@@ -8,8 +8,8 @@ the `--n`/`--genus`/`--delta` lists, are checked in the subcommands.
 
 Exit codes: 0 success, 1 usage error (every argument error, click's
 included, a body file whose dim is past 341, where the unit-ball volume
-leaves the float range, and a run over an estimator's work budget,
-reported as one line on stderr), 2 validation failure (a numeric
+leaves the float range, and a run over an estimator's or a hull's work
+budget, reported as one line on stderr), 2 validation failure (a numeric
 invariant violated at run time); any other error ends in a traceback.
 All output is deterministic for a fixed (argv, seed).
 
@@ -118,6 +118,7 @@ class ValidationFailure(Exception):
 # sys.modules, as a layer's error implies its module is loaded: a work budget
 # (1, before its base class) or a numeric invariant checked at run time (2)
 _LAYER_ERRORS = [
+    (".convex_body", "BodyBudgetExceeded", 1),
     (".entropy_estimators", "BudgetExceeded", 1),
     (".entropy_estimators", "EstimatorError", 2),
     (".reeb_collapse.forms", "FormsError", 2),

@@ -36,10 +36,20 @@ EPS_HULL_REL = 1e-9     # convexity: hull-boundary distance, relative to diamete
 EPS_TURN_REL = 1e-12    # hulls: collinear/coplanar slack, relative to max |coord|
 LOEWNER_MAX_ITER = 100_000
 
+# cap on n^floor(d/2) for the hull of n points in R^d, the upper-bound
+# theorem's order of its facet count: the canonical 4-D and 5-D balls
+# (4,096 samples, 1.7e7) take a few seconds, the 6-D ball (6.9e10) about
+# 44 s and 64 samples in 12-D (6.9e10) over a minute
+BODY_BUDGET = 10 ** 9
+
 # grid-limited radial comparisons are good to about this many meshes
 # (the constant absorbs vertex-angle effects of polygonal samples; measured
 # involution errors on random polygons reach ~3 meshes)
 GRID_TOL_FACTOR = 4.0
+
+
+class BodyBudgetExceeded(Exception):
+    """A hull over BODY_BUDGET; a usage error, not a body failure."""
 
 
 class BodyError(Exception):
@@ -459,10 +469,15 @@ def _convex_hull(points: np.ndarray) -> Hull:
     dim 2 runs a monotone chain (vertices counter-clockwise), dim 3 a numpy
     quickhull, and other dims, or a 3-D cloud whose quickhull fails its
     certificate, qhull (scipy; it rejects dim 1).  A flat, collinear or
-    coincident cloud raises DegenerateBody.
+    coincident cloud raises DegenerateBody, and n points in R^d with
+    n^floor(d/2) over BODY_BUDGET raise BodyBudgetExceeded first.
     """
     points = np.asarray(points, dtype=float)
-    dim = points.shape[1]
+    n, dim = points.shape
+    if n ** (dim // 2) > BODY_BUDGET:
+        raise BodyBudgetExceeded(
+            f"the hull of {n} points in R^{dim} may have up to {n}^{dim // 2} "
+            f"facets, over the budget of {BODY_BUDGET:.0e}")
     if dim == 2:
         return _planar_hull(points)
     facets = _spatial_facets(points) if dim == 3 else None

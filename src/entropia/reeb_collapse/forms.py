@@ -11,7 +11,7 @@ All coordinates are (theta, r, x) with theta the open-book angle and x the
 fiber/binding angle.  Everything is x-independent and r is constant along
 both Reeb flows, so the page return map and the solid-torus flow are closed
 forms; the mapping-torus time-one map (sweep.py) still integrates
-`mapping_torus_field` by RK4, and `solid_torus_flow_rk4` is the
+`MappingTorusField` by RK4, and `solid_torus_flow_rk4` is the
 solid-torus oracle.
 
 Each part of the glued form (chi and its derivatives, tau, y_x, the
@@ -74,14 +74,27 @@ class NoContactThreshold(FormsError):
 
 # --------------------------------------------------------------- mapping torus
 
+def _chi_first(theta, out=(None, None, None)):
+    """u = theta / 2 pi, w = u (1 - u) and chi' = (140 / 2 pi) w^3, the
+    slope of the cutoff chi(theta) = smoothstep7(u) for theta in [0, 2 pi]
+    (the smoothstep 35u^4 - 84u^5 + 70u^6 - 20u^7 has slope 140 u^3
+    (1-u)^3); `out` takes three arrays to write them into."""
+    u = np.multiply(theta, 1.0 / TWO_PI, out=out[0])
+    w = np.multiply(u, 1.0 - u, out=out[1])
+    return u, w, np.multiply(140.0 / TWO_PI, w ** 3, out=out[2])
+
+
+def _chi_second(u, w):
+    """chi'' from u and w of `_chi_first`: the smoothstep's second
+    derivative is 420 u^2 (1-u)^2 (1-2u)."""
+    return (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
+
+
 def _chi_derivatives(theta):
     """chi' and chi'' of the cutoff chi(theta) = smoothstep7(theta / 2 pi)
-    for theta in [0, 2 pi], in closed form: with u = theta / 2 pi the
-    smoothstep 35u^4 - 84u^5 + 70u^6 - 20u^7 has slope 140 u^3 (1-u)^3 and
-    second derivative 420 u^2 (1-u)^2 (1-2u)."""
-    u = theta * (1.0 / TWO_PI)
-    w = u * (1.0 - u)
-    return (140.0 / TWO_PI) * w ** 3, (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
+    for theta in [0, 2 pi], in closed form."""
+    u, w, chi1 = _chi_first(theta)
+    return chi1, _chi_second(u, w)
 
 
 def _chi(theta):
@@ -175,32 +188,57 @@ class MappingTorusSpec:
                    tuple(map(float, obj.get("tau_support", (1.3, 2.7)))))
 
 
-def mapping_torus_field(spec: MappingTorusSpec, r, s):
+class MappingTorusField:
     """Reeb field of alpha_s on the orbits at radii r (s: one value or one
-    per radius) as theta -> (theta_dot, x_dot, d theta_dot / d theta,
-    d theta_dot / d r, d x_dot / d theta, d x_dot / d r); r_dot = 0.  The
-    field is (1, y_x) / (1 + s lambda y_x) and does not depend on x, so
-    everything that depends on r alone is evaluated once, here."""
-    tau = spec.tau_dual(r)
-    lam = spec.lam(r)
-    s_lam = s * lam
-    dtau_dr = -tau.d1 + lam * tau.d2
+    per radius); r_dot = 0.  The field is (1, y_x) / (1 + s lambda y_x) and
+    does not depend on x, so everything that depends on r alone is
+    evaluated once, here; `tau` is the twist tau(r) with its r derivatives
+    (the monodromy gluing adds tau and tau').
 
-    def field(theta):
-        chi1, chi2 = _chi_derivatives(theta % TWO_PI)
-        yx = -chi1 * lam * tau.d1
-        denom = 1.0 + s_lam * yx
+    `speed(theta)` is theta_dot alone, which depends on theta and r only;
+    it also returns the terms the other five outputs are built from, and
+    `rest(*terms)` builds those five.  Calling the field gives (theta_dot,
+    x_dot, d theta_dot / d theta, d theta_dot / d r, d x_dot / d theta,
+    d x_dot / d r) through the two.  The radii run along the last axis of
+    theta; any leading axes evaluate many theta rows at once, element by
+    element the same floats as one row at a time."""
+
+    def __init__(self, spec: MappingTorusSpec, r, s):
+        self.tau = spec.tau_dual(r)
+        self._lam = spec.lam(r)
+        self._s = s
+        self._s_lam = s * self._lam
+        self._dtau_dr = -self.tau.d1 + self._lam * self.tau.d2
+
+    def speed(self, theta, out=(None,) * 5):
+        """(theta_dot, terms): terms are u, w and chi' of `_chi_first` at
+        theta mod 2 pi, y_x and the denominator 1 + s lambda y_x, written
+        into the five arrays of `out` when it gives them."""
+        u, w, chi1 = _chi_first(theta % TWO_PI, out[:3])
+        yx = np.multiply(-chi1 * self._lam, self.tau.d1, out=out[3])
+        denom = np.add(1.0, self._s_lam * yx, out=out[4])
+        return 1.0 / denom, (u, w, chi1, yx, denom)
+
+    def rest(self, u, w, chi1, yx, denom, out=(None,) * 5):
+        """(x_dot, d theta_dot / d theta, d theta_dot / d r,
+        d x_dot / d theta, d x_dot / d r) from the terms of `speed`,
+        written into the five arrays of `out` when it gives them."""
+        lam, s, s_lam = self._lam, self._s, self._s_lam
+        chi2 = _chi_second(u, w)
         denom2 = denom ** 2
-        dy_dth = -chi2 * lam * tau.d1
-        dy_dr = -chi1 * dtau_dr
+        dy_dth = -chi2 * lam * self.tau.d1
+        dy_dr = -chi1 * self._dtau_dr
         dden_dth = s_lam * dy_dth
         dden_dr = s * (-yx + lam * dy_dr)
-        return (1.0 / denom, yx / denom,
-                -dden_dth / denom2, -dden_dr / denom2,
-                (dy_dth * denom - yx * dden_dth) / denom2,
-                (dy_dr * denom - yx * dden_dr) / denom2)
+        return (np.divide(yx, denom, out=out[0]),
+                np.divide(-dden_dth, denom2, out=out[1]),
+                np.divide(-dden_dr, denom2, out=out[2]),
+                np.divide(dy_dth * denom - yx * dden_dth, denom2, out=out[3]),
+                np.divide(dy_dr * denom - yx * dden_dr, denom2, out=out[4]))
 
-    return field
+    def __call__(self, theta):
+        th_dot, terms = self.speed(theta)
+        return (th_dot,) + self.rest(*terms)
 
 
 def contact_threshold(spec: MappingTorusSpec, grid: int = 64):

@@ -7,11 +7,11 @@ from ..entropy_estimators import DiscreteSystem, check_gamma_budget, gamma_plus
 from .forms import (
     S_SCAN_CAP,
     TWO_PI,
+    MappingTorusField,
     MappingTorusSpec,
     NoContactThreshold,
     collapse_volumes,
     contact_threshold,
-    mapping_torus_field,
     normalize_form,
     return_map_and_time,
 )
@@ -19,6 +19,10 @@ from .profiles import ProfileFunctions, build_profiles
 
 # RK4 steps of the mapping-torus time-one map (step 0.02)
 _MT_STEPS = 50
+
+# stage values (steps x 4 stages x states) that one block of the
+# mapping-torus RK4 holds; a block has at least one step
+_MT_BLOCK_VALUES = 4096
 
 
 def _chart_metric(a, b):
@@ -64,15 +68,96 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
                           name=f"reeb_solid_torus(s={s})")
 
 
+def _mt_rk4(field, theta, x):
+    """RK4 time-one map (_MT_STEPS steps) of the mapping-torus states with
+    angles theta and x on `field`: (theta, (a, b), (x, c, d)), where (a, b)
+    and (c, d) are the theta row and the x row of the Jacobian in
+    (theta, r).  The gluing at theta = 2 pi is theta -= 2 pi, x += tau(r)
+    and d = dx/dr += tau'(r).
+
+    Only theta has to be stepped in sequence, so each block of steps runs
+    in three passes, and every element goes through the same floats in
+    the same order as in one RK4 on the six rows: pass 1 steps theta alone
+    on `field.speed`, keeping the terms of every stage and the rows that
+    cross theta = 2 pi; pass 2 builds the rest of the field at every
+    stage; pass 3 steps (a, b), which feed back only into themselves, and
+    sums the stage slopes of x and (c, d) in one go."""
+    m = len(theta)
+    h = 1.0 / _MT_STEPS
+    n = min(_MT_STEPS, max(1, _MT_BLOCK_VALUES // (4 * m)))
+    # pass 2 runs on this many stage rows at a time, so that the
+    # temporaries of `field.rest` stay small
+    piece = max(1, _MT_BLOCK_VALUES // m)
+    terms, rest = np.empty((2, 5, 4 * n, m))
+    ab_stage, inc = np.empty((n, 4, 2, m)), np.empty((n, 3, m))
+    ab = np.zeros((2, m))
+    ab[0] = 1.0
+    xcd = np.zeros((3, m))
+    xcd[0] = x
+    for first in range(0, _MT_STEPS, n):
+        steps = min(n, _MT_STEPS - first)
+        # pass 1: theta, and the field's terms at every stage
+        glued = []
+        for i in range(0, 4 * steps, 4):
+            k1, _ = field.speed(theta, terms[:, i])
+            k2, _ = field.speed(theta + 0.5 * h * k1, terms[:, i + 1])
+            k3, _ = field.speed(theta + 0.5 * h * k2, terms[:, i + 2])
+            k4, _ = field.speed(theta + h * k3, terms[:, i + 3])
+            theta = theta + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            idx = np.flatnonzero(theta >= TWO_PI)
+            if len(idx):
+                theta[idx] -= TWO_PI
+            glued.append(idx)
+        # pass 2: the rest of the field at every stage
+        for i in range(0, 4 * steps, piece):
+            j = min(i + piece, 4 * steps)
+            field.rest(*terms[:, i:j], out=rest[:, i:j])
+        x_dot, t_th, t_r, x_th, x_r = rest[:, :4 * steps].reshape(5, steps, 4, m)
+        # pass 3: (a, b) in sequence, with slope t_th (a, b) + (0, t_r)
+        for i in range(steps):
+            stage, t, tr = ab_stage[i], t_th[i], t_r[i]
+            stage[0] = ab
+            k1 = t[0] * ab
+            k1[1] += tr[0]
+            np.add(ab, 0.5 * h * k1, out=stage[1])
+            k2 = t[1] * stage[1]
+            k2[1] += tr[1]
+            np.add(ab, 0.5 * h * k2, out=stage[2])
+            k3 = t[2] * stage[2]
+            k3[1] += tr[2]
+            np.add(ab, h * k3, out=stage[3])
+            k4 = t[3] * stage[3]
+            k4[1] += tr[3]
+            ab = ab + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # the slopes of x, c and d at every stage, summed per step, then
+        # added step by step with the gluing
+        slope = np.multiply(x_th[:, :, None], ab_stage[:steps], out=ab_stage[:steps])
+        slope[:, :, 1] += x_r
+        for row, k in ((inc[:steps, 0], x_dot), (inc[:steps, 1:], slope)):
+            np.multiply(h / 6.0, k[:, 0] + 2 * k[:, 1] + 2 * k[:, 2] + k[:, 3], out=row)
+        for i, idx in enumerate(glued):
+            xcd = xcd + inc[i]
+            if len(idx):
+                xcd[0, idx] += field.tau.v[idx]
+                xcd[2, idx] += field.tau.d1[idx]
+    return theta, ab, xcd
+
+
 def mapping_torus_system(spec: MappingTorusSpec, s) -> DiscreteSystem:
     """Time-one map of the mapping-torus Reeb flow with its Jacobian (RK4,
-    step 0.02, on `mapping_torus_field`).
+    step 0.02, on `MappingTorusField`).
 
     r is fixed along the flow and the field does not depend on x, so the
     Jacobian in (theta, r, x) has the r row (0, 1, 0) and the x column
-    (0, 0, 1).  One RK4 integrates z = (theta, x, a, b, c, d), where (a, b)
-    and (c, d) are the theta row and the x row of the Jacobian in
-    (theta, r); the (m, 3, 3) Jacobian is assembled once, at the end.
+    (0, 0, 1).  The RK4 (`_mt_rk4`) integrates z = (theta, x, a, b, c, d),
+    where (a, b) and (c, d) are the theta row and the x row of the
+    Jacobian in (theta, r), in blocks of at most _MT_BLOCK_VALUES stage
+    values (steps x 4 x states, at least one step).  Only theta is stepped
+    stage by stage: a block first steps theta alone on the field's speed,
+    then evaluates the rest of the field at all of its stages at once, and
+    last steps (a, b) and sums the stages of x, c and d, with the same
+    floats in the same order as one RK4 on all six rows.  The (m, 3, 3)
+    Jacobian is assembled once, at the end.
 
     s is one value, or a 1-D array of k values for k stacked systems
     (`copies` k): the maps then take k equal blocks of rows, block i at
@@ -91,34 +176,13 @@ def mapping_torus_system(spec: MappingTorusSpec, s) -> DiscreteSystem:
         if m % k:
             raise ValueError(f"{m} states do not split into {k} blocks")
         r = states[:, 1]
-        field = mapping_torus_field(spec, r, np.repeat(s_values, m // k))
-        tau = spec.tau_dual(r)
-
-        def rhs(z):
-            th_dot, x_dot, t_th, t_r, x_th, x_r = field(z[0])
-            return np.stack([th_dot, x_dot, t_th * z[2], t_th * z[3] + t_r,
-                             x_th * z[2], x_th * z[3] + x_r])
-
-        z = np.zeros((6, m))
-        z[0], z[1], z[2] = states[:, 0], states[:, 2], 1.0
-        h = 1.0 / _MT_STEPS
-        for _ in range(_MT_STEPS):
-            k1 = rhs(z)
-            k2 = rhs(z + 0.5 * h * k1)
-            k3 = rhs(z + 0.5 * h * k2)
-            k4 = rhs(z + h * k3)
-            z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            # monodromy gluing when theta passes 2 pi: x gains tau(r) and
-            # d = dx/dr gains tau'(r)
-            idx = np.flatnonzero(z[0] >= TWO_PI)
-            if len(idx):
-                z[0, idx] -= TWO_PI
-                z[1, idx] += tau.v[idx]
-                z[5, idx] += tau.d1[idx]
+        field = MappingTorusField(spec, r, np.repeat(s_values, m // k))
+        theta, ab, xcd = _mt_rk4(field, states[:, 0], states[:, 2])
         jac = np.zeros((m, 3, 3))
-        jac[:, [0, 0, 2, 2], [0, 1, 0, 1]] = z[2:].T
+        jac[:, 0, :2] = ab.T
+        jac[:, 2, :2] = xcd[1:].T
         jac[:, [1, 2], [1, 2]] = 1.0
-        return np.stack([z[0], r, z[1]], axis=1), jac
+        return np.stack([theta, r, xcd[0]], axis=1), jac
 
     def step(states):
         return step_jacobian(states)[0]

@@ -348,6 +348,16 @@ def test_validation_failure_is_one_line(args, text):
                              "directions": sphere_grid(3, 64)[:-1].tolist()}),
                  "BodyError: direction grid is not centrally symmetric",
                  id="sphere-grid-less-one"),
+    # hulls over BODY_BUDGET: n^floor(d/2) bounds their facet count
+    pytest.param(json.dumps({"dim": 6, "radial": [1.0] * 4096}),
+                 "the hull of 4096 points in R^6 may have up to 4096^3 facets, "
+                 "over the budget of 1e+09", id="ball-6d"),
+    pytest.param(json.dumps({"dim": 12, "radial": [1.0] * 64}),
+                 "the hull of 64 points in R^12 may have up to 64^6 facets",
+                 id="64-samples-12d"),
+    pytest.param(json.dumps({"dim": 20, "radial": [1.0] * 64}),
+                 "the hull of 64 points in R^20 may have up to 64^10 facets",
+                 id="64-samples-20d"),
 ])
 def test_bad_body_file_is_usage_error(tmp_path, content, text):
     path = tmp_path / "body.json"

@@ -7,6 +7,8 @@ closed-form field; states 2-4 cross the page theta = 2 pi within time one,
 so the monodromy gluing is exercised for one and three twists.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from entropia.entropy_estimators import (
     union_system,
 )
 from entropia.reeb_collapse import MappingTorusSpec, build_profiles
-from entropia.reeb_collapse.forms import _chi_derivatives
+from entropia.reeb_collapse import sweep
+from entropia.reeb_collapse.forms import MappingTorusField, _chi_derivatives
 from entropia.reeb_collapse.sweep import mapping_torus_system, solid_torus_system
 
 TWO_PI = 2.0 * np.pi
@@ -157,6 +160,85 @@ def test_stacked_step_jacobian_equals_each_s_alone(k):
         assert np.array_equal(jac[i * n:(i + 1) * n], want_jac)
     with pytest.raises(ValueError, match="do not split into 3 blocks"):
         stacked.time_one_jacobian(states)
+
+
+def _fused_rk4(spec, s_values, states):
+    """Reference: one RK4 on all six rows z = (theta, x, a, b, c, d), every
+    stage through the whole field, the gluing after each step; the loop
+    `step_jacobian` ran before it stepped theta alone first."""
+    m = len(states)
+    r = states[:, 1]
+    field = MappingTorusField(spec, r, np.repeat(s_values, m // len(s_values)))
+    tau = spec.tau_dual(r)
+
+    def rhs(z):
+        th_dot, x_dot, t_th, t_r, x_th, x_r = field(z[0])
+        return np.stack([th_dot, x_dot, t_th * z[2], t_th * z[3] + t_r,
+                         x_th * z[2], x_th * z[3] + x_r])
+
+    z = np.zeros((6, m))
+    z[0], z[1], z[2] = states[:, 0], states[:, 2], 1.0
+    h = 1.0 / sweep._MT_STEPS
+    for _ in range(sweep._MT_STEPS):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h * k2)
+        k4 = rhs(z + h * k3)
+        z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        idx = np.flatnonzero(z[0] >= TWO_PI)
+        if len(idx):
+            z[0, idx] -= TWO_PI
+            z[1, idx] += tau.v[idx]
+            z[5, idx] += tau.d1[idx]
+    jac = np.zeros((m, 3, 3))
+    jac[:, [0, 0, 2, 2], [0, 1, 0, 1]] = z[2:].T
+    jac[:, [1, 2], [1, 2]] = 1.0
+    return np.stack([z[0], r, z[1]], axis=1), jac
+
+
+@pytest.mark.parametrize("m", [24, 1100])
+@pytest.mark.parametrize("s", [0.3, [0.05, 0.4], [0.05, 0.1, 0.2, 0.4]],
+                         ids=["scalar", "stack2", "stack4"])
+@pytest.mark.parametrize("k", [1, 3, -2])
+def test_step_jacobian_equals_the_fused_rk4_bit_for_bit(k, s, m):
+    # more than one block of steps per call, and at m = 1100 one step per
+    # block with the rest of the field built a few stage rows at a time;
+    # theta = 6.28 and 6.2831853 cross the page in the first step, the
+    # sampled states in later ones and theta = 0 not at all
+    assert sweep._MT_BLOCK_VALUES // (4 * m) < sweep._MT_STEPS
+    spec = MappingTorusSpec(k_twists=k)
+    system = mapping_torus_system(spec, s)
+    states = system.sampler(m, np.random.default_rng(m + k))
+    states[:9, 0] = np.repeat([0.0, 6.28, 6.2831853], 3)
+    image, jac = system.time_one_jacobian(states)
+    want_image, want_jac = _fused_rk4(spec, np.atleast_1d(s), states)
+    assert image.tobytes() == want_image.tobytes()
+    assert jac.tobytes() == want_jac.tobytes()
+    glued = np.flatnonzero(image[:, 0] < states[:, 0])
+    assert 3 <= len(glued) < m
+    if np.ndim(s):
+        with pytest.raises(ValueError, match="do not split into"):
+            system.time_one_jacobian(states[:-1])
+
+
+# tracemalloc peak of one step_jacobian call at m = 6144 (MB of 2**20
+# bytes): 2.96 with the fused RK4 on all six rows, 3.66 in blocks of
+# steps, which hold the field's terms and the rest of the field at every
+# stage of a block (one step here).  The bound is a tenth above the
+# latter; one block of all 50 steps would hold 195 MB.
+MT_STEP_PEAK_BOUND = 1.1 * 3.66 * 2 ** 20
+
+
+def test_step_jacobian_memory_at_6144_states():
+    system = mapping_torus_system(MappingTorusSpec(k_twists=1), 0.3)
+    states = system.sampler(6144, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        system.time_one_jacobian(states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= MT_STEP_PEAK_BOUND
 
 
 SYSTEMS = {

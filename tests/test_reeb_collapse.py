@@ -20,11 +20,11 @@ from entropia.reeb_collapse import (
     solid_torus_volume,
 )
 from entropia.reeb_collapse.forms import (
+    MappingTorusField,
     NonPositiveVolume,
     S_SCAN_CAP,
     VolumeOverflow,
     _chi,
-    mapping_torus_field,
 )
 
 TWO_PI = 2 * math.pi
@@ -114,7 +114,7 @@ def test_solid_torus_volume_quadrature_vs_mc(dim3):
 
 def _reeb_velocity(spec, theta, r, s):
     """(theta_dot, r_dot, x_dot) of the field the time-one map integrates."""
-    th_dot, x_dot = mapping_torus_field(spec, np.array([r]), s)(np.array([theta]))[:2]
+    th_dot, x_dot = MappingTorusField(spec, np.array([r]), s)(np.array([theta]))[:2]
     return np.array([th_dot[0], 0.0, x_dot[0]])
 
 
@@ -122,7 +122,7 @@ def test_mapping_torus_reeb_off_support(spec):
     # off supp(tau') or supp(chi'): velocity (1, 0, 0), no derivatives
     assert np.allclose(_reeb_velocity(spec, 0.0, 2.0, 0.01), [1.0, 0.0, 0.0])
     assert np.allclose(_reeb_velocity(spec, 3.0, 1.1, 0.01), [1.0, 0.0, 0.0])
-    field = mapping_torus_field(spec, np.array([1.1, 2.0]), 0.01)
+    field = MappingTorusField(spec, np.array([1.1, 2.0]), 0.01)
     assert np.allclose(np.stack(field(np.array([3.0, 0.0]))[2:]), 0.0)
 
 
