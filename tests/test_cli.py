@@ -273,9 +273,25 @@ def test_config_digest_golden(args, digest):
      "Invalid value for '--seed': -1 is not in the range x>=0."),
     (("estimate", "--system", "hyperbolic", "--what", "hvol", "--horizon",
       str(10 ** 400)), "hvol needs --horizon 1 or more, up to 1000000, got 1000"),
+    # no abbreviated options, no group option after the subcommand, and a
+    # subcommand is required
+    (("collapse", "--hor", "8"), "No such option '--hor'"),
+    (("constants", "--format", "json"), "No such option '--format'"),
+    ((), "Missing command"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
+
+
+@pytest.mark.parametrize("args, text", [
+    (("collapse", "--steps", "abc"), "'abc' is not a valid integer"),
+    ((), "Missing command"),
+    (("--tol", "fit=0.02", "constants"), "--tol applies to collapse only"),
+])
+def test_usage_error_after_format_json_is_json(args, text):
+    res = run_cli("--format", "json", *args)
+    assert res.returncode == 1 and res.stdout == ""
+    assert text in json.loads(res.stderr)["error"], res.stderr
 
 
 def test_range_at_the_cap_is_accepted():
@@ -474,11 +490,39 @@ def test_usage_error_in_process_exits_1():
     assert info.value.code == 1
 
 
-@pytest.mark.parametrize("args", [("--help",), ("collapse", "--help")])
+# (flag, default or None, range) of each bounded option, by command
+_BOUNDED = {
+    (): [("--seed", "0", "x>=0"), ("--tol", "fit=0.01", "x>0")],
+    ("collapse",): [
+        ("--s-min", None, "x>0"), ("--s-max", None, "x>0"),
+        ("--steps", "8", "2<=x<=10000"),
+        ("--twists", "1", "-1000000<=x<=1000000"),
+        ("--returns", "32", "1<=x<=10000"), ("--horizon", "16", "x>=8"),
+        ("--grid", "256", "1<=x<=2048")],
+    ("verovic",): [("--k-max", "6", "2<=x<=10000")],
+    ("estimate",): [("--cloud", "20000", "x>=1")],
+}
+
+
+def _option_help(text, flag):
+    """The help of one option: from its flag to the next option's."""
+    start = text.index(f"  {flag} ")
+    return text[start:text.find("\n  --", start + 1)]
+
+
+@pytest.mark.parametrize("args", [
+    ("--help",), ("collapse", "--help"),
+    *[(command, "--help") for command in ("constants", "bounds", "verovic",
+                                          "sl3", "spectrum", "bodies",
+                                          "estimate")]])
 def test_help_exits_0(args):
     res = run_cli(*args)
     assert res.returncode == 0
     assert res.stdout.startswith("Usage: ") and res.stderr == ""
+    for flag, default, bounds in _BOUNDED.get(args[:-1], []):
+        shown = _option_help(res.stdout, flag)
+        assert bounds in shown, shown
+        assert default is None or f"default: {default}" in shown, shown
 
 
 def test_unwritable_out_is_usage_error(tmp_path):
