@@ -1,38 +1,33 @@
 """Command-line interface: every module as a subcommand with reproducible
 seeds and CSV/JSON emission.
 
-Click is the only argument layer: it types, bounds and defaults each option
-once, and `--help` prints the bounds.  Rules that tie options together, and
-the `--n`/`--genus`/`--delta` lists, are checked in the subcommands.
-`--tol fit=X` sets the volume-fit tolerance and goes with `collapse` only.
+argparse is the only argument layer.  Each option is declared once, as an
+_Option beside its subcommand: its type, bounds and default, which
+`--help` prints, and click's wording for a value it rejects.  Rules that
+tie options together, and the `--n`/`--genus`/`--delta` lists, are checked
+in the subcommands.  `--tol fit=X` sets the volume-fit tolerance and goes
+with `collapse` only.
 
-Exit codes: 0 success, 1 usage error (every argument error, click's
-included, a body file whose dim is past 341, where the unit-ball volume
-leaves the float range, and a run over an estimator's or a hull's work
-budget, reported as one line on stderr), 2 validation failure (a numeric
-invariant violated at run time); any other error ends in a traceback.
-All output is deterministic for a fixed (argv, seed).
+Exit codes: 0 success, 1 usage error (every argument error, a body file
+whose dim is past 341, where the unit-ball volume leaves the float range,
+and a run over an estimator's or a hull's work budget, reported as one line
+on stderr), 2 validation failure (a numeric invariant violated at run
+time); any other error ends in a traceback.  All output is deterministic
+for a fixed (argv, seed).
 
-Importing this module loads no layer but entropy_bounds: each command
-imports what it runs, so `constants`, `bounds`, `verovic` and `spectrum`
-load no numpy.
+Importing this module loads no layer: each command imports what it runs,
+so `constants`, `bounds`, `verovic`, `sl3` and `spectrum` load no numpy.
 """
 
-import csv
+import argparse
 import hashlib
 import importlib
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-
-import click
-from click import UsageError
-from click.core import ParameterSource
 
 from . import MAX_TWISTS
-from . import entropy_bounds as eb
 
 # relative residual allowed to the collapse volume fit, unless --tol fit=X
 _FIT_TOL = 0.01
@@ -64,16 +59,23 @@ def __getattr__(name):
     return globals()[name]
 
 
-@dataclass
+class UsageError(Exception):
+    """An argument the command cannot run with: exit 1."""
+
+
+class ValidationFailure(Exception):
+    """A numeric invariant violated at run time: exit 2."""
+
+
 class RunConfig:
     """What the `config` column hashes: the subcommand, the seed and the
-    typed option values in args."""
+    typed option values in args.  `given` holds the subcommand options
+    given on the command line."""
 
-    subcommand: str
-    seed: int
-    out: str | None
-    fmt: str
-    args: dict = field(default_factory=dict)
+    def __init__(self, subcommand: str, seed: int, out, fmt: str, given=()):
+        self.subcommand, self.seed, self.out, self.fmt = subcommand, seed, out, fmt
+        self.given = given
+        self.args = {}
 
     def digest(self) -> str:
         blob = json.dumps(
@@ -92,6 +94,8 @@ def _emit(config: RunConfig, rows: list, **args):
     if config.fmt == "json":
         payload = json.dumps(rows, indent=None, sort_keys=True) + "\n"
     else:
+        import csv
+
         cols = list(dict.fromkeys(key for row in rows for key in row))
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
@@ -108,10 +112,6 @@ def _emit(config: RunConfig, rows: list, **args):
                              f"{type(exc).__name__}: {exc}") from exc
     else:
         sys.stdout.write(payload)
-
-
-class ValidationFailure(Exception):
-    pass
 
 
 # (module, class, exit code) of the layer errors run() reports, looked up in
@@ -132,14 +132,35 @@ def run(argv) -> int:
     failure propagates."""
     fmt = None  # errors before --format is parsed are plain text
     try:
-        with main.make_context("entropia", list(argv)) as ctx:
-            fmt = ctx.params["fmt"]
-            main.invoke(ctx)
+        tokens = _glue(argv)
+        at = next((i for i, token in enumerate(tokens)
+                   if not token.startswith("-")), len(tokens))
+        listing = "\n".join(f"  {name:10} {command.__doc__}"
+                            for name, command in COMMANDS.items())
+        top, _ = _parse("entropia", _OPTIONS, tokens[:at],
+                        "Entropy machinery: constants, bounds, bodies, "
+                        "collapse, estimates.",
+                        "COMMAND [ARGS]...", "Commands:\n" + listing)
+        fmt = top["format"]
+        if at == len(tokens):
+            raise UsageError("Missing command.")
+        name = tokens[at]
+        command = COMMANDS.get(name)
+        if command is None:
+            raise UsageError(f"No such command '{name}'.")
+        if top["tol"] is not None and name != "collapse":
+            raise UsageError("--tol applies to collapse only")
+        values, given = _parse(f"entropia {name}", command.options,
+                               tokens[at + 1:], command.__doc__)
+        config = RunConfig(name, top["seed"], top["out"], fmt, given)
+        if top["tol"] is not None:
+            config.args["tol"] = {"fit": top["tol"]}
+        command(config, **values)
         return 0
-    except click.exceptions.Exit as exc:  # --help
-        return exc.exit_code
-    except UsageError as exc:
-        _fail(fmt, f"usage error: {exc.format_message()}")
+    except SystemExit as exc:  # --help
+        return exc.code
+    except (UsageError, argparse.ArgumentError) as exc:
+        _fail(fmt, f"usage error: {exc}")
         return 1
     except ValidationFailure as exc:
         _fail(fmt, str(exc))
@@ -152,11 +173,154 @@ def run(argv) -> int:
         raise
 
 
+def main(args=None, **_):
+    """The `entropia` console script: exits with run()'s code on argv, or
+    on args.  Also bound as `main.main`, so that the click-style call
+    `main.main(args=[...], prog_name="entropia", standalone_mode=False)`
+    keeps working."""
+    sys.exit(run(sys.argv[1:] if args is None else args))
+
+
+main.main = main
+
+
 def _fail(fmt, message):
     if fmt == "json":
         sys.stderr.write(json.dumps({"error": message}) + "\n")
     else:
         sys.stderr.write(message + "\n")
+
+
+# ---------------------------------------------------------------- arguments
+
+class _Option:
+    """A `--flag VALUE` option, declared once: its kind (int, float, str or
+    a list of choices), bounds, default and help.  A float must be finite.
+    convert() rejects a value in click's words, and help shows the default
+    and bounds."""
+
+    def __init__(self, flag, kind=str, default=None, lo=None, hi=None,
+                 open_lo=False, required=False, help="", metavar=None):
+        self.flag, self.kind, self.default, self.required = flag, kind, default, required
+        self.lo, self.hi, self.open_lo = lo, hi, open_lo
+        self.dest = flag[2:].replace("-", "_")
+        if lo is None:
+            self.bounds = ""
+        elif hi is None:
+            self.bounds = f"x{'>' if open_lo else '>='}{lo}"
+        else:
+            self.bounds = f"{lo}<=x<={hi}"
+        self.metavar = metavar or (
+            f"[{'|'.join(kind)}]" if isinstance(kind, list) else
+            {int: "INTEGER", float: "FLOAT", str: "TEXT"}[kind]
+            + (" RANGE" if self.bounds else ""))
+        shown = "; ".join(filter(None, [
+            "" if default is None else f"default: {default}", self.bounds,
+            "required" if required else ""]))
+        self.help = "  ".join(filter(None, [help, shown and f"[{shown}]"]))
+
+    def invalid(self, message) -> UsageError:
+        return UsageError(f"Invalid value for '{self.flag}': {message}")
+
+    def convert(self, text):
+        if self.kind is str:
+            return text
+        if isinstance(self.kind, list):
+            if text not in self.kind:
+                raise self.invalid(f"{text!r} is not one of "
+                                   f"{', '.join(map(repr, self.kind))}.")
+            return text
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise self.invalid(f"{text!r} is not a valid "
+                               f"{'integer' if self.kind is int else 'float'}.") from None
+        if self.kind is float and not math.isfinite(value):
+            raise self.invalid(f"{text!r} is not a finite number")
+        if (self.lo is not None and (value <= self.lo if self.open_lo else value < self.lo)
+                or self.hi is not None and value > self.hi):
+            raise self.invalid(f"{value} is not in the range {self.bounds}.")
+        return value
+
+
+class _FitTolerance(_Option):
+    """`--tol fit=VALUE`, the one tolerance the option overrides."""
+
+    def convert(self, text):
+        key, _, number = text.partition("=")
+        if key != "fit":
+            raise self.invalid(f"only fit=VALUE is known, got {text!r}")
+        return super().convert(number)
+
+
+# the options before the subcommand
+_OPTIONS = [
+    _Option("--seed", int, 0, lo=0, help="Seed for every stochastic component."),
+    _Option("--out", help="Output path (default stdout)."),
+    _Option("--format", ["csv", "json"], "csv"),
+    _FitTolerance("--tol", float, lo=0, open_lo=True, metavar="fit=VALUE",
+                  help="collapse only: the volume fit's relative residual bound "
+                       f"[default: fit={_FIT_TOL}]; the last one given wins."),
+]
+
+
+def _options(*options):
+    """Declares the options of the subcommand it decorates."""
+    def declare(command):
+        command.options = options
+        return command
+    return declare
+
+
+class _Help(argparse.RawDescriptionHelpFormatter):
+    """argparse's help, opening with click's 'Usage: '."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: ")
+
+
+def _glue(argv) -> list:
+    """argv with each option's value joined to its flag, as in '--c=-2':
+    every option but --help takes one value, which may start with '-', as
+    in click.  The first token left without a leading '-' names the
+    subcommand."""
+    tokens, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        if (token.startswith("--") and token not in ("--", "--help")
+                and "=" not in token and rest):
+            token += "=" + rest.pop(0)
+        tokens.append(token)
+    return tokens
+
+
+def _parse(prog, options, tokens, about, usage="", epilog=None):
+    """({dest: value} of every option, defaults filled in, {dests given})
+    from tokens; `--help` prints the help and raises SystemExit(0)."""
+    parser = argparse.ArgumentParser(
+        prog=prog, usage=f"%(prog)s [OPTIONS] {usage}".rstrip(),
+        description=about, epilog=epilog, formatter_class=_Help,
+        add_help=False, allow_abbrev=False, exit_on_error=False)
+    group = parser.add_argument_group("Options")
+    for option in options:
+        group.add_argument(option.flag, dest=option.dest, type=option.convert,
+                           metavar=option.metavar, help=option.help)
+    group.add_argument("--help", action="help", help="Show this message and exit.")
+    parsed, extra = parser.parse_known_args(tokens)
+    extra = [token for token in extra if token != "--"]  # ends no positionals
+    if extra and extra[0].startswith("-"):
+        raise UsageError(f"No such option '{extra[0].partition('=')[0]}'.")
+    if extra:
+        raise UsageError(f"Got unexpected extra argument ({' '.join(extra)})")
+    values, given = {}, set()
+    for option in options:
+        value = getattr(parsed, option.dest)
+        if value is None and option.required:
+            raise UsageError(f"Missing option '{option.flag}'.")
+        if value is not None:
+            given.add(option.dest)
+        values[option.dest] = option.default if value is None else value
+    return values, given
 
 
 def _parse_range(flag: str, text: str) -> list:
@@ -178,9 +342,11 @@ def _parse_range(flag: str, text: str) -> list:
 def _report_rows(report, *args) -> list:
     """Rows of an entropy_bounds report.  The report layer checks its own
     inputs, so every error it raises is a usage error."""
+    from .entropy_bounds import BoundsError
+
     try:
         reports = report(*args)
-    except (eb.BoundsError, ValueError, KeyError) as exc:
+    except (BoundsError, ValueError, KeyError) as exc:
         raise UsageError(str(exc)) from exc
     return [
         {"name": r.name, "value": repr(r.value),
@@ -190,107 +356,49 @@ def _report_rows(report, *args) -> list:
     ]
 
 
-class _Finite(click.ParamType):
-    """A float that must be finite: nan and inf are usage errors."""
+# -------------------------------------------------------------- subcommands
 
-    name = "float"
-
-    def convert(self, value, param, ctx):
-        number = click.FLOAT.convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        return number
-
-
-class _FiniteRange(click.FloatRange):
-    """A finite float in a range that --help shows."""
-
-    def convert(self, value, param, ctx):
-        return super().convert(_Finite().convert(value, param, ctx), param, ctx)
-
-
-class _FitTolerance(_FiniteRange):
-    """`fit=VALUE`, the one tolerance `--tol` overrides."""
-
-    def convert(self, value, param, ctx):
-        key, _, number = value.partition("=")
-        if key != "fit":
-            self.fail(f"only fit=VALUE is known, got {value!r}", param, ctx)
-        return super().convert(number, param, ctx)
-
-
-class _Entropia(click.Group):
-    """The `entropia` group.  Every invocation goes through run(), so
-    click's own usage errors exit 1 with one line, as ours do, with or
-    without click's standalone mode."""
-
-    def main(self, args=None, **_):
-        sys.exit(run(sys.argv[1:] if args is None else args))
-
-
-# ------------------------------------------------------------------- click
-
-@click.group(cls=_Entropia, no_args_is_help=False)
-@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True,
-              help="Seed for every stochastic component.")
-@click.option("--out", default=None, type=str, help="Output path (default stdout).")
-@click.option("--format", "fmt", default="csv",
-              type=click.Choice(["csv", "json"]), show_default=True)
-@click.option("--tol", multiple=True, type=_FitTolerance(min=0, min_open=True),
-              metavar="fit=VALUE",
-              help="collapse only: the volume fit's relative residual bound "
-                   f"[default: fit={_FIT_TOL}]; the last one given wins.")
-@click.pass_context
-def main(ctx, seed, out, fmt, tol):
-    """Entropy machinery: constants, bounds, bodies, collapse, estimates."""
-    ctx.obj = RunConfig(ctx.invoked_subcommand, seed, out, fmt)
-    if tol:
-        if ctx.invoked_subcommand != "collapse":
-            raise UsageError("--tol applies to collapse only")
-        ctx.obj.args["tol"] = {"fit": tol[-1]}
-
-
-@main.command()
-@click.option("--n", default="2..6", show_default=True)
-@click.pass_obj
+@_options(_Option("--n", default="2..6"))
 def constants(config, n):
     """Dimension constants c_n."""
-    _emit(config, _report_rows(eb.constants_report, _parse_range("--n", n)), n=n)
+    from .entropy_bounds import constants_report
+
+    _emit(config, _report_rows(constants_report, _parse_range("--n", n)), n=n)
 
 
-@main.command()
-@click.option("--genus", default="2..5", show_default=True)
-@click.pass_obj
+@_options(_Option("--genus", default="2..5"))
 def bounds(config, genus):
     """Katok and Finsler entropy floors."""
-    _emit(config, _report_rows(eb.floors_report, _parse_range("--genus", genus)),
+    from .entropy_bounds import floors_report
+
+    _emit(config, _report_rows(floors_report, _parse_range("--genus", genus)),
           genus=genus)
 
 
-@main.command()
-@click.option("--k-max", default=6, show_default=True,
-              type=click.IntRange(2, _MAX_VALUES))
-@click.pass_obj
+@_options(_Option("--k-max", int, 6, lo=2, hi=_MAX_VALUES))
 def verovic(config, k_max):
     """Rank-k symmetric-space constants."""
-    _emit(config, _report_rows(eb.verovic_report, k_max), k_max=k_max)
+    from .entropy_bounds import verovic_report
+
+    _emit(config, _report_rows(verovic_report, k_max), k_max=k_max)
 
 
-@main.command()
-@click.pass_obj
+@_options()
 def sl3(config):
     """SL(3)/SO(3) hexagon constants."""
-    _emit(config, _report_rows(eb.sl3_report))
+    from .entropy_bounds import sl3_report
+
+    _emit(config, _report_rows(sl3_report))
 
 
-@main.command()
-@click.option("--v-bar", required=True, type=_Finite())
-@click.option("--h", required=True, type=_Finite())
-@click.option("--n", required=True, type=int)
-@click.option("--c", required=True, type=_Finite())
-@click.pass_obj
+@_options(_Option("--v-bar", float, required=True),
+          _Option("--h", float, required=True),
+          _Option("--n", int, required=True),
+          _Option("--c", float, required=True))
 def spectrum(config, v_bar, h, n, c):
     """Solve the entropy-spectrum tuning equation for delta."""
+    from . import entropy_bounds as eb
+
     try:
         delta = eb.spectrum_tuner(v_bar, h, n, c)
         check = eb.spectrum_value(v_bar, h, n, delta)
@@ -305,10 +413,7 @@ def spectrum(config, v_bar, h, n, c):
           v_bar=v_bar, h=h, n=n, c=c)
 
 
-@main.command()
-@click.option("--body", default=None, type=str,
-              help="Path to a body JSON file (default: unit disk).")
-@click.pass_obj
+@_options(_Option("--body", help="Path to a body JSON file (default: unit disk)."))
 def bodies(config, body):
     """Convex-geometric summary of a star body."""
     from .convex_body import BodyError, StarBody
@@ -370,23 +475,15 @@ def _body_rows(star) -> list:
     return rows
 
 
-@main.command()
-@click.option("--s-min", default=None, type=_FiniteRange(min=0, min_open=True))
-@click.option("--s-max", default=None, type=_FiniteRange(min=0, min_open=True))
-@click.option("--steps", default=8, show_default=True,
-              type=click.IntRange(2, _MAX_VALUES))
-@click.option("--twists", default=1, show_default=True,
-              type=click.IntRange(-MAX_TWISTS, MAX_TWISTS))
-@click.option("--returns", default=32, show_default=True,
-              type=click.IntRange(1, _MAX_VALUES))
-@click.option("--horizon", default=16, show_default=True,
-              type=click.IntRange(min=8))
-@click.option("--grid", default=256, show_default=True,
-              type=click.IntRange(1, _MAX_GRID),
-              help="Quadrature grid per axis for the volume integrals.")
-@click.option("--spec", default=None, type=str,
-              help="Path to a MappingTorusSpec JSON file.")
-@click.pass_obj
+@_options(_Option("--s-min", float, lo=0, open_lo=True),
+          _Option("--s-max", float, lo=0, open_lo=True),
+          _Option("--steps", int, 8, lo=2, hi=_MAX_VALUES),
+          _Option("--twists", int, 1, lo=-MAX_TWISTS, hi=MAX_TWISTS),
+          _Option("--returns", int, 32, lo=1, hi=_MAX_VALUES),
+          _Option("--horizon", int, 16, lo=8),
+          _Option("--grid", int, 256, lo=1, hi=_MAX_GRID,
+                  help="Quadrature grid per axis for the volume integrals."),
+          _Option("--spec", help="Path to a MappingTorusSpec JSON file."))
 def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
     """Entropy-collapse sweep over the contact parameter s."""
     from .reeb_collapse import FormsError, MappingTorusSpec
@@ -395,8 +492,7 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
             "horizon": horizon, "grid": grid, "spec": spec}
     if (s_min is None) != (s_max is None):
         raise UsageError("--s-min and --s-max must be given together")
-    if spec and click.get_current_context().get_parameter_source(
-            "twists") is ParameterSource.COMMANDLINE:
+    if spec and "twists" in config.given:
         raise UsageError("--twists and --spec cannot be given together: "
                          "the spec file sets k_twists")
     if spec:
@@ -435,18 +531,13 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
 _SYSTEMS = ("cat", "rotation", "doubling")
 
 
-@main.command()
-@click.option("--system", default="cat", show_default=True,
-              type=click.Choice([*_SYSTEMS, "reeb-solid-torus", "hyperbolic"]))
-@click.option("--what", default="gamma", show_default=True,
-              type=click.Choice(["htop", "hvol", "gamma"]))
-@click.option("--horizon", default=None, type=int,
-              help="Steps or radius [default: 48; 8 for htop].")
-@click.option("--delta", default="0.3,0.2", show_default=True)
-@click.option("--cloud", default=20000, show_default=True,
-              type=click.IntRange(min=1),
-              help="Candidate cloud size for separated-set estimates.")
-@click.pass_obj
+@_options(_Option("--system", [*_SYSTEMS, "reeb-solid-torus", "hyperbolic"], "cat"),
+          _Option("--what", ["htop", "hvol", "gamma"], "gamma"),
+          _Option("--horizon", int,
+                  help="Steps or radius [default: 48; 8 for htop]."),
+          _Option("--delta", default="0.3,0.2"),
+          _Option("--cloud", int, 20000, lo=1,
+                  help="Candidate cloud size for separated-set estimates."))
 def estimate(config, system, what, horizon, delta, cloud):
     """Finite-horizon entropy and norm-growth estimates."""
     from . import entropy_estimators as ee
@@ -506,6 +597,10 @@ def estimate(config, system, what, horizon, delta, cloud):
     _emit(config, rows, system=system, what=what, horizon=horizon,
           delta=delta, cloud=cloud)
 
+
+# the subcommands by name, as `entropia --help` lists them
+COMMANDS = {command.__name__: command for command in (
+    bodies, bounds, collapse, constants, estimate, sl3, spectrum, verovic)}
 
 if __name__ == "__main__":
     main()

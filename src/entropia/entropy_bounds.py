@@ -4,11 +4,30 @@ Every constant that is also reported numerically in the literature is
 computed twice here: once from its closed form (in the log domain whenever
 factorials appear) and once by an independent quadrature or Monte Carlo
 route.  The dual-path discipline is the module's core correctness check.
-numpy is imported only where a quadrature or Monte Carlo check runs.
+numpy is imported only where the Monte Carlo check runs.
 """
 
 import math
-from dataclasses import dataclass, field
+
+
+def gauss_legendre(nodes: int) -> list:
+    """[(x, w)] of the `nodes`-point Gauss-Legendre rule on [-1, 1], x
+    ascending: Newton's method on P_n from x = -cos(pi (i + 3/4) / (n + 1/2)),
+    P_n and P_n' by the three-term recurrence."""
+    rule = []
+    for i in range(nodes):
+        x = -math.cos(math.pi * (i + 0.75) / (nodes + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x  # P_{k-1}(x), P_k(x)
+            for k in range(2, nodes + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = nodes * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return rule
 
 
 class integrate:
@@ -22,11 +41,9 @@ class integrate:
     def quad(f, a: float, b: float, nodes: int) -> float:
         """int_a^b f by the `nodes`-point rule, exact for polynomials of
         degree below 2 nodes; f is called once per node with a float."""
-        import numpy as np
-
-        x, w = np.polynomial.legendre.leggauss(nodes)
         half = 0.5 * (b - a)
-        return half * float(np.dot(w, [f(a + half * (t + 1.0)) for t in x]))
+        return half * sum(w * f(a + half * (x + 1.0))
+                          for x, w in gauss_legendre(nodes))
 
 
 # Gauss-Legendre nodes: the k <= 3 Weyl integrands are polynomials of degree
@@ -62,19 +79,15 @@ WEYL_MC_SAMPLES = 10_000_000
 WEYL_MC_STRATA = 32
 
 
-@dataclass
 class BoundReport:
     """One computed bound or constant, ready for CSV/JSON emission."""
 
-    name: str
-    value: float
-    inputs: dict = field(default_factory=dict)
-    formula_id: str = ""
-    tolerance: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise BoundsError(f"non-finite value in report {self.name}")
+    def __init__(self, name: str, value: float, inputs: dict, formula_id: str,
+                 tolerance: float):
+        if not math.isfinite(value):
+            raise BoundsError(f"non-finite value in report {name}")
+        self.name, self.value, self.inputs = name, value, inputs
+        self.formula_id, self.tolerance = formula_id, tolerance
 
 
 # ----------------------------------------------------------------- floors

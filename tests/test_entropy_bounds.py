@@ -128,6 +128,20 @@ def test_hexagon_rule_matches_closed_form():
     assert abs(entropy_bounds._hexagon_r3_integral() - closed) <= 1e-13
 
 
+def test_gauss_legendre_matches_numpy():
+    # numpy's leggauss: eigenvalues of the companion matrix, one Newton step
+    # and weights normalised to sum 2.  Its weights are the coarser ones,
+    # about 1e-13 relative at 24 nodes and 1e-12 at 64 (against 1e-14 and
+    # 1e-13 here, both checked with 40-digit arithmetic)
+    import numpy as np
+
+    for nodes in range(1, 65):
+        x, w = np.array(entropy_bounds.gauss_legendre(nodes)).T
+        x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
+        assert np.abs(x - x_ref).max() <= 4e-16, nodes
+        assert (np.abs(w - w_ref) / w_ref).max() <= 5e-12, nodes
+
+
 def test_coarse_rules_fail_the_dual_path_checks(monkeypatch):
     # the closed-form checks must be able to fail: a 2-node hexagon rule is
     # 2.6% off, a 1-node Weyl rule misses the degree-3 k = 2 integrand

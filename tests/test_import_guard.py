@@ -1,15 +1,17 @@
 """scipy stays off `import entropia.cli` and every command but `bodies` on
 a body of dimension >= 4; numpy stays off `import entropia.cli` and the
-closed-form commands `constants`, `bounds`, `verovic` and `spectrum`.
+closed-form commands `constants`, `bounds`, `verovic`, `sl3` and
+`spectrum`, and `dataclasses` off those five too; click loads nowhere.
 
 Each check starts a fresh interpreter, so no module imported by another
 test can hide an import.  Planar hulls are a numpy monotone chain, spatial
-ones a numpy quickhull, and the Weyl and hexagon checks of `sl3` and the
-solid-torus volume of `collapse` are fixed Gauss-Legendre rules from numpy;
-only a body of dimension >= 4 imports scipy, for its Halton direction grid
-(`scipy.stats`) and its qhull hull (`scipy.spatial`), where they run.  The CLI
-imports each layer, and with it numpy, inside the commands that run it,
-so numpy loads with `sl3`, `bodies`, `collapse` and `estimate` only.  The
+ones a numpy quickhull, and the solid-torus volume of `collapse` is a fixed
+Gauss-Legendre rule from numpy; the Weyl and hexagon checks of `sl3` are
+Gauss-Legendre rules whose nodes are computed in pure Python.  Only a body
+of dimension >= 4 imports scipy, for its Halton direction grid
+(`scipy.stats`) and its qhull hull (`scipy.spatial`), where they run.  The
+CLI imports each layer, and with it numpy, inside the commands that run
+it, so numpy loads with `bodies`, `collapse` and `estimate` only.  The
 assertions are on module sets only, never on timings.
 """
 
@@ -56,6 +58,22 @@ def _body_file(tmp_path, name, body):
     return str(path)
 
 
+CLOSED_FORM = [
+    ["constants"],
+    ["bounds"],
+    ["verovic"],
+    ["sl3"],
+    ["spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "1", "--c", "2.0"],
+]
+
+
+def _assert_none_load(package, commands):
+    report = _fresh_run(*commands, package=package)
+    assert report["import"] == []
+    for argv in commands:
+        assert report[" ".join(argv)] == [0, []], argv
+
+
 def test_cli_import_and_short_commands_load_no_scipy(tmp_path):
     square = StarBody.from_radial_function(
         2, lambda d: 1.0 / np.abs(d).max(axis=1))
@@ -71,10 +89,7 @@ def test_cli_import_and_short_commands_load_no_scipy(tmp_path):
         ["bodies", "--body",
          _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))],
     ]
-    report = _fresh_run(*commands)
-    assert report["import"] == []
-    for argv in commands:
-        assert report[" ".join(argv)] == [0, []], argv
+    _assert_none_load("scipy", commands)
 
 
 def test_4d_body_imports_scipy_spatial_and_succeeds(tmp_path):
@@ -88,13 +103,20 @@ def test_4d_body_imports_scipy_spatial_and_succeeds(tmp_path):
 
 
 def test_cli_import_and_closed_form_commands_load_no_numpy():
-    commands = [
-        ["constants"],
-        ["bounds"],
-        ["verovic"],
-        ["spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "1", "--c", "2.0"],
-    ]
-    report = _fresh_run(*commands, package="numpy")
-    assert report["import"] == []
-    for argv in commands:
-        assert report[" ".join(argv)] == [0, []], argv
+    _assert_none_load("numpy", CLOSED_FORM)
+
+
+def test_cli_import_and_closed_form_commands_load_no_dataclasses():
+    _assert_none_load("dataclasses", CLOSED_FORM)
+
+
+def test_no_command_loads_click(tmp_path):
+    _assert_none_load("click", [
+        *CLOSED_FORM,
+        ["estimate", "--system", "cat", "--what", "htop", "--cloud", "50",
+         "--horizon", "2", "--delta", "0.3"],
+        ["collapse", "--steps", "2", "--returns", "2", "--horizon", "8",
+         "--grid", "16"],
+        ["bodies", "--body",
+         _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))],
+    ])

@@ -4,7 +4,7 @@ unit tests reach builds up unseen otherwise.
 
 Public means a module-level function whose name has no leading
 underscore, or such a method of any module-level class, private classes
-included; click commands and properties are skipped.  A reference is a name, an attribute
+included; properties are skipped.  A reference is a name, an attribute
 or an imported name anywhere in src/ or in tests/test_acceptance.py, so a
 method counts as reached when any attribute of that name is used.  A
 package's `__init__.py` only re-exports, so its imports are not
@@ -28,11 +28,7 @@ ALLOWED = {
 
 
 def _skipped(node) -> bool:
-    for deco in node.decorator_list:
-        name = ast.unparse(deco.func if isinstance(deco, ast.Call) else deco)
-        if name == "property" or name.startswith("click.") or name.endswith(".command"):
-            return True
-    return False
+    return any(ast.unparse(deco) == "property" for deco in node.decorator_list)
 
 
 def _public_definitions():
