@@ -3,7 +3,8 @@ seeds and CSV/JSON emission.
 
 argparse is the only argument layer.  Each option is declared once, as an
 _Option beside its subcommand: its type, bounds and default, which
-`--help` prints, and click's wording for a value it rejects.  Rules that
+`--help` prints.  A rejected value is reported in the words of the
+click-based CLI before it, which the tests pin.  Rules that
 tie options together, and the `--n`/`--genus`/`--delta` lists, are checked
 in the subcommands.  `--tol fit=X` sets the volume-fit tolerance and goes
 with `collapse` only.
@@ -72,7 +73,7 @@ class RunConfig:
     typed option values in args.  `given` holds the subcommand options
     given on the command line."""
 
-    def __init__(self, subcommand: str, seed: int, out, fmt: str, given=()):
+    def __init__(self, subcommand: str, seed: int, out, fmt: str, given: set):
         self.subcommand, self.seed, self.out, self.fmt = subcommand, seed, out, fmt
         self.given = given
         self.args = {}
