@@ -17,7 +17,8 @@ time); any other error ends in a traceback.  All output is deterministic
 for a fixed (argv, seed).
 
 Importing this module loads no layer: each command imports what it runs,
-so `constants`, `bounds`, `verovic`, `sl3` and `spectrum` load no numpy.
+so `constants`, `bounds`, `verovic`, `sl3`, `spectrum` and `estimate
+--what hvol` load no numpy.
 """
 
 import argparse
@@ -121,7 +122,7 @@ def _emit(config: RunConfig, rows: list, **args):
 _LAYER_ERRORS = [
     (".convex_body", "BodyBudgetExceeded", 1),
     (".entropy_estimators", "BudgetExceeded", 1),
-    (".entropy_estimators", "EstimatorError", 2),
+    (".entropy_bounds", "EstimatorError", 2),
     (".reeb_collapse.forms", "FormsError", 2),
     (".reeb_collapse.profiles", "ProfileError", 2),
 ]
@@ -450,15 +451,22 @@ def _body_rows(star) -> list:
                      "formula_id": formula, "tolerance": tol})
 
     vol_method = "exact2d" if star.dim == 2 else "radial_quadrature"
+    top = float(star.radial.max())
     with np.errstate(over="ignore", invalid="ignore"):
         vol = _this.volume(star, vol_method)
     if vol == 0.0:
-        raise DegenerateBody(f"the {vol_method} volume is 0: the samples span "
-                             "no volume")
+        # no volume at all, or one that underflows: rescaled to radial up
+        # to 1, a body that spans a volume has one
+        if _this.volume(star.scaled(1.0 / top), vol_method) == 0.0:
+            raise DegenerateBody(f"the {vol_method} volume is 0: the samples "
+                                 "span no volume")
+        raise BodyError(f"the {vol_method} volume of radial up to {top:.3g} "
+                        "underflows to 0")
     # the hulls and ellipsoid fits take determinants that scale as vol^2
     if not sys.float_info.min < vol * vol < math.inf:
         raise BodyError(f"the {vol_method} volume {vol:.3g} of radial up to "
-                        f"{star.radial.max():.3g} squared leaves the float range")
+                        f"{top:.3g} squared leaves the float range: it "
+                        f"{'underflows' if vol < 1.0 else 'overflows'}")
     add("volume", vol, vol_method, 0.0)
     sigma, _ = _this.sigma_starshapedness(star)
     add("sigma_upper", sigma, "sigma_starshapedness", 0.0)
@@ -466,10 +474,10 @@ def _body_rows(star) -> list:
         add("theta", _this.irreversibility_ratio(star), "irreversibility_ratio", 0.0)
         outer = _this.outer_loewner(star)
         add("outer_loewner_volume", outer.volume, "outer_loewner", 1e-6)
-        if star.is_symmetric(tol=1e-7):
-            inner = _this.inner_loewner(star)
-            add("inner_loewner_volume", inner.volume, "inner_loewner", 1e-6)
         dual = _this.polar_dual(star)
+        if star.is_symmetric(tol=1e-7):
+            inner = _this.inner_loewner(star, dual)
+            add("inner_loewner_volume", inner.volume, "inner_loewner", 1e-6)
         add("santalo_product",
             vol * _this.volume(dual, vol_method),
             "santalo", 1e-3)
@@ -541,8 +549,6 @@ _SYSTEMS = ("cat", "rotation", "doubling")
                   help="Candidate cloud size for separated-set estimates."))
 def estimate(config, system, what, horizon, delta, cloud):
     """Finite-horizon entropy and norm-growth estimates."""
-    from . import entropy_estimators as ee
-
     if horizon is None:
         horizon = 8 if what == "htop" else 48
     try:
@@ -558,8 +564,12 @@ def estimate(config, system, what, horizon, delta, cloud):
         if not 1 <= horizon <= _MAX_RADIUS:
             raise UsageError(f"hvol needs --horizon 1 or more, up to "
                              f"{_MAX_RADIUS}, got {horizon}")
-        est = ee.hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
+        from .entropy_bounds import hvol_ball_growth
+
+        est = hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
     else:
+        from . import entropy_estimators as ee
+
         if system == "reeb-solid-torus":
             from .reeb_collapse import build_profiles
             from .reeb_collapse.sweep import solid_torus_system

@@ -127,15 +127,22 @@ class StarBody:
 
     @classmethod
     def from_json(cls, obj) -> "StarBody":
-        """Strict inverse of to_json: dim an integral number from 2 to
-        MAX_BALL_DIM, radial, and optional directions, a centrally symmetric
-        grid of unit vectors; no other key."""
+        """Strict inverse of to_json: an object with dim, an integral number
+        from 2 to MAX_BALL_DIM, radial, a list of numbers, and optional
+        directions, a centrally symmetric grid of unit vectors; no other
+        key.  Booleans are no numbers."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        dim = obj["dim"]
+        if not isinstance(obj, dict):
+            raise BodyError("a body is an object with the keys dim and radial, "
+                            f"got {type(obj).__name__}")
+        missing = [key for key in ("dim", "radial") if key not in obj]
+        if missing:
+            raise BodyError(f"missing body key(s) {missing}")
         unknown = sorted(set(obj) - {"dim", "radial", "directions"})
         if unknown:
             raise BodyError(f"unknown body key(s) {unknown}")
+        dim = obj["dim"]
         if type(dim) not in (int, float) or dim % 1:
             raise UnsupportedDim(f"dim must be an integer, got {dim!r}")
         dim = int(dim)
@@ -144,7 +151,17 @@ class StarBody:
         if dim > MAX_BALL_DIM:
             raise UnsupportedDim(f"dim must be at most {MAX_BALL_DIM}, where the "
                                  f"unit-ball volume leaves the float range, got {dim}")
-        radial = np.asarray(obj["radial"], dtype=float)
+        radial = obj["radial"]
+        if not isinstance(radial, list):
+            raise BodyError(f"radial must be a list of numbers, got "
+                            f"{type(radial).__name__}")
+        for i, r in enumerate(radial):
+            if type(r) not in (int, float):
+                raise BodyError(f"radial[{i}] must be a number, got {r!r}")
+        try:
+            radial = np.array(radial, dtype=float)
+        except OverflowError:
+            raise BodyError("radial holds an integer past the float range") from None
         if obj.get("directions") is None:
             return cls(dim, sphere_grid(dim, len(radial)), radial)
         body = cls(dim, np.asarray(obj["directions"], dtype=float), radial)
@@ -203,10 +220,13 @@ def grid_tolerance(body: StarBody) -> float:
 
 class Hull(NamedTuple):
     """conv(points): facet rows (a, b) of a.x + b <= 0, a unit and outward,
-    and the indices of the points that are its vertices."""
+    the indices of the points that are its vertices, and, where the hull's
+    certificate measured them, the distances of the other points below its
+    boundary (min over facets of -(a.x + b)), in index order."""
 
     equations: np.ndarray
     vertices: np.ndarray
+    depth: np.ndarray | None = None
 
 
 def _planar_hull_vertices(points: np.ndarray) -> np.ndarray:
@@ -300,8 +320,8 @@ def _initial_tetrahedron(points: np.ndarray, tol: float) -> np.ndarray:
 
 def _spatial_facets(points: np.ndarray):
     """The facets of conv(points) in R^3 as rows of point indices, counter-
-    clockwise seen from outside, and their equations; None when the result
-    fails its certificate.
+    clockwise seen from outside, and the Hull, which keeps the certificate's
+    depths; None when the result fails its certificate.
 
     Quickhull (Barber, Dobkin and Huhdanpaa 1996), run in rounds so that
     numpy does the work of many insertions at once.
@@ -445,17 +465,20 @@ def _spatial_facets(points: np.ndarray):
     if (np.einsum("ij,ij->i", points[across], np.repeat(normal, 3, axis=0))
             + np.repeat(offset, 3)).max() > slack or depth.min(initial=0.0) < -slack:
         return None
-    return tri, np.hstack([normal, offset[:, None]])
+    return tri, Hull(np.hstack([normal, offset[:, None]]), np.unique(tri), depth)
 
 
 def _qhull(points: np.ndarray) -> Hull:
     """scipy's ConvexHull of the points; a cloud that qhull rejects raises
-    DegenerateBody."""
+    DegenerateBody, in the quickhull's words when the cloud is flat."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(points)
     except QhullError as exc:
+        if np.linalg.matrix_rank(points - points[0]) < points.shape[1]:
+            raise DegenerateBody("point cloud is degenerate: its points lie "
+                                 "in a hyperplane") from exc
         # qhull's first line names the error; the rest is a manual
         reason = str(exc).strip().splitlines()[0]
         raise DegenerateBody(f"point cloud is degenerate: {reason}") from exc
@@ -481,10 +504,7 @@ def _convex_hull(points: np.ndarray) -> Hull:
     if dim == 2:
         return _planar_hull(points)
     facets = _spatial_facets(points) if dim == 3 else None
-    if facets is None:
-        return _qhull(points)
-    tri, equations = facets
-    return Hull(equations, np.unique(tri))
+    return _qhull(points) if facets is None else facets[1]
 
 
 def _sample_hull(body: "StarBody") -> Hull:
@@ -519,17 +539,19 @@ def hull_radial(points: np.ndarray, directions: np.ndarray,
 def is_convex(body: StarBody) -> bool:
     """All sampled boundary points lie on the boundary of their convex hull
     (within EPS_HULL_REL times the diameter).  The hull's vertices lie on it,
-    so only the other samples are measured."""
+    so only the other samples are measured, unless the hull's certificate
+    already measured them."""
     if body.convex_flag is not None:
         return body.convex_flag
     hull = _sample_hull(body)
-    rest = np.ones(len(body.radial), dtype=bool)
-    rest[hull.vertices] = False
-    pts = body.points[rest]
+    depth = hull.depth
+    if depth is None:
+        rest = np.ones(len(body.radial), dtype=bool)
+        rest[hull.vertices] = False
+        A, b = hull.equations[:, :-1], hull.equations[:, -1]
+        # distance of each sample to the hull boundary (inside by definition)
+        depth = _min_over_facets(body.points[rest], A, lambda prod: -prod - b[None, :])
     diam = 2.0 * float(body.radial.max())
-    A, b = hull.equations[:, :-1], hull.equations[:, -1]
-    # distance of each sample to the hull boundary (samples are inside by def)
-    depth = _min_over_facets(pts, A, lambda prod: -prod - b[None, :])
     ok = bool(depth.max(initial=0.0) <= max(EPS_HULL_REL * diam, 1e-12))
     body.convex_flag = ok
     return ok
@@ -714,18 +736,20 @@ def outer_loewner(body: StarBody) -> Ellipsoid:
     return ell
 
 
-def inner_loewner(body: StarBody) -> Ellipsoid:
+def inner_loewner(body: StarBody, dual: StarBody | None = None) -> Ellipsoid:
     """Maximum-volume centered inscribed ellipsoid of a symmetric convex body.
 
     Computed by polarity: the polar of the outer Loewner ellipsoid of the
-    polar body.  Asserts John's sandwich E <= K <= sqrt(n) E on the samples
-    up to the grid tolerance.
+    polar body.  `dual`, polar_dual(body) when the caller has built it,
+    is used for a symmetric body.  Asserts John's sandwich E <= K <=
+    sqrt(n) E on the samples up to the grid tolerance.
     """
     _require_convex(body)
     work = body
     if not body.is_symmetric(tol=1e-7):
-        work = reflection_body(body)
-    dual = polar_dual(work)
+        work, dual = reflection_body(body), None
+    if dual is None:
+        dual = polar_dual(work)
     ell = outer_loewner(dual).polar()
     tol = grid_tolerance(work)
     r_e = ell.radial(work.directions)
@@ -817,8 +841,16 @@ def sigma_starshapedness(body: StarBody):
     With C = conv(K) one has K <= C, so sigma_- = 1 and
     sigma_upper = max_u radial_C(u) / radial_K(u).  Returns the bound and
     the witness body C.  Equals 1 exactly when K is convex.
+
+    Along the direction of a sample that is a vertex of C, radial_C is the
+    sample's own radius, so only the other directions are cast (none, when
+    every sample is a vertex; the cast still checks the origin).
     """
-    rad_c = hull_radial(body.points, body.directions, _sample_hull(body))
+    hull = _sample_hull(body)
+    rad_c = body.radial.copy()
+    cast = np.ones(len(rad_c), dtype=bool)
+    cast[hull.vertices] = False
+    rad_c[cast] = hull_radial(body.points, body.directions[cast], hull)
     witness = StarBody(body.dim, body.directions, rad_c, convex_flag=True)
     sigma_upper = float((rad_c / body.radial).max())
     return max(sigma_upper, 1.0), witness

@@ -4,7 +4,9 @@ Every constant that is also reported numerically in the literature is
 computed twice here: once from its closed form (in the log domain whenever
 factorials appear) and once by an independent quadrature or Monte Carlo
 route.  The dual-path discipline is the module's core correctness check.
-numpy is imported only where the Monte Carlo check runs.
+The volume entropy of closed-form ball volumes lives here too, as it needs
+nothing but `math`.  numpy is imported only where the Monte Carlo check
+runs.
 """
 
 import math
@@ -312,6 +314,74 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
 def spectrum_value(v_bar: float, h: float, n: int, delta: float) -> float:
     """f(delta) = (v_bar + delta^-(n+1))^(1/(n+1)) h."""
     return (v_bar + _power(delta, -(n + 1))) ** (1.0 / (n + 1)) * h
+
+
+# ------------------------------------------------------------- ball growth
+
+class EstimatorError(Exception):
+    """A growth estimate that cannot be formed; the base of the errors of
+    entropy_estimators."""
+
+
+class GrowthEstimate:
+    """A growth rate: the slope `value` of a least-squares line through
+    `samples` points up to `horizon`, the line's RMS `fit_residual`, and
+    for a separated-set estimate its `delta`."""
+
+    def __init__(self, value: float, horizon: float, samples: int,
+                 fit_residual: float, delta: float | None = None):
+        if not math.isfinite(value):
+            raise EstimatorError("non-finite growth estimate")
+        self.value, self.horizon, self.samples = value, horizon, samples
+        self.fit_residual, self.delta = fit_residual, delta
+
+    def __eq__(self, other):
+        return type(other) is GrowthEstimate and vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        return f"GrowthEstimate({fields})"
+
+
+def _log_ball_volume(geometry, r: float) -> float:
+    """log Vol(B_r); 2 pi (cosh r - 1) = pi e^r (1 - e^-r)^2 stays finite."""
+    kind = geometry[0]
+    if kind == "hyperbolic":
+        return math.log(math.pi) + r + 2.0 * math.log1p(-math.exp(-r))
+    if kind == "euclidean":
+        return math.log(math.pi) + 2.0 * math.log(r)
+    if kind == "scaled":
+        _, c, inner = geometry
+        return _log_ball_volume(inner, r / c)
+    raise EstimatorError(f"unknown geometry {geometry!r}")
+
+
+def _tail_line(xs, ys):
+    """(slope, RMS residual) of the least-squares line through the points
+    with x >= xs[-1] / 2, in closed form about the means."""
+    tail = [(x, y) for x, y in zip(xs, ys) if x >= xs[-1] / 2.0]
+    n = len(tail)
+    x_bar = math.fsum(x for x, _ in tail) / n
+    y_bar = math.fsum(y for _, y in tail) / n
+    slope = (math.fsum((x - x_bar) * (y - y_bar) for x, y in tail)
+             / math.fsum((x - x_bar) ** 2 for x, _ in tail))
+    resid = math.fsum((slope * (x - x_bar) - (y - y_bar)) ** 2 for x, y in tail)
+    return slope, math.sqrt(resid / n)
+
+
+def hvol_ball_growth(geometry, r_max: float) -> GrowthEstimate:
+    """Volume entropy from closed-form ball volumes: slope of log Vol(B_R)
+    over [R_max/2, R_max], sampled at 200 evenly spaced radii from R_max/4
+    (numpy's linspace rule, the last radius exactly R_max).
+
+    geometry: ("hyperbolic",) curvature -1 plane, ("euclidean",), or
+    ("scaled", c, inner) using B(cF, R) = B(F, R/c).
+    """
+    lo = r_max / 4.0
+    step = (r_max - lo) / 199
+    r = [i * step + lo for i in range(199)] + [r_max]
+    slope, resid = _tail_line(r, [_log_ball_volume(geometry, x) for x in r])
+    return GrowthEstimate(slope, float(r_max), len(r), resid)
 
 
 # -------------------------------------------------------------- reporting

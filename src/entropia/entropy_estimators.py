@@ -1,6 +1,7 @@
 """Finite-horizon estimators for topological entropy (separated orbit
-sets), volume entropy (ball growth) and norm growth, plus the inequality
-checks that tie them together (Manning, dim * Gamma, Ohno time change).
+sets), volume entropy (ball growth, from entropy_bounds) and norm growth,
+plus the inequality checks that tie them together (Manning, dim * Gamma,
+Ohno time change).
 
 Estimator discipline: every estimate is the slope of a least-squares line
 through the tail half of the horizon, with the fit residual reported.  No
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class EstimatorError(Exception):
-    pass
+# the growth record and the ball-growth rule need no numpy, so they live
+# in entropy_bounds; hvol_ball_growth is re-exported under its old name
+from .entropy_bounds import EstimatorError, GrowthEstimate, hvol_ball_growth
 
 
 class BudgetExceeded(EstimatorError):
@@ -32,21 +33,11 @@ HTOP_PAIRS = 16_384       # near pairs a separated-set block holds at once
 FD_STEP = 1e-6
 
 
-@dataclass
-class GrowthEstimate:
-    value: float
-    horizon: float
-    samples: int
-    fit_residual: float
-    delta: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise EstimatorError("non-finite growth estimate")
-
-
 def _tail_slope(xs, ys):
-    """Least-squares slope over the tail half of the horizon."""
+    """Least-squares slope over the tail half of the horizon.
+
+    entropy_bounds fits the ball growth in closed form; this lstsq stays
+    for gamma and htop, whose pinned estimates depend on its bits."""
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     tail = xs >= xs[-1] / 2.0
@@ -626,33 +617,6 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
     if return_counts:
         return best, all_counts
     return best
-
-
-# ------------------------------------------------------------- ball growth
-
-def _log_ball_volume(geometry, r):
-    """log Vol(B_r); 2 pi (cosh r - 1) = pi e^r (1 - e^-r)^2 stays finite."""
-    kind = geometry[0]
-    if kind == "hyperbolic":
-        return math.log(math.pi) + r + 2.0 * np.log1p(-np.exp(-r))
-    if kind == "euclidean":
-        return math.log(math.pi) + 2.0 * np.log(r)
-    if kind == "scaled":
-        _, c, inner = geometry
-        return _log_ball_volume(inner, r / c)
-    raise EstimatorError(f"unknown geometry {geometry!r}")
-
-
-def hvol_ball_growth(geometry, r_max: float) -> GrowthEstimate:
-    """Volume entropy from closed-form ball volumes: slope of log Vol(B_R)
-    over [R_max/2, R_max], sampled at 200 radii from R_max/4.
-
-    geometry: ("hyperbolic",) curvature -1 plane, ("euclidean",), or
-    ("scaled", c, inner) using B(cF, R) = B(F, R/c).
-    """
-    r = np.linspace(r_max / 4.0, r_max, 200)
-    slope, resid = _tail_slope(r, _log_ball_volume(geometry, r))
-    return GrowthEstimate(slope, float(r_max), len(r), resid)
 
 
 # ---------------------------------------------------------------- reports

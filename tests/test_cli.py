@@ -335,7 +335,17 @@ def test_validation_failure_is_one_line(args, text):
 @pytest.mark.parametrize("content, text", [
     (None, "FileNotFoundError"),
     ("not json", "JSONDecodeError"),
-    ('{"dim": 2}', "KeyError: 'radial'"),
+    # a body is an object with the keys dim and radial
+    ("3", "BodyError: a body is an object with the keys dim and radial, got int"),
+    ('"ball"', "BodyError: a body is an object with the keys dim and radial, got str"),
+    ('{"dim": 2}', "BodyError: missing body key(s) ['radial']"),
+    ('{"radial": [1.0, 1.0, 1.0, 1.0]}', "BodyError: missing body key(s) ['dim']"),
+    # radial is a list of numbers, and booleans are none, as for dim
+    ('{"dim": 2, "radial": [true, true, true, true]}',
+     "BodyError: radial[0] must be a number, got True"),
+    ('{"dim": 2, "radial": 1.0}', "BodyError: radial must be a list of numbers, got float"),
+    ('{"dim": 2, "radial": [1.0, 1.0, 1.0, 1' + "0" * 400 + ']}',
+     "BodyError: radial holds an integer past the float range"),
     ('{"dim": 2, "radial": [1.0, 0.0, 1.0, 1.0]}', "OriginNotInterior"),
     ('{"dim": 1, "radial": [1.0, 2.0]}', "UnsupportedDim: dim must be at least 2"),
     # dim is an integral, finite number, and only the three keys are read
@@ -396,6 +406,25 @@ def test_overflowing_body_volume_is_validation_failure(tmp_path, dim, n,
     path.write_text(json.dumps({"dim": dim, "radial": [radial] * n}))
     _one_line_error(run_cli("bodies", "--body", str(path)), 2,
                     f"bodies: BodyError: {text} squared leaves the float range")
+
+
+@pytest.mark.parametrize("body, text", [
+    # samples that span a volume too small for a float
+    pytest.param({"dim": 2, "radial": [1e-300] * 720},
+                 "BodyError: the exact2d volume of radial up to 1e-300 underflows to 0",
+                 id="radial-1e-300-plane"),
+    pytest.param({"dim": 341, "radial": [1.0] * 4},
+                 "BodyError: the radial_quadrature volume 6.12e-224 of radial up to 1 "
+                 "squared leaves the float range: it underflows", id="4-samples-341d"),
+    # four antipodal pairs span no 5-space; qhull is not left to say so
+    pytest.param({"dim": 5, "radial": [1.0] * 8},
+                 "DegenerateBody: point cloud is degenerate: its points lie in a "
+                 "hyperplane", id="8-samples-5d"),
+])
+def test_degenerate_body_is_validation_failure(tmp_path, body, text):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body))
+    _one_line_error(run_cli("bodies", "--body", str(path)), 2, f"bodies: {text}")
 
 
 def test_zero_volume_body_is_degenerate(tmp_path):

@@ -875,6 +875,36 @@ def test_sigma_four_spike_star_matches_hull_oracle():
     assert abs(sigma - oracle) < 5e-3 * oracle
 
 
+def _full_cast(body):
+    """sigma_upper and the witness radial with every grid direction cast
+    against the hull of the samples."""
+    rad_c = hull_radial(body.points, body.directions)
+    return max(float((rad_c / body.radial).max()), 1.0), rad_c
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_convex_polygon(np.random.default_rng(7)),
+    lambda: spiky_star(),
+    lambda: StarBody.ball(3, n=1024),
+], ids=["polygon", "star", "ball3"])
+def test_sigma_matches_the_full_cast(make):
+    # a sample that is a hull vertex is not cast: its ratio is 1
+    body = make()
+    sigma, witness = sigma_starshapedness(body)
+    oracle, rad_c = _full_cast(body)
+    assert abs(sigma - oracle) <= 1e-13
+    assert np.all(np.abs(witness.radial - rad_c) <= 1e-13 * rad_c)
+
+
+@pytest.mark.parametrize("body", [StarBody.ball(2), StarBody.ball(3, n=4096)],
+                         ids=["disk", "ball3-4096"])
+def test_sigma_of_a_ball_is_exactly_one(body):
+    # every sample is a hull vertex, so no ray is cast and no rounding enters
+    sigma, witness = sigma_starshapedness(body)
+    assert sigma == 1.0
+    assert np.array_equal(witness.radial, body.radial)
+
+
 def test_sigma_scale_invariant():
     star = spiky_star()
     s1, _ = sigma_starshapedness(star)

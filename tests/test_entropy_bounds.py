@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from entropia.entropy_bounds import (
     TargetBelowRange,
     c_n,
     finsler_floor,
+    hvol_ball_growth,
     katok_bound,
     sl3_constants,
     spectrum_range_left,
@@ -196,3 +199,64 @@ def test_tuner_round_trip(v, h, n, t):
     c = spectrum_range_left(v, h, n) * (1.0 + t)
     delta = spectrum_tuner(v, h, n, c)
     assert abs(spectrum_value(v, h, n, delta) - c) / c <= 1e-12
+
+
+# ---------------------------------------------------------------- ball growth
+
+GEOMETRIES = [("hyperbolic",), ("euclidean",), ("scaled", 2.0, ("hyperbolic",))]
+
+
+def _numpy_log_ball_volume(geometry, r):
+    if geometry[0] == "hyperbolic":
+        return math.log(math.pi) + r + 2.0 * np.log1p(-np.exp(-r))
+    if geometry[0] == "euclidean":
+        return math.log(math.pi) + 2.0 * np.log(r)
+    _, c, inner = geometry
+    return _numpy_log_ball_volume(inner, r / c)
+
+
+def _numpy_hvol(geometry, r_max):
+    """(slope, residual) by the numpy rule that hvol_ball_growth follows
+    without numpy: np.linspace radii and np.linalg.lstsq on the tail half."""
+    r = np.linspace(r_max / 4.0, r_max, 200)
+    y = _numpy_log_ball_volume(geometry, r)
+    tail = r >= r[-1] / 2.0
+    A = np.stack([r[tail], np.ones(int(tail.sum()))], axis=1)
+    coef, *_ = np.linalg.lstsq(A, y[tail], rcond=None)
+    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - y[tail]) ** 2)))
+
+
+def _exact_slope(geometry, r_max):
+    """The least-squares slope, in rational arithmetic, through the tail of
+    the numpy rule's radii and log-volumes."""
+    r = np.linspace(r_max / 4.0, r_max, 200)
+    y = _numpy_log_ball_volume(geometry, r)
+    pts = [(Fraction(a), Fraction(b)) for a, b in zip(r, y) if a >= r_max / 2.0]
+    x_bar = sum(a for a, _ in pts) / len(pts)
+    y_bar = sum(b for _, b in pts) / len(pts)
+    return float(sum((a - x_bar) * (b - y_bar) for a, b in pts)
+                 / sum((a - x_bar) ** 2 for a, _ in pts))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g[0])
+def test_hvol_matches_the_numpy_rule(geometry):
+    # numpy's lstsq misses the least-squares slope of the euclidean
+    # log-volumes, which is about 2 / R, by up to 8.3e-15 relative; the
+    # closed form stays within 2.2e-16 of it (the next test)
+    rel = 1e-14 if geometry == ("euclidean",) else 1e-15
+    for r_max in range(1, 2001):
+        est = hvol_ball_growth(geometry, float(r_max))
+        slope, resid = _numpy_hvol(geometry, float(r_max))
+        assert (est.horizon, est.samples) == (r_max, 200)
+        assert abs(est.value - slope) <= rel * abs(slope), r_max
+        # past 1479 both residuals are rounding noise of about 1e-12
+        if r_max <= 1479:
+            assert abs(est.fit_residual - resid) <= 1e-12, r_max
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=lambda g: g[0])
+def test_hvol_is_the_least_squares_slope(geometry):
+    for r_max in range(1, 2001, 97):
+        exact = _exact_slope(geometry, float(r_max))
+        value = hvol_ball_growth(geometry, float(r_max)).value
+        assert abs(value - exact) <= 1e-15 * abs(exact), r_max

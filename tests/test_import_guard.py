@@ -1,18 +1,20 @@
 """scipy stays off `import entropia.cli` and every command but `bodies` on
 a body of dimension >= 4; numpy stays off `import entropia.cli` and the
-closed-form commands `constants`, `bounds`, `verovic`, `sl3` and
-`spectrum`, and `dataclasses` off those five too; click loads nowhere.
+closed-form commands `constants`, `bounds`, `verovic`, `sl3`, `spectrum`
+and `estimate --what hvol`, and `dataclasses` off those six too; click
+loads nowhere.
 
 Each check starts a fresh interpreter, so no module imported by another
 test can hide an import.  Planar hulls are a numpy monotone chain, spatial
 ones a numpy quickhull, and the solid-torus volume of `collapse` is a fixed
 Gauss-Legendre rule from numpy; the Weyl and hexagon checks of `sl3` are
-Gauss-Legendre rules whose nodes are computed in pure Python.  Only a body
+Gauss-Legendre rules whose nodes are computed in pure Python, and the
+ball growth of `hvol` is a least-squares line in `math`.  Only a body
 of dimension >= 4 imports scipy, for its Halton direction grid
 (`scipy.stats`) and its qhull hull (`scipy.spatial`), where they run.  The
 CLI imports each layer, and with it numpy, inside the commands that run
-it, so numpy loads with `bodies`, `collapse` and `estimate` only.  The
-assertions are on module sets only, never on timings.
+it, so numpy loads with `bodies`, `collapse` and the other `estimate`
+commands only.  The assertions are on module sets only, never on timings.
 """
 
 import json
@@ -64,6 +66,7 @@ CLOSED_FORM = [
     ["verovic"],
     ["sl3"],
     ["spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "1", "--c", "2.0"],
+    ["estimate", "--system", "hyperbolic", "--what", "hvol"],
 ]
 
 
