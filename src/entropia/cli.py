@@ -22,6 +22,7 @@ so `constants`, `bounds`, `verovic`, `sl3`, `spectrum` and `estimate
 """
 
 import argparse
+import gc
 import hashlib
 import importlib
 import io
@@ -179,8 +180,20 @@ def main(args=None, **_):
     """The `entropia` console script: exits with run()'s code on argv, or
     on args.  Also bound as `main.main`, so that the click-style call
     `main.main(args=[...], prog_name="entropia", standalone_mode=False)`
-    keeps working."""
-    sys.exit(run(sys.argv[1:] if args is None else args))
+    keeps working.
+
+    On argv, the process path, the collector is frozen (gc.freeze) before
+    the exit: the interpreter's final collections then skip every object
+    numpy and entropia loaded, all of which the exit tears down anyway.
+    atexit handlers, the stdio flush, the exit code and any traceback are
+    unchanged.  A call with args, like run(), leaves the collector as it
+    is."""
+    if args is not None:
+        sys.exit(run(args))
+    try:
+        sys.exit(run(sys.argv[1:]))
+    finally:
+        gc.freeze()
 
 
 main.main = main
@@ -424,7 +437,8 @@ def bodies(config, body):
         try:
             with open(body) as fh:
                 star = StarBody.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError, BodyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError,
+                BodyError) as exc:
             raise UsageError(
                 f"cannot read --body {body}: {type(exc).__name__}: {exc}") from exc
     else:
@@ -508,7 +522,8 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
         try:
             with open(spec) as fh:
                 mt_spec = MappingTorusSpec.from_json(json.load(fh))
-        except (OSError, ValueError, TypeError, AttributeError, FormsError) as exc:
+        except (OSError, ValueError, TypeError, AttributeError, RecursionError,
+                FormsError) as exc:
             raise UsageError(
                 f"cannot read --spec {spec}: {type(exc).__name__}: {exc}") from exc
     else:

@@ -72,6 +72,21 @@ class UnsupportedDim(BodyError):
     pass
 
 
+def _numbers(key: str, values) -> np.ndarray:
+    """The JSON list values under key as a float array; booleans and
+    strings are no numbers."""
+    if not isinstance(values, list):
+        raise BodyError(f"{key} must be a list of numbers, got "
+                        f"{type(values).__name__}")
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):
+            raise BodyError(f"{key}[{i}] must be a number, got {v!r}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise BodyError(f"{key} holds an integer past the float range") from None
+
+
 @dataclass
 class StarBody:
     """A star-shaped body sampled by its radial function.
@@ -151,20 +166,15 @@ class StarBody:
         if dim > MAX_BALL_DIM:
             raise UnsupportedDim(f"dim must be at most {MAX_BALL_DIM}, where the "
                                  f"unit-ball volume leaves the float range, got {dim}")
-        radial = obj["radial"]
-        if not isinstance(radial, list):
-            raise BodyError(f"radial must be a list of numbers, got "
-                            f"{type(radial).__name__}")
-        for i, r in enumerate(radial):
-            if type(r) not in (int, float):
-                raise BodyError(f"radial[{i}] must be a number, got {r!r}")
-        try:
-            radial = np.array(radial, dtype=float)
-        except OverflowError:
-            raise BodyError("radial holds an integer past the float range") from None
-        if obj.get("directions") is None:
+        radial = _numbers("radial", obj["radial"])
+        directions = obj.get("directions")
+        if directions is None:
             return cls(dim, sphere_grid(dim, len(radial)), radial)
-        body = cls(dim, np.asarray(obj["directions"], dtype=float), radial)
+        if not isinstance(directions, list):
+            raise BodyError(f"directions must be a list of unit vectors, got "
+                            f"{type(directions).__name__}")
+        body = cls(dim, np.array([_numbers(f"directions[{i}]", d)
+                                  for i, d in enumerate(directions)]), radial)
         try:
             antipodal_indices(body.directions)
         except ValueError as exc:
@@ -465,7 +475,8 @@ def _spatial_facets(points: np.ndarray):
     if (np.einsum("ij,ij->i", points[across], np.repeat(normal, 3, axis=0))
             + np.repeat(offset, 3)).max() > slack or depth.min(initial=0.0) < -slack:
         return None
-    return tri, Hull(np.hstack([normal, offset[:, None]]), np.unique(tri), depth)
+    return tri, Hull(np.hstack([normal, offset[:, None]]), np.flatnonzero(~rest),
+                     depth)
 
 
 def _qhull(points: np.ndarray) -> Hull:

@@ -356,6 +356,14 @@ def test_validation_failure_is_one_line(args, text):
     ('{"dim": "2", "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got '2'"),
     ('{"dim": 2, "radial": [1.0, 1.0], "radius": 2}',
      "BodyError: unknown body key(s) ['radius']"),
+    # directions are lists of numbers, and booleans are none, as for radial
+    ('{"dim": 2, "radial": [1, 1, 1, 1], '
+     '"directions": [[true, false], [false, true], [-1, 0], [0, -1]]}',
+     "BodyError: directions[0][0] must be a number, got True"),
+    # a file nested past the parser's recursion limit
+    pytest.param("[" * 100_000 + "]" * 100_000,
+                 "RecursionError: maximum recursion depth exceeded",
+                 id="nested-100000"),
     # past dim 341 Gamma(n/2 + 1) overflows, so the unit-ball volume does
     (json.dumps({"dim": 400, "radial": [1.0] * 64}),
      "UnsupportedDim: dim must be at most 341, where the unit-ball volume"),
@@ -491,10 +499,14 @@ def test_john_sandwich_violation_is_validation_failure(monkeypatch, capsys,
     ({"k_twists": -10 ** 400}, "k_twists must be an integer of size <= 1000000"),
     ({"k_twist": 2}, "FormsError: unknown spec key(s) ['k_twist']"),
     ({"k_twists": 1, "s": 0.01}, "FormsError: unknown spec key(s) ['s']"),
+    # a file nested past the parser's recursion limit, given as its text
+    pytest.param("[" * 100_000 + "]" * 100_000,
+                 "RecursionError: maximum recursion depth exceeded",
+                 id="nested-100000"),
 ])
 def test_bad_spec_fields_are_usage_error(tmp_path, spec, text):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     _one_line_error(run_cli("collapse", "--spec", str(path), "--steps", "2",
                             "--returns", "2", "--horizon", "8", "--grid", "16"),
                     1, text)
@@ -517,6 +529,44 @@ def test_usage_error_in_process_exits_1():
         cli.main.main(args=["collapse", "--steps", "abc"], prog_name="entropia",
                       standalone_mode=False)
     assert info.value.code == 1
+
+
+def test_in_process_calls_leave_the_collector_unfrozen(capsys):
+    import gc
+
+    from entropia import cli
+
+    frozen = gc.get_freeze_count()
+    assert cli.run(["constants", "--n", "2"]) == 0
+    for argv, code in ((["constants", "--n", "2"], 0), (["constants", "--n", "x"], 1)):
+        with pytest.raises(SystemExit) as info:
+            cli.main(args=argv)
+        assert info.value.code == code
+    assert gc.get_freeze_count() == frozen
+
+
+# main() on sys.argv, as the console script calls it, with the freeze
+# count read by an atexit handler, which runs after main's exit
+_FREEZE_PROBE = """
+import atexit, gc, sys
+from entropia import cli
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["constants", "--n", "2"], 0),
+    (["constants", "--n", "x"], 1),
+])
+def test_process_path_freezes_the_collector_before_exit(argv, code):
+    res = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv],
+                         capture_output=True, text=True, env=child_env())
+    assert res.returncode == code
+    assert res.stdout.startswith("name,") == (code == 0)
+    *errors, last = res.stderr.splitlines()
+    assert len(errors) == code
+    assert last.startswith("frozen ") and int(last.split()[1]) > 0
 
 
 # (flag, default or None, range) of each bounded option, by command

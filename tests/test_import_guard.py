@@ -2,7 +2,7 @@
 a body of dimension >= 4; numpy stays off `import entropia.cli` and the
 closed-form commands `constants`, `bounds`, `verovic`, `sl3`, `spectrum`
 and `estimate --what hvol`, and `dataclasses` off those six too; click
-loads nowhere.
+loads nowhere, and `numpy.ma` not in a 3-D `bodies`.
 
 Each check starts a fresh interpreter, so no module imported by another
 test can hide an import.  Planar hulls are a numpy monotone chain, spatial
@@ -103,6 +103,16 @@ def test_4d_body_imports_scipy_spatial_and_succeeds(tmp_path):
     rc, modules = report[" ".join(argv)]
     assert rc == 0
     assert "scipy.spatial" in modules
+
+
+def test_3d_body_loads_no_numpy_ma(tmp_path):
+    # numpy 2's np.unique imports numpy.ma; the quickhull reads its
+    # vertices off a mask instead
+    argv = ["bodies", "--body",
+            _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))]
+    rc, modules = _fresh_run(argv, package="numpy")[" ".join(argv)]
+    assert rc == 0
+    assert "numpy.ma" not in modules
 
 
 def test_cli_import_and_closed_form_commands_load_no_numpy():
