@@ -173,8 +173,12 @@ class StarBody:
         if not isinstance(directions, list):
             raise BodyError(f"directions must be a list of unit vectors, got "
                             f"{type(directions).__name__}")
-        body = cls(dim, np.array([_numbers(f"directions[{i}]", d)
-                                  for i, d in enumerate(directions)]), radial)
+        directions = [_numbers(f"directions[{i}]", d) for i, d in enumerate(directions)]
+        for i, d in enumerate(directions):
+            if len(d) != dim:
+                raise BodyError(f"directions[{i}] must have {dim} numbers, "
+                                f"got {len(d)}")
+        body = cls(dim, np.array(directions), radial)
         try:
             antipodal_indices(body.directions)
         except ValueError as exc:

@@ -360,6 +360,9 @@ def test_validation_failure_is_one_line(args, text):
     ('{"dim": 2, "radial": [1, 1, 1, 1], '
      '"directions": [[true, false], [false, true], [-1, 0], [0, -1]]}',
      "BodyError: directions[0][0] must be a number, got True"),
+    ('{"dim": 2, "radial": [1, 1, 1, 1], '
+     '"directions": [[1, 0], [0, 1, 0], [-1, 0], [0, -1]]}',
+     "BodyError: directions[1] must have 2 numbers, got 3"),
     # a file nested past the parser's recursion limit
     pytest.param("[" * 100_000 + "]" * 100_000,
                  "RecursionError: maximum recursion depth exceeded",
