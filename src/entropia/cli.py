@@ -1,13 +1,13 @@
 """Command-line interface: every module as a subcommand with reproducible
 seeds and CSV/JSON emission.
 
-argparse is the only argument layer.  Each option is declared once, as an
-_Option beside its subcommand: its type, bounds and default, which
-`--help` prints.  A rejected value is reported in the words of the
-click-based CLI before it, which the tests pin.  Rules that
-tie options together, and the `--n`/`--genus`/`--delta` lists, are checked
-in the subcommands.  `--tol fit=X` sets the volume-fit tolerance and goes
-with `collapse` only.
+The `--flag VALUE` grammar is parsed directly, one pass per level.  Each
+option is declared once, as an _Option beside its subcommand: its type,
+bounds and default, which `--help` prints.  A rejected value is reported
+in the words of the click-based CLI before it, which the tests pin.  Rules
+that tie options together, and the `--n`/`--genus`/`--delta` lists, are
+checked in the subcommands.  `--tol fit=X` sets the volume-fit tolerance
+and goes with `collapse` only.
 
 Exit codes: 0 success, 1 usage error (every argument error, a body file
 whose dim is past 341, where the unit-ball volume leaves the float range,
@@ -21,7 +21,6 @@ so `constants`, `bounds`, `verovic`, `sl3`, `spectrum` and `estimate
 --what hvol` load no numpy.
 """
 
-import argparse
 import gc
 import hashlib
 import importlib
@@ -135,34 +134,28 @@ def run(argv) -> int:
     failure propagates."""
     fmt = None  # errors before --format is parsed are plain text
     try:
-        tokens = _glue(argv)
-        at = next((i for i, token in enumerate(tokens)
-                   if not token.startswith("-")), len(tokens))
-        listing = "\n".join(f"  {name:10} {command.__doc__}"
-                            for name, command in COMMANDS.items())
-        top, _ = _parse("entropia", _OPTIONS, tokens[:at],
-                        "Entropy machinery: constants, bounds, bodies, "
-                        "collapse, estimates.",
-                        "COMMAND [ARGS]...", "Commands:\n" + listing)
+        # the subcommand: the first token neither an option nor its value
+        at, flags = 0, {option.flag for option in _OPTIONS}
+        while at < len(argv) and argv[at].startswith("-"):
+            at += 2 if argv[at] in flags else 1
+        top, _ = _parse(None, argv[:at])
         fmt = top["format"]
-        if at == len(tokens):
+        if at >= len(argv):
             raise UsageError("Missing command.")
-        name = tokens[at]
-        command = COMMANDS.get(name)
-        if command is None:
+        name = argv[at]
+        if name not in COMMANDS:
             raise UsageError(f"No such command '{name}'.")
         if top["tol"] is not None and name != "collapse":
             raise UsageError("--tol applies to collapse only")
-        values, given = _parse(f"entropia {name}", command.options,
-                               tokens[at + 1:], command.__doc__)
+        values, given = _parse(name, argv[at + 1:])
         config = RunConfig(name, top["seed"], top["out"], fmt, given)
         if top["tol"] is not None:
             config.args["tol"] = {"fit": top["tol"]}
-        command(config, **values)
+        COMMANDS[name](config, **values)
         return 0
     except SystemExit as exc:  # --help
         return exc.code
-    except (UsageError, argparse.ArgumentError) as exc:
+    except UsageError as exc:
         _fail(fmt, f"usage error: {exc}")
         return 1
     except ValidationFailure as exc:
@@ -232,7 +225,7 @@ class _Option:
         shown = "; ".join(filter(None, [
             "" if default is None else f"default: {default}", self.bounds,
             "required" if required else ""]))
-        self.help = "  ".join(filter(None, [help, shown and f"[{shown}]"]))
+        self.help = " ".join(filter(None, [help, shown and f"[{shown}]"]))
 
     def invalid(self, message) -> UsageError:
         return UsageError(f"Invalid value for '{self.flag}': {message}")
@@ -287,55 +280,61 @@ def _options(*options):
     return declare
 
 
-class _Help(argparse.RawDescriptionHelpFormatter):
-    """argparse's help, opening with click's 'Usage: '."""
-
-    def add_usage(self, usage, actions, groups, prefix=None):
-        super().add_usage(usage, actions, groups, "Usage: ")
-
-
-def _glue(argv) -> list:
-    """argv with each option's value joined to its flag, as in '--c=-2':
-    every option but --help takes one value, which may start with '-', as
-    in click.  The first token left without a leading '-' names the
-    subcommand."""
-    tokens, rest = [], list(argv)
-    while rest:
-        token = rest.pop(0)
-        if (token.startswith("--") and token not in ("--", "--help")
-                and "=" not in token and rest):
-            token += "=" + rest.pop(0)
-        tokens.append(token)
-    return tokens
-
-
-def _parse(prog, options, tokens, about, usage="", epilog=None):
+def _parse(name, tokens):
     """({dest: value} of every option, defaults filled in, {dests given})
-    from tokens; `--help` prints the help and raises SystemExit(0)."""
-    parser = argparse.ArgumentParser(
-        prog=prog, usage=f"%(prog)s [OPTIONS] {usage}".rstrip(),
-        description=about, epilog=epilog, formatter_class=_Help,
-        add_help=False, allow_abbrev=False, exit_on_error=False)
-    group = parser.add_argument_group("Options")
-    for option in options:
-        group.add_argument(option.flag, dest=option.dest, type=option.convert,
-                           metavar=option.metavar, help=option.help)
-    group.add_argument("--help", action="help", help="Show this message and exit.")
-    parsed, extra = parser.parse_known_args(tokens)
-    extra = [token for token in extra if token != "--"]  # ends no positionals
+    from the tokens of subcommand `name`, or of the top level for None.
+    Each option takes one value, after '=' or else the next token, even
+    one starting with '-', as in click; the last one given wins.  Tokens
+    after '--' are extra arguments.  `--help` raises SystemExit(0)."""
+    options = COMMANDS[name].options if name else _OPTIONS
+    known = {option.flag: option for option in options}
+    values, extra = {}, []
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if token == "--":
+            extra += tokens
+        elif flag == "--help":
+            if eq:
+                raise UsageError(f"argument --help: ignored explicit argument {text!r}")
+            sys.stdout.write(_help(name, options))
+            raise SystemExit(0)
+        elif flag not in known:
+            extra.append(token)
+        else:
+            text = text if eq else next(tokens, None)
+            if text is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            values[known[flag].dest] = known[flag].convert(text)
     if extra and extra[0].startswith("-"):
         raise UsageError(f"No such option '{extra[0].partition('=')[0]}'.")
     if extra:
         raise UsageError(f"Got unexpected extra argument ({' '.join(extra)})")
-    values, given = {}, set()
     for option in options:
-        value = getattr(parsed, option.dest)
-        if value is None and option.required:
+        if option.required and option.dest not in values:
             raise UsageError(f"Missing option '{option.flag}'.")
-        if value is not None:
-            given.add(option.dest)
-        values[option.dest] = option.default if value is None else value
-    return values, given
+    return ({option.dest: values.get(option.dest, option.default) for option in options},
+            set(values))
+
+
+def _help(name, options) -> str:
+    """The help: usage, about, then each option with its metavar and help,
+    wrapped at 78 columns from column 24; the top level (`name` None) then
+    lists the subcommands."""
+    import textwrap
+
+    usage, about = (f"entropia {name} [OPTIONS]", COMMANDS[name].__doc__) if name else (
+        "entropia [OPTIONS] COMMAND [ARGS]...",
+        "Entropy machinery: constants, bounds, bodies, collapse, estimates.")
+    lines = [f"Usage: {usage}", "", about, "", "Options:"]
+    for left, right in [*((f"{o.flag} {o.metavar}", o.help) for o in options),
+                        ("--help", "Show this message and exit.")]:
+        first = f"  {left:20}  " if len(left) <= 20 else f"  {left}\n{'':24}"
+        lines.append(first + textwrap.fill(right, 54).replace("\n", "\n" + " " * 24))
+    if not name:
+        lines += ["", "Commands:", *(f"  {command:10} {function.__doc__}"
+                                    for command, function in COMMANDS.items())]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_range(flag: str, text: str) -> list:

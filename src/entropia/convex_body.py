@@ -539,6 +539,12 @@ def _min_over_facets(x: np.ndarray, normals: np.ndarray, value) -> np.ndarray:
     return out
 
 
+def _ray_cast(directions: np.ndarray, normals: np.ndarray, offsets: np.ndarray):
+    """Radial function of {x : <x, normal> <= offset > 0 for every normal}."""
+    return _min_over_facets(directions, normals, lambda denom: np.where(
+        denom > 1e-300, offsets[None, :] / np.where(denom > 0, denom, 1.0), np.inf))
+
+
 def hull_radial(points: np.ndarray, directions: np.ndarray,
                 hull: Hull | None = None) -> np.ndarray:
     """Radial function of conv(points) (origin interior) by facet ray casting;
@@ -547,8 +553,7 @@ def hull_radial(points: np.ndarray, directions: np.ndarray,
     A, b = eq[:, :-1], eq[:, -1]
     if np.any(b >= 0.0):
         raise OriginNotInterior("origin is not interior to the hull")
-    return _min_over_facets(directions, A, lambda denom: np.where(
-        denom > 1e-300, -b[None, :] / np.where(denom > 0, denom, 1.0), np.inf))
+    return _ray_cast(directions, A, -b)
 
 
 def is_convex(body: StarBody) -> bool:
@@ -603,15 +608,11 @@ def difference_body(body: StarBody) -> StarBody:
     grid directions as a safeguard for smooth bodies.
     """
     _require_convex(body)
-    pts = body.points
     normals = _sample_hull(body).equations[:, :-1]
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     cand = np.vstack([normals, -normals, body.directions])
-    h_plus = (pts @ cand.T).max(axis=0)
-    h_minus = (pts @ (-cand.T)).max(axis=0)
-    hsum = h_plus + h_minus
-    rad = _min_over_facets(body.directions, cand, lambda denom: np.where(
-        denom > 1e-12, hsum[None, :] / np.where(denom > 0, denom, 1.0), np.inf))
+    proj = body.points @ cand.T
+    rad = _ray_cast(body.directions, cand, proj.max(axis=0) - proj.min(axis=0))
     return StarBody(body.dim, body.directions, rad, convex_flag=True)
 
 

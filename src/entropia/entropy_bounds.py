@@ -303,6 +303,8 @@ def spectrum_tuner(v_bar: float, h: float, n: int, c: float) -> float:
         raise BoundsError("h must be positive")
     if n < 1:
         raise BoundsError(f"n must be at least 1, got {n}")
+    if c > 0.0 and not math.isfinite(c / h):
+        raise BoundsError(f"c / h = {c} / {h} leaves the float range")
     gap = _power(c / h, n + 1) - v_bar if c > 0.0 else 0.0
     if gap <= 0.0:
         raise TargetBelowRange(

@@ -72,6 +72,10 @@ class NoContactThreshold(FormsError):
     """Trivial monodromy: no contact threshold bounds a default sweep."""
 
 
+class AboveContactThreshold(FormsError):
+    """An s of the sweep above s0, where alpha_s is not a contact form."""
+
+
 # --------------------------------------------------------------- mapping torus
 
 def _chi_first(theta, out=(None, None, None)):
@@ -88,13 +92,6 @@ def _chi_second(u, w):
     """chi'' from u and w of `_chi_first`: the smoothstep's second
     derivative is 420 u^2 (1-u)^2 (1-2u)."""
     return (420.0 / TWO_PI ** 2) * w * w * (1.0 - 2.0 * u)
-
-
-def _chi_derivatives(theta):
-    """chi' and chi'' of the cutoff chi(theta) = smoothstep7(theta / 2 pi)
-    for theta in [0, 2 pi], in closed form."""
-    u, w, chi1 = _chi_first(theta)
-    return chi1, _chi_second(u, w)
 
 
 def _chi(theta):
@@ -139,7 +136,7 @@ class MappingTorusSpec:
     def chi_prime(self, theta):
         theta = np.asarray(theta, float)
         inside = (theta > 0.0) & (theta < TWO_PI)
-        return np.where(inside, _chi_derivatives(theta)[0], 0.0)
+        return np.where(inside, _chi_first(theta)[2], 0.0)
 
     def lam(self, r):
         """Coefficient of dx in the primitive lambda."""

@@ -7,6 +7,7 @@ from ..entropy_estimators import DiscreteSystem, check_gamma_budget, gamma_plus
 from .forms import (
     S_SCAN_CAP,
     TWO_PI,
+    AboveContactThreshold,
     MappingTorusField,
     MappingTorusSpec,
     NoContactThreshold,
@@ -210,7 +211,8 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
 
     Returns (rows, fit, meta).  Deterministic given (spec, seed).
     Without s_list the sweep runs up to the contact threshold s1; a spec
-    whose threshold is the scan cap (k_twists 0) raises NoContactThreshold.
+    whose threshold is the scan cap (k_twists 0) raises NoContactThreshold;
+    an s above s0 raises AboveContactThreshold after the volumes.
     The mapping-torus Gamma of every s comes from one `gamma_plus` over
     the stacked system (its rows equal those of one s at a time); the
     solid torus runs one s at a time.  A stacked gamma estimate over
@@ -229,6 +231,9 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
         s_list = list(np.linspace(s1 / n_steps, s1, n_steps))
     rows, fit = collapse_volumes(spec, profiles, s_list, grid=grid,
                                  fit_tol=fit_tol)
+    if s0 < S_SCAN_CAP and rows[-1]["s"] > s0:
+        raise AboveContactThreshold(f"s = {rows[-1]['s']} is above the contact "
+                                    f"threshold s0 = {s0} of k_twists {spec.k_twists}")
     rng = np.random.default_rng(seed)
     starts = np.stack([
         spec.r_range[0] + (spec.r_range[1] - spec.r_range[0]) * rng.random(n_returns),

@@ -249,7 +249,7 @@ def test_config_digest_golden(args, digest):
     (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "400", "--c", "10"),
      "leaves the float range"),
     (("spectrum", "--v-bar", "0.5", "--h", "1e-300", "--n", "2", "--c", "1e300"),
-     "leaves the float range"),
+     "c / h = 1e+300 / 1e-300 leaves the float range"),
     (("estimate", "--system", "cat", "--what", "htop", "--delta", "1e300",
       "--cloud", "50", "--horizon", "2"), "at or above the cat chart's diameter"),
     (("estimate", "--system", "cat", "--what", "htop", "--delta", "0.9",
@@ -281,6 +281,68 @@ def test_config_digest_golden(args, digest):
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
+
+
+# The grammar's corner cases, each with the exit code and stderr bytes it
+# had under the argparse-based parser before it
+@pytest.mark.parametrize("args, code, err", [
+    # a value may start with '-', given apart or after '='
+    (("spectrum", "--v-bar", "0.5", "--h", "1", "--n", "1", "--c", "-2"), 2,
+     "target -2.0 at or below range left endpoint 0.7071067811865476"),
+    (("spectrum", "--v-bar=0.5", "--h=1", "--n=1", "--c=-2"), 2,
+     "target -2.0 at or below range left endpoint 0.7071067811865476"),
+    (("--seed=-1", "constants"), 1,
+     "usage error: Invalid value for '--seed': -1 is not in the range x>=0."),
+    (("--seed", "--n", "constants"), 1,
+     "usage error: Invalid value for '--seed': '--n' is not a valid integer."),
+    # a trailing flag without its value
+    (("constants", "--n"), 1, "usage error: argument --n: expected one argument"),
+    (("--seed",), 1, "usage error: argument --seed: expected one argument"),
+    # every token after '--' is an extra argument
+    (("constants", "--", "--n"), 1, "usage error: No such option '--n'."),
+    (("constants", "--", "foo"), 1, "usage error: Got unexpected extra argument (foo)"),
+    (("-h",), 1, "usage error: No such option '-h'."),
+    (("constants", "-h"), 1, "usage error: No such option '-h'."),
+    (("constants", "foo", "bar"), 1,
+     "usage error: Got unexpected extra argument (foo bar)"),
+    (("verovic", "--k-max", "x", "--k-max", "3"), 1,
+     "usage error: Invalid value for '--k-max': 'x' is not a valid integer."),
+    (("sl3", "--help=x"), 1,
+     "usage error: argument --help: ignored explicit argument 'x'"),
+])
+def test_grammar_corner_case_bytes(args, code, err):
+    res = run_cli(*args)
+    assert (res.returncode, res.stdout, res.stderr) == (code, "", err + "\n")
+
+
+@pytest.mark.parametrize("args, same_as", [
+    (("constants", "--n=3"), ("constants", "--n", "3")),
+    # the last one given wins
+    (("constants", "--n", "2", "--n", "3"), ("constants", "--n", "3")),
+    (("--seed", "1", "--seed", "0", "--format=json", "sl3"),
+     ("--format", "json", "sl3")),
+    (("--", "constants"), ("constants",)),
+    (("constants", "--"), ("constants",)),
+])
+def test_equivalent_argvs_print_the_same_bytes(args, same_as):
+    res, want = run_cli(*args), run_cli(*same_as)
+    assert want.returncode == 0 and want.stdout
+    assert (res.returncode, res.stdout, res.stderr) == (0, want.stdout, "")
+
+
+def test_help_before_and_after_the_subcommand():
+    top = run_cli("--help")
+    assert top.stdout.startswith("Usage: entropia [OPTIONS] COMMAND [ARGS]...\n")
+    assert "\nCommands:\n  bodies " in top.stdout
+    before = run_cli("--help", "constants")
+    assert (before.returncode, before.stdout, before.stderr) == (0, top.stdout, "")
+    after = run_cli("constants", "--help")
+    assert after.returncode == 0 and after.stderr == ""
+    assert after.stdout.startswith("Usage: entropia constants [OPTIONS]\n")
+    assert "  --n TEXT " in after.stdout and "[default: 2..6]" in after.stdout
+    # options are read in order: --help ends the pass where it stands
+    assert run_cli("verovic", "--help", "--k-max", "x").returncode == 0
+    assert run_cli("verovic", "--k-max", "x", "--help").returncode == 1
 
 
 @pytest.mark.parametrize("args, text", [
@@ -327,6 +389,11 @@ def test_collapse_over_gamma_budget_fails_before_any_work(monkeypatch, capsys):
     (("collapse", "--s-min", "1e-3", "--s-max", "1e100", "--steps", "2",
       "--returns", "2", "--horizon", "8", "--grid", "16"),
      "volume fit residual inf exceeds"),
+    # s0 = 4.832 for one twist: at s = 4.9, 1 + s lambda_theta(Y) < 0 on
+    # some radii, which the sampled return starts need not hit
+    (("collapse", "--s-min", "4", "--s-max", "4.9", "--steps", "2",
+      "--returns", "4", "--horizon", "8", "--grid", "16"),
+     "s = 4.9 is above the contact threshold s0 = 4.832107648821965 of k_twists 1"),
 ])
 def test_validation_failure_is_one_line(args, text):
     _one_line_error(run_cli(*args), 2, text)

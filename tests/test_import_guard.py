@@ -2,7 +2,8 @@
 a body of dimension >= 4; numpy stays off `import entropia.cli` and the
 closed-form commands `constants`, `bounds`, `verovic`, `sl3`, `spectrum`
 and `estimate --what hvol`, and `dataclasses` off those six too; click
-loads nowhere, and `numpy.ma` not in a 3-D `bodies`.
+and argparse load nowhere, as the CLI parses its own grammar, and
+`numpy.ma` not in a 3-D `bodies`.
 
 Each check starts a fresh interpreter, so no module imported by another
 test can hide an import.  Planar hulls are a numpy monotone chain, spatial
@@ -123,8 +124,8 @@ def test_cli_import_and_closed_form_commands_load_no_dataclasses():
     _assert_none_load("dataclasses", CLOSED_FORM)
 
 
-def test_no_command_loads_click(tmp_path):
-    _assert_none_load("click", [
+def _every_layer(tmp_path):
+    return [
         *CLOSED_FORM,
         ["estimate", "--system", "cat", "--what", "htop", "--cloud", "50",
          "--horizon", "2", "--delta", "0.3"],
@@ -132,4 +133,13 @@ def test_no_command_loads_click(tmp_path):
          "--grid", "16"],
         ["bodies", "--body",
          _body_file(tmp_path, "ball3.json", StarBody.ball(3, n=256))],
-    ])
+    ]
+
+
+def test_no_command_loads_click(tmp_path):
+    _assert_none_load("click", _every_layer(tmp_path))
+
+
+def test_no_command_or_help_loads_argparse(tmp_path):
+    _assert_none_load("argparse", [*_every_layer(tmp_path), ["--help"],
+                                   ["collapse", "--help"]])

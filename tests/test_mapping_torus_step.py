@@ -25,7 +25,7 @@ from entropia.entropy_estimators import (
 )
 from entropia.reeb_collapse import MappingTorusSpec, build_profiles
 from entropia.reeb_collapse import sweep
-from entropia.reeb_collapse.forms import MappingTorusField, _chi_derivatives
+from entropia.reeb_collapse.forms import MappingTorusField, _chi_first, _chi_second
 from entropia.reeb_collapse.sweep import mapping_torus_system, solid_torus_system
 
 TWO_PI = 2.0 * np.pi
@@ -281,7 +281,10 @@ def test_chi_derivatives_match_smoothstep_polynomial():
     p1 = 140.0 * u ** 3 - 420.0 * u ** 4 + 420.0 * u ** 5 - 140.0 * u ** 6
     p2 = 420.0 * u ** 2 - 1680.0 * u ** 3 + 2100.0 * u ** 4 - 840.0 * u ** 5
     want1, want2 = p1 / TWO_PI, p2 / TWO_PI ** 2
-    d1, d2 = _chi_derivatives(theta)
+    terms = _chi_first(theta)
+    d1, d2 = terms[2], _chi_second(*terms[:2])
+    # MappingTorusSpec reads chi' from the same rule, bit for bit
+    np.testing.assert_array_equal(MappingTorusSpec().chi_prime(theta), d1)
     np.testing.assert_allclose(d1, want1, rtol=0.0,
                                atol=1e-13 * np.abs(want1).max())
     np.testing.assert_allclose(d2, want2, rtol=0.0,

@@ -3,6 +3,8 @@ import pytest
 
 from entropia.entropy_estimators import BudgetExceeded, GAMMA_BUDGET, gamma_plus
 from entropia.reeb_collapse import FormsError, MappingTorusSpec, NoContactThreshold
+from entropia.reeb_collapse import contact_threshold, sweep
+from entropia.reeb_collapse.forms import AboveContactThreshold
 from entropia.reeb_collapse.sweep import (
     collapse_sweep,
     mapping_torus_system,
@@ -55,6 +57,24 @@ def test_collapse_sweep_without_twist_needs_s_list():
         collapse_sweep(MappingTorusSpec(k_twists=0), n_steps=2, n_returns=2,
                        gamma_horizon=8, gamma_states=4, grid=32)
     assert isinstance(info.value, FormsError)
+
+
+def test_collapse_sweep_above_the_contact_threshold_fails_after_the_volumes(monkeypatch):
+    # an s past s0 fails after the volumes, before any return map runs
+    spec = MappingTorusSpec(k_twists=2)
+    s0, _ = contact_threshold(spec)
+    monkeypatch.setattr(sweep, "return_map_and_time", None)
+    with pytest.raises(AboveContactThreshold) as info:
+        collapse_sweep(spec, [0.5 * s0, s0 * (1.0 + 1e-12)], n_steps=2,
+                       n_returns=2, gamma_horizon=8, gamma_states=4, grid=32)
+    assert isinstance(info.value, FormsError)
+    assert str(info.value) == (f"s = {s0 * (1.0 + 1e-12)} is above the contact "
+                               f"threshold s0 = {s0} of k_twists 2")
+    # s0 itself is still contact
+    monkeypatch.undo()
+    rows, _, meta = collapse_sweep(spec, [0.5 * s0, s0], n_steps=2, n_returns=2,
+                                   gamma_horizon=8, gamma_states=4, grid=32)
+    assert meta["s0"] == s0 and rows[-1]["s"] == s0
 
 
 # Exact pins of collapse_sweep(spec, S_LISTS[k], n_returns=3,
