@@ -353,6 +353,18 @@ def _parse_range(flag: str, text: str) -> list:
     return list(range(lo, hi + 1))
 
 
+def _read_file(flag: str, path: str, from_json, error):
+    """from_json of the text of the input file at path.  A file that cannot
+    be opened or parsed, or that from_json refuses with `error`, is a
+    usage error naming the flag and the path."""
+    try:
+        with open(path) as fh:
+            return from_json(fh.read())
+    except (OSError, ValueError, RecursionError, error) as exc:
+        raise UsageError(
+            f"cannot read {flag} {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _report_rows(report, *args) -> list:
     """Rows of an entropy_bounds report.  The report layer checks its own
     inputs, so every error it raises is a usage error."""
@@ -432,16 +444,8 @@ def bodies(config, body):
     """Convex-geometric summary of a star body."""
     from .convex_body import BodyError, StarBody
 
-    if body:
-        try:
-            with open(body) as fh:
-                star = StarBody.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError, RecursionError,
-                BodyError) as exc:
-            raise UsageError(
-                f"cannot read --body {body}: {type(exc).__name__}: {exc}") from exc
-    else:
-        star = StarBody.ball(2)
+    star = (_read_file("--body", body, StarBody.from_json, BodyError) if body
+            else StarBody.ball(2))
     try:
         rows = _body_rows(star)
     except BodyError as exc:
@@ -517,16 +521,8 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
     if spec and "twists" in config.given:
         raise UsageError("--twists and --spec cannot be given together: "
                          "the spec file sets k_twists")
-    if spec:
-        try:
-            with open(spec) as fh:
-                mt_spec = MappingTorusSpec.from_json(json.load(fh))
-        except (OSError, ValueError, TypeError, AttributeError, RecursionError,
-                FormsError) as exc:
-            raise UsageError(
-                f"cannot read --spec {spec}: {type(exc).__name__}: {exc}") from exc
-    else:
-        mt_spec = MappingTorusSpec(k_twists=twists)
+    mt_spec = (_read_file("--spec", spec, MappingTorusSpec.from_json, FormsError)
+               if spec else MappingTorusSpec(k_twists=twists))
     if s_min is None and mt_spec.k_twists == 0:
         # trivial monodromy: no contact threshold bounds the default sweep
         raise UsageError("collapse with k_twists 0 has no contact threshold "

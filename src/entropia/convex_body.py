@@ -169,6 +169,10 @@ class StarBody:
         radial = _numbers("radial", obj["radial"])
         directions = obj.get("directions")
         if directions is None:
+            # the canonical grids are centrally symmetric: an even count
+            if not len(radial) or len(radial) % 2:
+                raise BodyError("radial without directions must hold an even, "
+                                f"positive number of samples, got {len(radial)}")
             return cls(dim, sphere_grid(dim, len(radial)), radial)
         if not isinstance(directions, list):
             raise BodyError(f"directions must be a list of unit vectors, got "

@@ -596,19 +596,16 @@ def htop_separated(sys: DiscreteSystem, delta_list, horizon: int,
             counts.append(n_acc)
         return counts
 
-    all_counts = {}
+    t_grid = np.arange(1, horizon + 1)
+    all_counts, best = {}, None
     for delta in deltas:
-        all_counts[delta] = run_delta(delta)
-    # the accepted set only grows with T; assert it
-    for delta, counts in all_counts.items():
+        counts = all_counts[delta] = run_delta(delta)
+        # the accepted set only grows with T; assert it
         if any(a > b for a, b in zip(counts, counts[1:])):
             raise EstimatorError(
                 f"separated-set counts at delta {delta} decrease in T")
-    t_grid = np.arange(1, horizon + 1)
-    best = None
-    for delta in deltas:
-        counts = np.asarray(all_counts[delta], float)
-        slope, resid = _tail_slope(t_grid, np.log(np.maximum(counts, 1.0)))
+        log_counts = np.log(np.maximum(np.asarray(counts, float), 1.0))
+        slope, resid = _tail_slope(t_grid, log_counts)
         est = GrowthEstimate(slope, float(horizon), n_candidates, resid,
                              delta=delta)
         if best is None or est.value > best.value:

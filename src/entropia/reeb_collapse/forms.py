@@ -20,6 +20,7 @@ profiles.py the solid-torus speeds) has one definition, which the systems
 in sweep.py call too.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ TWO_PI = 2.0 * math.pi
 
 # reported in place of an infinite contact threshold (trivial monodromy)
 S_SCAN_CAP = 1e6
+
+# rows in r that `contact_threshold` samples by default
+_THRESHOLD_ROWS = 64
 
 # Gauss-Legendre nodes per breakpoint panel of the solid-torus volume
 _GL_NODES = 96
@@ -121,6 +125,20 @@ class MappingTorusSpec:
         if not r0 <= a < b <= r1:
             raise FormsError("tau_support must have positive width inside r_range, "
                              f"got {list(self.tau_support)} in {list(self.r_range)}")
+        # the twist's step on the rows that `contact_threshold` samples
+        # across the support, whatever k_twists: on a support a float or so
+        # wide every row is a flat end, and on one whose width's inverse
+        # square overflows so do the step's r derivatives (a numpy d1, so
+        # that the overflow gives inf instead of raising)
+        with np.errstate(all="ignore"):
+            step = smooth_step_on(Dual(np.linspace(a, b, _THRESHOLD_ROWS),
+                                       np.float64(1.0), 0.0), a, b)
+        if not np.any(step.d1):
+            raise FormsError(f"tau_support {list(self.tau_support)} is too narrow "
+                             "to sample: the twist is flat on every row")
+        if not (np.isfinite(step.d1).all() and np.isfinite(step.d2).all()):
+            raise FormsError(f"tau_support {list(self.tau_support)} is too narrow: "
+                             "the twist's r derivatives leave the float range")
 
     def tau_dual(self, r) -> Dual:
         """tau(r) with its first and second derivatives in r."""
@@ -162,9 +180,6 @@ class MappingTorusSpec:
         r0, r1 = self.r_range
         return TWO_PI * (r1 - r0)
 
-    def monodromy(self, r, x):
-        return r, x + self.tau(r)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -173,7 +188,15 @@ class MappingTorusSpec:
 
     @classmethod
     def from_json(cls, obj) -> "MappingTorusSpec":
-        """Strict inverse of to_json; a missing key takes its default."""
+        """Strict inverse of to_json, from the object or its JSON text: an
+        object with k_twists, an integral number, and r_range and
+        tau_support, lists of two numbers; a missing key takes its default
+        and no other key is read.  Booleans are no numbers."""
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise FormsError("a spec is an object with the keys k_twists, r_range "
+                             f"and tau_support, got {type(obj).__name__}")
         k = obj.get("k_twists", 1)
         unknown = sorted(set(obj) - {"k_twists", "r_range", "tau_support"})
         if unknown:
@@ -181,8 +204,24 @@ class MappingTorusSpec:
         if type(k) not in (int, float) or k % 1 or not abs(k) <= MAX_TWISTS:
             raise FormsError(f"k_twists must be an integer of size <= {MAX_TWISTS}, "
                              f"got {k!r}")
-        return cls(int(k), tuple(map(float, obj.get("r_range", (1.0, 3.0)))),
-                   tuple(map(float, obj.get("tau_support", (1.3, 2.7)))))
+        return cls(int(k), _pair("r_range", obj.get("r_range", [1.0, 3.0])),
+                   _pair("tau_support", obj.get("tau_support", [1.3, 2.7])))
+
+
+def _pair(key: str, values) -> tuple:
+    """The JSON list values under key as two floats; booleans and strings
+    are no numbers."""
+    if not isinstance(values, list) or len(values) != 2:
+        got = (f"{len(values)} values" if isinstance(values, list)
+               else type(values).__name__)
+        raise FormsError(f"{key} must be a list of two numbers, got {got}")
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):
+            raise FormsError(f"{key}[{i}] must be a number, got {v!r}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise FormsError(f"{key} holds an integer past the float range") from None
 
 
 class MappingTorusField:
@@ -238,7 +277,7 @@ class MappingTorusField:
         return (th_dot,) + self.rest(*terms)
 
 
-def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
+def contact_threshold(spec: MappingTorusSpec, grid: int = _THRESHOLD_ROWS):
     """(s0, s1): contactness and bounded-speed thresholds.
 
     The correction density factors as lambda_theta(Y) = chi'(theta)
@@ -292,26 +331,27 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = 64):
     return s0, s1
 
 
-def return_map_and_time(spec: MappingTorusSpec, start, s: float):
+def return_map_and_time(spec: MappingTorusSpec, start, s):
     """First return to the page {theta = 0}: (T_s, (r, x) image).
 
-    r is constant along the flow and chi' integrates to 1 over a turn, so
-    with c = s lambda^2 tau'(r) and a = -lambda tau'(r), T_s = 2 pi - c and
-    x gains a before the monodromy gluing adds tau(r).  Raises NoReturn
+    start is one (r, x) or an (n, 2) array, and s broadcasts against the
+    starts (an (n_s, 1) column gives every s at every start).  r is
+    constant along the flow and chi' integrates to 1 over a turn, so with
+    c = s lambda^2 tau'(r) and a = -lambda tau'(r), T_s = 2 pi - c and x
+    gains a before the monodromy gluing adds tau(r).  Raises NoReturn
     where dt/dtheta = 1 - c chi' is not positive (c chi'(pi) >= 1) or past
     time 8 pi.
     """
-    r, x0 = float(start[0]), float(start[1])
-    lam = float(spec.lam(r))
-    tau_p = float(spec.tau_prime(np.array([r]))[0])
-    c = s * lam * lam * tau_p
-    if c * _CHI_PRIME_MAX >= 1.0:
+    r, x0 = np.asarray(start, float).T
+    tau, lam = spec.tau_dual(r), spec.lam(r)
+    c = s * lam * lam * tau.d1
+    if np.any(c * _CHI_PRIME_MAX >= 1.0):
         raise NoReturn("Reeb field not positively transverse to the pages")
     t_return = TWO_PI - c
-    if t_return > 8.0 * math.pi:
+    if np.any(t_return > 8.0 * math.pi):
         raise NoReturn("no page return within time 8 pi")
-    r_im, x_im = spec.monodromy(r, x0 - lam * tau_p)
-    return t_return, (r_im, float(x_im) % TWO_PI)
+    x_im = (x0 - lam * tau.d1 + tau.v) % TWO_PI
+    return t_return, np.stack(np.broadcast_arrays(r, x_im, t_return)[:2], axis=-1)
 
 
 def mapping_torus_volume(spec: MappingTorusSpec, s: float,
@@ -320,10 +360,9 @@ def mapping_torus_volume(spec: MappingTorusSpec, s: float,
     midpoint rule in (theta, r); the x direction contributes a factor 2 pi
     exactly."""
     r0, r1 = spec.r_range
-    theta = (np.arange(grid) + 0.5) * TWO_PI / grid
+    theta = (np.arange(grid)[:, None] + 0.5) * TWO_PI / grid
     r = r0 + (np.arange(grid) + 0.5) * (r1 - r0) / grid
-    th, rr = np.meshgrid(theta, r, indexing="ij")
-    return TWO_PI * float(spec.contact_density(s, th, rr).mean()) * TWO_PI * (r1 - r0)
+    return TWO_PI * float(spec.contact_density(s, theta, r).mean()) * TWO_PI * (r1 - r0)
 
 
 # --------------------------------------------------------------- solid torus

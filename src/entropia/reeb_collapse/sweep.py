@@ -214,10 +214,10 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
     whose threshold is the scan cap (k_twists 0) raises NoContactThreshold;
     an s above s0 raises AboveContactThreshold after the volumes.
     The mapping-torus Gamma of every s comes from one `gamma_plus` over
-    the stacked system (its rows equal those of one s at a time); the
-    solid torus runs one s at a time.  A stacked gamma estimate over
-    GAMMA_BUDGET (horizon x states x values of s) raises BudgetExceeded
-    before any work is done.
+    the stacked system (its rows equal those of one s at a time), and the
+    return map from one call for every s and start; the solid torus runs
+    one s at a time.  A stacked gamma estimate over GAMMA_BUDGET (horizon
+    x states x values of s) raises BudgetExceeded before any work is done.
     """
     n_s = n_steps if s_list is None else len(s_list)
     check_gamma_budget(gamma_horizon, n_s * gamma_states)
@@ -239,30 +239,21 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
         spec.r_range[0] + (spec.r_range[1] - spec.r_range[0]) * rng.random(n_returns),
         rng.random(n_returns) * TWO_PI,
     ], axis=1)
-    mt_sys = mapping_torus_system(spec, [row["s"] for row in rows])
-    g_mt = gamma_plus(mt_sys, gamma_horizon, gamma_states, seed)
-    images = []
-    for row, mt in zip(rows, g_mt):
-        s = row["s"]
-        times = np.empty(n_returns)
-        imgs = np.empty((n_returns, 2))
-        for i, (r, x) in enumerate(starts):
-            t, im = return_map_and_time(spec, (r, x), s)
-            times[i] = t
-            imgs[i] = im
-        images.append(imgs)
-        row["T_s_min"] = float(times.min())
-        row["T_s_max"] = float(times.max())
-        st_sys = solid_torus_system(profiles, s)
+    s_values = np.array([row["s"] for row in rows])
+    g_mt = gamma_plus(mapping_torus_system(spec, s_values), gamma_horizon,
+                      gamma_states, seed)
+    times, images = return_map_and_time(spec, starts, s_values[:, None])
+    for row, mt, t in zip(rows, g_mt, times):
+        row["T_s_min"] = float(t.min())
+        row["T_s_max"] = float(t.max())
+        st_sys = solid_torus_system(profiles, row["s"])
         g_st = gamma_plus(st_sys, gamma_horizon, gamma_states, seed).value
         row["gamma_est"] = max(mt.value, g_st)
         _, scaled = normalize_form(row["vol_total"], 1, row["gamma_est"])
         row["gamma_times_vol_pow"] = scaled
-    spread = 0.0
-    base = images[0]
-    for imgs in images[1:]:
-        d = np.abs(imgs - base)
-        d[:, 1] = np.minimum(d[:, 1] % TWO_PI, TWO_PI - (d[:, 1] % TWO_PI))
-        spread = max(spread, float(d.max()))
-    meta = {"s0": s0, "s1": s1, "return_map_spread": spread}
+    # the largest gap of an image at any s from its image at the first s,
+    # x across the wrap
+    gap = np.abs(images[1:] - images[0])
+    gap[..., 1] = np.minimum(gap[..., 1] % TWO_PI, TWO_PI - gap[..., 1] % TWO_PI)
+    meta = {"s0": s0, "s1": s1, "return_map_spread": float(gap.max(initial=0.0))}
     return rows, fit, meta

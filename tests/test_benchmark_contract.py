@@ -6,7 +6,8 @@ that file unchanged, installs its wrappers as the benchmark does and runs
 five short commands in this process, plain and traced.  A change that
 removes or renames a bound name fails here, not only in a benchmark run,
 and so does a collapse sweep whose mapping-torus steps bypass the wrapped
-`time_one_jacobian` or are no longer stacked over every s.
+`time_one_jacobian` or are no longer stacked over every s, or whose return
+map runs more than once.
 
 The benchmark installs the tracer right after `from entropia.cli import
 main`, before any command has loaded a layer.  A second case does the same
@@ -104,6 +105,9 @@ def test_tracer_binds_every_name_and_leaves_output_unchanged():
                 if span[0] == "entropy_estimators.gamma_plus"
                 and str(span[5]).startswith("reeb_mapping_torus")]
     assert len(mt_gamma) == 1
+    # and takes its return times and images for every s and start in one
+    # return-map call, not one per (s, start)
+    assert sum(span[0] == "reeb_collapse.return_map" for span in tracer.spans) == 1
     assert patched
     for owner, attr, old in patched:
         assert owner.__dict__[attr] is old, f"{owner.__name__}.{attr} not restored"

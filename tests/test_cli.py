@@ -421,6 +421,13 @@ def test_validation_failure_is_one_line(args, text):
     ('{"dim": 1e400, "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got inf"),
     ('{"dim": true, "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got True"),
     ('{"dim": "2", "radial": [1.0, 1.0]}', "UnsupportedDim: dim must be an integer, got '2'"),
+    # without directions, radial sits on a canonical, centrally symmetric grid
+    ('{"dim": 2, "radial": [1, 1, 1]}', "BodyError: radial without directions "
+     "must hold an even, positive number of samples, got 3"),
+    ('{"dim": 3, "radial": [1, 1, 1, 1, 1]}', "BodyError: radial without "
+     "directions must hold an even, positive number of samples, got 5"),
+    ('{"dim": 2, "radial": []}', "BodyError: radial without directions must "
+     "hold an even, positive number of samples, got 0"),
     ('{"dim": 2, "radial": [1.0, 1.0], "radius": 2}',
      "BodyError: unknown body key(s) ['radius']"),
     # directions are lists of numbers, and booleans are none, as for radial
@@ -561,7 +568,7 @@ def test_john_sandwich_violation_is_validation_failure(monkeypatch, capsys,
      "FormsError: tau_support must have positive width inside r_range"),
     ({"tau_support": [0.5, 2.0]},
      "FormsError: tau_support must have positive width inside r_range"),
-    ({"r_range": ["one", "three"]}, "ValueError: could not convert string"),
+    ({"r_range": ["one", "three"]}, "FormsError: r_range[0] must be a number, got 'one'"),
     ({"r_range": [1, float("inf")]},
      "FormsError: r_range must be finite, got [1.0, inf]"),
     ({"k_twists": 1.7}, "k_twists must be an integer of size <= 1000000, got 1.7"),
@@ -569,6 +576,21 @@ def test_john_sandwich_violation_is_validation_failure(monkeypatch, capsys,
     ({"k_twists": -10 ** 400}, "k_twists must be an integer of size <= 1000000"),
     ({"k_twist": 2}, "FormsError: unknown spec key(s) ['k_twist']"),
     ({"k_twists": 1, "s": 0.01}, "FormsError: unknown spec key(s) ['s']"),
+    # a spec is an object, and its ranges are lists of two numbers
+    ([1], "FormsError: a spec is an object with the keys k_twists, r_range and "
+          "tau_support, got list"),
+    ({"r_range": [True, 3]}, "FormsError: r_range[0] must be a number, got True"),
+    ({"r_range": [1, "3"]}, "FormsError: r_range[1] must be a number, got '3'"),
+    ({"r_range": [1, 2, 3]},
+     "FormsError: r_range must be a list of two numbers, got 3 values"),
+    ({"r_range": None}, "FormsError: r_range must be a list of two numbers, got NoneType"),
+    # twist supports too narrow to sample or for the float range
+    ({"tau_support": [1.3, 1.3000000000000003]},
+     "FormsError: tau_support [1.3, 1.3000000000000003] is too narrow to sample: "
+     "the twist is flat on every row"),
+    ({"r_range": [1e-160, 3e-160], "tau_support": [1e-160, 2e-160]},
+     "FormsError: tau_support [1e-160, 2e-160] is too narrow: the twist's r "
+     "derivatives leave the float range"),
     # a file nested past the parser's recursion limit, given as its text
     pytest.param("[" * 100_000 + "]" * 100_000,
                  "RecursionError: maximum recursion depth exceeded",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from entropia.reeb_collapse import (
+    FormsError,
     MappingTorusSpec,
     NoReturn,
     build_profiles,
@@ -213,6 +215,39 @@ def test_spec_json_round_trip():
     assert spec.to_json() == {"k_twists": 3, "r_range": [1.0, 2.5],
                               "tau_support": [1.2, 2.0]}
     assert MappingTorusSpec.from_json(spec.to_json()) == spec
+    assert MappingTorusSpec.from_json(json.dumps(spec.to_json())) == spec
+
+
+@pytest.mark.parametrize("obj, text", [
+    ([1], "a spec is an object with the keys k_twists, r_range and "
+          "tau_support, got list"),
+    ({"r_range": [True, 3]}, "r_range[0] must be a number, got True"),
+    ({"r_range": [1, "3"]}, "r_range[1] must be a number, got '3'"),
+    ({"r_range": [1, 2, 3]}, "r_range must be a list of two numbers, got 3 values"),
+    ({"r_range": None}, "r_range must be a list of two numbers, got NoneType"),
+    ({"tau_support": [1.3, 10 ** 400]},
+     "tau_support holds an integer past the float range"),
+    # one float apart: every row of the threshold lattice is a flat end
+    ({"tau_support": [1.3, 1.3000000000000003]},
+     "tau_support [1.3, 1.3000000000000003] is too narrow to sample"),
+    ({"k_twists": 0, "tau_support": [1.3, 1.3000000000000003]},
+     "tau_support [1.3, 1.3000000000000003] is too narrow to sample"),
+    # a width whose inverse square overflows
+    ({"k_twists": 0, "r_range": [1e-160, 3e-160], "tau_support": [1e-160, 2e-160]},
+     "tau_support [1e-160, 2e-160] is too narrow: the twist's r derivatives "
+     "leave the float range"),
+])
+def test_spec_from_json_names_the_bad_field(obj, text):
+    with pytest.raises(FormsError) as info:
+        MappingTorusSpec.from_json(obj)
+    assert str(info.value).startswith(text)
+
+
+@pytest.mark.parametrize("width", [1e-9, 4.5e-16])
+def test_narrow_twist_supports_that_sample_stay_valid(width):
+    # two floats apart is still a row inside the step
+    spec = MappingTorusSpec(k_twists=1, tau_support=(1.3, 1.3 + width))
+    assert spec.tau_support[1] > 1.3 and contact_threshold(spec)[0] < S_SCAN_CAP
 
 
 def test_contact_threshold_narrow_twist_support():
@@ -271,6 +306,33 @@ def test_return_closed_form_oracle(spec):
         assert abs(t - t_pred) < 1e-9
         dx = abs(x_im - x_pred) % TWO_PI
         assert min(dx, TWO_PI - dx) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, -2, 3])
+def test_return_map_on_arrays_equals_the_scalar_calls(k):
+    # every (s, start) of an (n_s, 1) column and an (n, 2) array of starts
+    # gives the floats of its own scalar call
+    spec = MappingTorusSpec(k_twists=k)
+    _, s1 = contact_threshold(spec)
+    rng = np.random.default_rng(11)
+    starts = np.stack([rng.uniform(1.0, 3.0, 50), rng.uniform(0, TWO_PI, 50)], axis=1)
+    s_values = s1 * np.array([0.125, 0.5, 1.0])
+    times, images = return_map_and_time(spec, starts, s_values[:, None])
+    assert times.shape == (3, 50) and images.shape == (3, 50, 2)
+    for i, s in enumerate(s_values.tolist()):
+        for j, (r, x) in enumerate(starts.tolist()):
+            t, (r_im, x_im) = return_map_and_time(spec, (r, x), s)
+            assert (times[i, j], *images[i, j]) == (t, r_im, x_im)
+
+
+def test_no_return_at_any_start_of_an_array_raises(spec):
+    s0, _ = contact_threshold(spec)
+    r_grid = np.linspace(1.0, 3.0, 401)
+    r_star = float(r_grid[np.argmax((2 - r_grid) ** 2 * spec.tau_prime(r_grid))])
+    starts = np.array([[1.1, 0.0], [r_star, 0.0]])
+    return_map_and_time(spec, starts[:1], np.array([[0.5 * s0], [3.0 * s0]]))
+    with pytest.raises(NoReturn, match="transverse"):
+        return_map_and_time(spec, starts, np.array([[0.5 * s0], [3.0 * s0]]))
 
 
 def test_no_return_above_contact_threshold(spec):
@@ -351,6 +413,18 @@ def test_mapping_torus_volume_closed_form(spec):
     vol = mapping_torus_volume(spec, s, grid=512)
     pred = 8 * math.pi ** 2 * s - 2 * math.pi * s ** 2 * J
     assert abs(vol - pred) / pred < 1e-6
+
+
+@pytest.mark.parametrize("k, s, grid", [(1, 0.01, 256), (3, 0.002, 97), (-2, 0.05, 16)])
+def test_mapping_torus_volume_equals_the_meshgrid_sum(k, s, grid):
+    # the density on the (theta, r) mesh, evaluated on all grid^2 points
+    spec = MappingTorusSpec(k_twists=k)
+    r0, r1 = spec.r_range
+    theta = (np.arange(grid) + 0.5) * TWO_PI / grid
+    r = r0 + (np.arange(grid) + 0.5) * (r1 - r0) / grid
+    th, rr = np.meshgrid(theta, r, indexing="ij")
+    want = TWO_PI * float(spec.contact_density(s, th, rr).mean()) * TWO_PI * (r1 - r0)
+    assert mapping_torus_volume(spec, s, grid) == want
 
 
 def test_collapse_volumes_slope_and_residual(spec, dim3):
