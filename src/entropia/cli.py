@@ -17,12 +17,14 @@ time); any other error ends in a traceback.  All output is deterministic
 for a fixed (argv, seed).
 
 Importing this module loads no layer: each command imports what it runs,
-so `constants`, `bounds`, `verovic`, `sl3`, `spectrum` and `estimate
---what hvol` load no numpy.
+so `constants`, `bounds`, `verovic`, `sl3`, `spectrum`, `estimate --what
+hvol` and `estimate --what gamma` on cat, doubling and rotation load no
+numpy.  A linear map's Jacobian cocycle is the same matrix power A^n at
+every state, so its Gamma needs no sampled states: the maximum over the
+seeded grid is the value at any one of them.
 """
 
 import gc
-import hashlib
 import importlib
 import io
 import json
@@ -30,6 +32,16 @@ import math
 import sys
 
 from . import MAX_TWISTS
+
+# sha256 from CPython's built-in module, so that the config hash loads no
+# OpenSSL (hashlib's _hashlib)
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # relative residual allowed to the collapse volume fit, unless --tol fit=X
 _FIT_TOL = 0.01
@@ -83,7 +95,7 @@ class RunConfig:
         blob = json.dumps(
             {"cmd": self.subcommand, "seed": self.seed, "args": self.args},
             sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
 
 def _emit(config: RunConfig, rows: list, **args):
@@ -121,7 +133,7 @@ def _emit(config: RunConfig, rows: list, **args):
 # (1, before its base class) or a numeric invariant checked at run time (2)
 _LAYER_ERRORS = [
     (".convex_body", "BodyBudgetExceeded", 1),
-    (".entropy_estimators", "BudgetExceeded", 1),
+    (".entropy_bounds", "EstimateBudgetExceeded", 1),
     (".entropy_bounds", "EstimatorError", 2),
     (".reeb_collapse.forms", "FormsError", 2),
     (".reeb_collapse.profiles", "ProfileError", 2),
@@ -570,6 +582,8 @@ def estimate(config, system, what, horizon, delta, cloud):
         raise UsageError(f"--delta values must be positive and finite, got {delta!r}")
     if (what == "hvol") != (system == "hyperbolic"):
         raise UsageError("--what hvol and --system hyperbolic go together")
+    if what == "gamma" and horizon < 8:
+        raise UsageError(f"gamma needs --horizon 8 or more, got {horizon}")
     if what == "hvol":
         if not 1 <= horizon <= _MAX_RADIUS:
             raise UsageError(f"hvol needs --horizon 1 or more, up to "
@@ -577,6 +591,13 @@ def estimate(config, system, what, horizon, delta, cloud):
         from .entropy_bounds import hvol_ball_growth
 
         est = hvol_ball_growth(("hyperbolic",), r_max=float(horizon))
+    elif what == "gamma" and system in _SYSTEMS:
+        # a linear map's cocycle is the same matrix power at every state
+        from . import entropy_bounds as eb
+
+        est = eb.gamma_linear(
+            {"cat": eb.CAT, "doubling": eb.DOUBLING, "rotation": eb.ROTATION}[system],
+            horizon)
     else:
         from . import entropy_estimators as ee
 
@@ -594,8 +615,6 @@ def estimate(config, system, what, horizon, delta, cloud):
             # the unit torus under torus_metric
             diameter = math.sqrt(sys_.state_dim) / 2.0
         if what == "gamma":
-            if horizon < 8:
-                raise UsageError(f"gamma needs --horizon 8 or more, got {horizon}")
             est = ee.gamma_plus(sys_, horizon, seed=config.seed)
         else:
             if not 1 <= horizon <= 8:

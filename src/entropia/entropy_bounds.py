@@ -4,9 +4,9 @@ Every constant that is also reported numerically in the literature is
 computed twice here: once from its closed form (in the log domain whenever
 factorials appear) and once by an independent quadrature or Monte Carlo
 route.  The dual-path discipline is the module's core correctness check.
-The volume entropy of closed-form ball volumes lives here too, as it needs
-nothing but `math`.  numpy is imported only where the Monte Carlo check
-runs.
+The volume entropy of closed-form ball volumes and the norm growth of the
+linear torus maps live here too, as they need nothing but `math`.  numpy
+is imported only where the Monte Carlo check runs.
 """
 
 import math
@@ -325,6 +325,31 @@ class EstimatorError(Exception):
     entropy_estimators."""
 
 
+class EstimateBudgetExceeded(EstimatorError):
+    """An estimate whose work would pass its budget; entropy_estimators
+    raises it as BudgetExceeded."""
+
+
+GAMMA_BUDGET = 1_000_000  # cap on horizon * states of one Gamma estimate
+GAMMA_STATES = 128        # states of the seeded grid of a Gamma estimate
+
+# The constant Jacobians of the linear torus maps, row by row: the cat map
+# of T^2 and the doubling (x -> 2x) and rotation (x -> x + alpha) maps of
+# the circle.  entropy_estimators builds its numpy systems from them.
+CAT = ((2.0, 1.0), (1.0, 1.0))
+DOUBLING = ((2.0,),)
+ROTATION = ((1.0,),)
+
+
+def check_gamma_budget(horizon: int, n_states: int):
+    """Raise EstimateBudgetExceeded when one Gamma estimate over `horizon`
+    steps of `n_states` states would exceed GAMMA_BUDGET."""
+    if horizon * n_states > GAMMA_BUDGET:
+        raise EstimateBudgetExceeded(
+            f"gamma over {horizon} steps of {n_states} states exceeds the "
+            f"budget of {GAMMA_BUDGET} state steps")
+
+
 class GrowthEstimate:
     """A growth rate: the slope `value` of a least-squares line through
     `samples` points up to `horizon`, the line's RMS `fit_residual`, and
@@ -384,6 +409,46 @@ def hvol_ball_growth(geometry, r_max: float) -> GrowthEstimate:
     r = [i * step + lo for i in range(199)] + [r_max]
     slope, resid = _tail_line(r, [_log_ball_volume(geometry, x) for x in r])
     return GrowthEstimate(slope, float(r_max), len(r), resid)
+
+
+def _norm2(m) -> float:
+    """Operator 2-norm of a 1 x 1 or 2 x 2 matrix: |a|, or the largest
+    singular value (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2."""
+    if len(m) == 1:
+        return abs(m[0][0])
+    (a, b), (c, d) = m
+    return (math.hypot(a + d, c - b) + math.hypot(a - d, b + c)) / 2.0
+
+
+def gamma_linear(jacobian, horizon: int) -> GrowthEstimate:
+    """Norm growth lim (1/n) log ||d phi^n|| of a map whose Jacobian is the
+    constant d x d matrix `jacobian` (rows of floats, d <= 2), such as CAT,
+    DOUBLING or ROTATION, by the steps of entropy_estimators.gamma_plus:
+    the cocycle is multiplied by the Jacobian, divided by its largest
+    absolute entry (at least 1e-300) with that entry's log added to the
+    log scale, its operator 2-norm is taken in closed form, and the tail
+    half of the log-norms is fitted by a line.
+
+    The cocycle is the same matrix power A^n at every state, so the maximum
+    over gamma_plus's grid of GAMMA_STATES seeded states is the value of
+    any one of them, and no state is sampled; `samples` stays GAMMA_STATES,
+    as does the budget check.
+    """
+    if horizon < 8:
+        raise EstimatorError("horizon must be at least 8")
+    check_gamma_budget(horizon, GAMMA_STATES)
+    cocycle = [[float(i == j) for j in range(len(jacobian))]
+               for i in range(len(jacobian))]
+    log_scale, log_norms = 0.0, []
+    for _ in range(horizon):
+        cocycle = [[sum(a * c[k] for a, c in zip(row, cocycle))
+                    for k in range(len(row))] for row in jacobian]
+        scale = max(max(abs(v) for row in cocycle for v in row), 1e-300)
+        cocycle = [[v / scale for v in row] for row in cocycle]
+        log_scale += math.log(scale)
+        log_norms.append(log_scale + math.log(_norm2(cocycle)))
+    slope, resid = _tail_line(range(1, horizon + 1), log_norms)
+    return GrowthEstimate(slope, float(horizon), GAMMA_STATES, resid)
 
 
 # -------------------------------------------------------------- reporting

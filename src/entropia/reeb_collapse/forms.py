@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import MAX_TWISTS
-from .duals import Dual, product, smooth_step_on
+from .duals import _STEP_CLIP, Dual, product, smooth_step_on
 from .profiles import ProfileFunctions
 
 TWO_PI = 2.0 * math.pi
@@ -126,14 +126,18 @@ class MappingTorusSpec:
             raise FormsError("tau_support must have positive width inside r_range, "
                              f"got {list(self.tau_support)} in {list(self.r_range)}")
         # the twist's step on the rows that `contact_threshold` samples
-        # across the support, whatever k_twists: on a support a float or so
-        # wide every row is a flat end, and on one whose width's inverse
-        # square overflows so do the step's r derivatives (a numpy d1, so
-        # that the overflow gives inf instead of raising)
+        # across the support, whatever k_twists, and just inside its two
+        # flat ends: on a support a float or so wide every row is a flat
+        # end, and on one whose width's inverse square overflows so do the
+        # step's r derivatives, first next to the flat ends, where the
+        # terms of the second derivative are largest (a numpy d1, so that
+        # the overflow gives inf instead of raising)
+        edge = _STEP_CLIP * (1.0 + 1e-6)
+        r = np.append(np.linspace(a, b, _THRESHOLD_ROWS),
+                      a + (b - a) * np.array([edge, 1.0 - edge]))
         with np.errstate(all="ignore"):
-            step = smooth_step_on(Dual(np.linspace(a, b, _THRESHOLD_ROWS),
-                                       np.float64(1.0), 0.0), a, b)
-        if not np.any(step.d1):
+            step = smooth_step_on(Dual(r, np.float64(1.0), 0.0), a, b)
+        if not np.any(step.d1[:_THRESHOLD_ROWS]):
             raise FormsError(f"tau_support {list(self.tau_support)} is too narrow "
                              "to sample: the twist is flat on every row")
         if not (np.isfinite(step.d1).all() and np.isfinite(step.d2).all()):

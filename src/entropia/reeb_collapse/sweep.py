@@ -3,7 +3,8 @@ the glued contact forms over a range of s."""
 
 import numpy as np
 
-from ..entropy_estimators import DiscreteSystem, check_gamma_budget, gamma_plus
+from ..entropy_bounds import check_gamma_budget
+from ..entropy_estimators import DiscreteSystem, gamma_plus
 from .forms import (
     S_SCAN_CAP,
     TWO_PI,

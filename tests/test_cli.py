@@ -156,12 +156,16 @@ def test_estimate_htop_delta_below_the_cell_grid_is_usage_error():
     ("estimate", "--what", "gamma", "--horizon", "100000000"),
     ("collapse", "--steps", "2", "--returns", "2", "--grid", "16",
      "--horizon", "100000000"),
+    ("estimate", "--system", "doubling", "--what", "gamma", "--horizon", "100000000"),
+    ("estimate", "--system", "rotation", "--what", "gamma", "--horizon", "100000000"),
+    ("estimate", "--system", "reeb-solid-torus", "--what", "gamma",
+     "--horizon", "100000000"),
 ])
 def test_gamma_over_budget_is_usage_error(args):
     # without the budget these allocate 800 MB and run for hours
     res = subprocess.run(CLI + list(args), capture_output=True, text=True,
                          env=child_env(), timeout=60)
-    _one_line_error(res, 1, "exceeds the budget")
+    _one_line_error(res, 1, "exceeds the budget of 1000000 state steps")
 
 
 def test_estimate_htop_counts_not_monotone_in_delta_exit_0():
@@ -590,6 +594,10 @@ def test_john_sandwich_violation_is_validation_failure(monkeypatch, capsys,
      "the twist is flat on every row"),
     ({"r_range": [1e-160, 3e-160], "tau_support": [1e-160, 2e-160]},
      "FormsError: tau_support [1e-160, 2e-160] is too narrow: the twist's r "
+     "derivatives leave the float range"),
+    # finite on every threshold row, but not just inside the flat ends
+    ({"r_range": [1e-100, 3e-100], "tau_support": [1e-100, 2e-100]},
+     "FormsError: tau_support [1e-100, 2e-100] is too narrow: the twist's r "
      "derivatives leave the float range"),
     # a file nested past the parser's recursion limit, given as its text
     pytest.param("[" * 100_000 + "]" * 100_000,

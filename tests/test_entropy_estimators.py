@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entropia import entropy_bounds
 from entropia.entropy_estimators import (
     GAMMA_BUDGET,
     BudgetExceeded,
@@ -79,6 +80,48 @@ def test_gamma_budget_guard():
 def test_gamma_requires_inverse():
     with pytest.raises(EstimatorError):
         gamma(doubling_system(), horizon=16)
+
+
+# the linear maps with their numpy systems and their shared Jacobians
+LINEAR = [
+    ("cat", cat_system, entropy_bounds.CAT),
+    ("doubling", doubling_system, entropy_bounds.DOUBLING),
+    ("rotation", lambda: rotation_system(0.37), entropy_bounds.ROTATION),
+]
+
+
+@pytest.mark.parametrize("make, jacobian", [row[1:] for row in LINEAR],
+                         ids=[row[0] for row in LINEAR])
+def test_linear_systems_use_the_shared_jacobians(make, jacobian):
+    states = np.random.default_rng(5).random((7, len(jacobian)))
+    _, jac = make().time_one_jacobian(states)
+    assert np.array_equal(jac, np.tile(np.array(jacobian), (7, 1, 1)))
+
+
+@pytest.mark.parametrize("horizon", [8, 16, 64, 400])
+@pytest.mark.parametrize("make, jacobian", [row[1:] for row in LINEAR],
+                         ids=[row[0] for row in LINEAR])
+def test_gamma_linear_matches_gamma_plus(make, jacobian, horizon):
+    # every state carries the same cocycle, so any seed gives the closed form
+    closed = entropy_bounds.gamma_linear(jacobian, horizon)
+    assert (closed.horizon, closed.samples) == (float(horizon), 128)
+    for seed in range(3):
+        sampled = gamma_plus(make(), horizon, 128, seed)
+        if jacobian is entropy_bounds.ROTATION:
+            assert closed.value == 0.0
+        else:
+            assert closed.value == pytest.approx(sampled.value, rel=1e-12, abs=0.0)
+        assert abs(closed.fit_residual - sampled.fit_residual) <= 1e-12
+
+
+def test_gamma_linear_keeps_the_gamma_budget():
+    horizon = GAMMA_BUDGET // 128 + 1
+    with pytest.raises(BudgetExceeded,
+                       match=f"gamma over {horizon} steps of 128 states"):
+        entropy_bounds.gamma_linear(entropy_bounds.CAT, horizon)
+    entropy_bounds.gamma_linear(entropy_bounds.CAT, horizon - 1)
+    with pytest.raises(EstimatorError, match="at least 8"):
+        entropy_bounds.gamma_linear(entropy_bounds.CAT, 7)
 
 
 # ---------------------------------------------------------------- suite

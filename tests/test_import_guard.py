@@ -1,21 +1,26 @@
 """scipy stays off `import entropia.cli` and every command but `bodies` on
 a body of dimension >= 4; numpy stays off `import entropia.cli` and the
-closed-form commands `constants`, `bounds`, `verovic`, `sl3`, `spectrum`
-and `estimate --what hvol`, and `dataclasses` off those six too; click
-and argparse load nowhere, as the CLI parses its own grammar, and
+closed-form commands `constants`, `bounds`, `verovic`, `sl3`, `spectrum`,
+`estimate --what hvol` and `estimate --what gamma` on cat, doubling and
+rotation, and `dataclasses` and OpenSSL's `_hashlib` off those nine too;
+click and argparse load nowhere, as the CLI parses its own grammar, and
 `numpy.ma` not in a 3-D `bodies`.
 
 Each check starts a fresh interpreter, so no module imported by another
 test can hide an import.  Planar hulls are a numpy monotone chain, spatial
 ones a numpy quickhull, and the solid-torus volume of `collapse` is a fixed
 Gauss-Legendre rule from numpy; the Weyl and hexagon checks of `sl3` are
-Gauss-Legendre rules whose nodes are computed in pure Python, and the
-ball growth of `hvol` is a least-squares line in `math`.  Only a body
-of dimension >= 4 imports scipy, for its Halton direction grid
-(`scipy.stats`) and its qhull hull (`scipy.spatial`), where they run.  The
-CLI imports each layer, and with it numpy, inside the commands that run
-it, so numpy loads with `bodies`, `collapse` and the other `estimate`
-commands only.  The assertions are on module sets only, never on timings.
+Gauss-Legendre rules whose nodes are computed in pure Python, the ball
+growth of `hvol` is a least-squares line in `math`, and the Gamma of a
+linear torus map is the growth of one 2 x 2 or 1 x 1 matrix power, the
+same at every state.  The config hash takes sha256 from CPython's
+built-in module.  Only a body of dimension >= 4 imports scipy, for its
+Halton direction grid (`scipy.stats`) and its qhull hull
+(`scipy.spatial`), where they run.  The CLI imports each layer, and with
+it numpy, inside the commands that run it, so numpy loads with `bodies`,
+`collapse` and the other `estimate` commands only, whose states come from
+numpy's generator (which loads `hashlib` itself).  The assertions are on
+module sets only, never on timings.
 """
 
 import json
@@ -68,6 +73,9 @@ CLOSED_FORM = [
     ["sl3"],
     ["spectrum", "--v-bar", "0.5", "--h", "1.0", "--n", "1", "--c", "2.0"],
     ["estimate", "--system", "hyperbolic", "--what", "hvol"],
+    ["estimate", "--system", "cat", "--what", "gamma"],
+    ["estimate", "--system", "doubling", "--what", "gamma", "--horizon", "64"],
+    ["estimate", "--system", "rotation", "--what", "gamma", "--horizon", "8"],
 ]
 
 
@@ -122,6 +130,10 @@ def test_cli_import_and_closed_form_commands_load_no_numpy():
 
 def test_cli_import_and_closed_form_commands_load_no_dataclasses():
     _assert_none_load("dataclasses", CLOSED_FORM)
+
+
+def test_cli_import_and_closed_form_commands_load_no_openssl():
+    _assert_none_load("_hashlib", CLOSED_FORM)
 
 
 def _every_layer(tmp_path):
