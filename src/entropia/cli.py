@@ -598,9 +598,19 @@ def estimate(config, system, what, horizon, delta, cloud):
         est = eb.gamma_linear(
             {"cat": eb.CAT, "doubling": eb.DOUBLING, "rotation": eb.ROTATION}[system],
             horizon)
+    elif what == "gamma":
+        # the solid torus's cocycle is a power of one shear at each state
+        from .entropy_bounds import GAMMA_STATES
+        from .reeb_collapse import build_profiles
+        from .reeb_collapse.sweep import solid_torus_gamma
+
+        est = solid_torus_gamma(build_profiles(), 0.05, horizon, GAMMA_STATES,
+                                config.seed)
     else:
         from . import entropy_estimators as ee
 
+        if not 1 <= horizon <= 8:
+            raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
         if system == "reeb-solid-torus":
             from .reeb_collapse import build_profiles
             from .reeb_collapse.sweep import solid_torus_system
@@ -614,20 +624,15 @@ def estimate(config, system, what, horizon, delta, cloud):
                     "rotation": lambda: ee.rotation_system(0.37)}[system]()
             # the unit torus under torus_metric
             diameter = math.sqrt(sys_.state_dim) / 2.0
-        if what == "gamma":
-            est = ee.gamma_plus(sys_, horizon, seed=config.seed)
-        else:
-            if not 1 <= horizon <= 8:
-                raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
-            # no two points are delta-separated once delta reaches the
-            # chart's diameter: every count would be 1
-            wide = [d for d in deltas if d >= diameter]
-            if wide:
-                raise UsageError(
-                    f"--delta {wide[0]} is at or above the {system} chart's "
-                    f"diameter {diameter:.6g}")
-            est = ee.htop_separated(sys_, deltas, horizon,
-                                    n_candidates=cloud, seed=config.seed)
+        # no two points are delta-separated once delta reaches the
+        # chart's diameter: every count would be 1
+        wide = [d for d in deltas if d >= diameter]
+        if wide:
+            raise UsageError(
+                f"--delta {wide[0]} is at or above the {system} chart's "
+                f"diameter {diameter:.6g}")
+        est = ee.htop_separated(sys_, deltas, horizon,
+                                n_candidates=cloud, seed=config.seed)
     rows = [{
         "name": f"{what}({system})", "value": repr(est.value),
         "inputs": json.dumps({"horizon": est.horizon, "samples": est.samples,

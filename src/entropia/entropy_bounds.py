@@ -420,7 +420,8 @@ def _norm2(m) -> float:
     return (math.hypot(a + d, c - b) + math.hypot(a - d, b + c)) / 2.0
 
 
-def gamma_linear(jacobian, horizon: int) -> GrowthEstimate:
+def gamma_linear(jacobian, horizon: int,
+                 n_states: int = GAMMA_STATES) -> GrowthEstimate:
     """Norm growth lim (1/n) log ||d phi^n|| of a map whose Jacobian is the
     constant d x d matrix `jacobian` (rows of floats, d <= 2), such as CAT,
     DOUBLING or ROTATION, by the steps of entropy_estimators.gamma_plus:
@@ -430,13 +431,13 @@ def gamma_linear(jacobian, horizon: int) -> GrowthEstimate:
     half of the log-norms is fitted by a line.
 
     The cocycle is the same matrix power A^n at every state, so the maximum
-    over gamma_plus's grid of GAMMA_STATES seeded states is the value of
-    any one of them, and no state is sampled; `samples` stays GAMMA_STATES,
-    as does the budget check.
+    over gamma_plus's grid of `n_states` seeded states is the value of any
+    one of them, and no state is sampled; `samples` stays `n_states`, as
+    does the budget check.
     """
     if horizon < 8:
         raise EstimatorError("horizon must be at least 8")
-    check_gamma_budget(horizon, GAMMA_STATES)
+    check_gamma_budget(horizon, n_states)
     cocycle = [[float(i == j) for j in range(len(jacobian))]
                for i in range(len(jacobian))]
     log_scale, log_norms = 0.0, []
@@ -448,7 +449,7 @@ def gamma_linear(jacobian, horizon: int) -> GrowthEstimate:
         log_scale += math.log(scale)
         log_norms.append(log_scale + math.log(_norm2(cocycle)))
     slope, resid = _tail_line(range(1, horizon + 1), log_norms)
-    return GrowthEstimate(slope, float(horizon), GAMMA_STATES, resid)
+    return GrowthEstimate(slope, float(horizon), n_states, resid)
 
 
 # -------------------------------------------------------------- reporting

@@ -38,6 +38,9 @@ S_SCAN_CAP = 1e6
 # rows in r that `contact_threshold` samples by default
 _THRESHOLD_ROWS = 64
 
+# each threshold is (1 - _THRESHOLD_MARGIN) times the s its test fails at
+_THRESHOLD_MARGIN = 1e-4
+
 # Gauss-Legendre nodes per breakpoint panel of the solid-torus volume
 _GL_NODES = 96
 
@@ -80,16 +83,28 @@ class AboveContactThreshold(FormsError):
     """An s of the sweep above s0, where alpha_s is not a contact form."""
 
 
+class AboveSpeedCap(FormsError):
+    """An s of the sweep whose theta-speed bound passes the cap up to which
+    the mapping-torus RK4 resolves the flow."""
+
+
 # --------------------------------------------------------------- mapping torus
 
-def _chi_first(theta, out=(None, None, None)):
+# the constants of `_chi_first` and `MappingTorusField.speed` as 0-d float64
+# arrays: numpy converts a Python scalar on every call, and these run four
+# times per RK4 step; the floats are the same
+_ONE, _THREE = np.array(1.0), np.array(3.0)
+_INV_TWO_PI, _CHI1_SCALE = np.array(1.0 / TWO_PI), np.array(140.0 / TWO_PI)
+
+def _chi_first(theta, out=(None, None, None), tmp=None):
     """u = theta / 2 pi, w = u (1 - u) and chi' = (140 / 2 pi) w^3, the
     slope of the cutoff chi(theta) = smoothstep7(u) for theta in [0, 2 pi]
     (the smoothstep 35u^4 - 84u^5 + 70u^6 - 20u^7 has slope 140 u^3
-    (1-u)^3); `out` takes three arrays to write them into."""
-    u = np.multiply(theta, 1.0 / TWO_PI, out=out[0])
-    w = np.multiply(u, 1.0 - u, out=out[1])
-    return u, w, np.multiply(140.0 / TWO_PI, w ** 3, out=out[2])
+    (1-u)^3); `out` takes three arrays to write them into, and `tmp` one
+    for the temporaries."""
+    u = np.multiply(theta, _INV_TWO_PI, out[0])
+    w = np.multiply(u, np.subtract(_ONE, u, tmp), out[1])
+    return u, w, np.multiply(_CHI1_SCALE, np.power(w, _THREE, tmp), out[2])
 
 
 def _chi_second(u, w):
@@ -239,45 +254,58 @@ class MappingTorusField:
     it also returns the terms the other five outputs are built from, and
     `rest(*terms)` builds those five.  Calling the field gives (theta_dot,
     x_dot, d theta_dot / d theta, d theta_dot / d r, d x_dot / d theta,
-    d x_dot / d r) through the two.  The radii run along the last axis of
-    theta; any leading axes evaluate many theta rows at once, element by
-    element the same floats as one row at a time."""
+    d x_dot / d r) through the two, at theta mod 2 pi.  The radii run along
+    the last axis of theta; any leading axes evaluate many theta rows at
+    once, element by element the same floats as one row at a time."""
 
     def __init__(self, spec: MappingTorusSpec, r, s):
         self.tau = spec.tau_dual(r)
         self._lam = spec.lam(r)
+        # -lambda: y_x = (chi' (-lambda)) tau' is -chi' lambda tau' bit for
+        # bit, as negation is exact, with one operation fewer
+        self._neg_lam = -self._lam
         self._s = s
         self._s_lam = s * self._lam
-        self._dtau_dr = -self.tau.d1 + self._lam * self.tau.d2
+        # -d(lambda tau')/dr = tau' - lambda tau'', the negation of
+        # -tau' + lambda tau'' bit for bit
+        self._neg_dlam_tau = self.tau.d1 - self._lam * self.tau.d2
 
-    def speed(self, theta, out=(None,) * 5):
-        """(theta_dot, terms): terms are u, w and chi' of `_chi_first` at
-        theta mod 2 pi, y_x and the denominator 1 + s lambda y_x, written
-        into the five arrays of `out` when it gives them."""
-        u, w, chi1 = _chi_first(theta % TWO_PI, out[:3])
-        yx = np.multiply(-chi1 * self._lam, self.tau.d1, out=out[3])
-        denom = np.add(1.0, self._s_lam * yx, out=out[4])
-        return 1.0 / denom, (u, w, chi1, yx, denom)
+    def speed(self, theta, out=(None,) * 5, dot=None, tmp=None):
+        """(theta_dot, terms) at theta in [0, 2 pi), which the caller
+        reduces: terms are u, w and chi' of `_chi_first`, y_x and the
+        denominator 1 + s lambda y_x.  They go into the five arrays of
+        `out`, theta_dot into `dot` and the temporaries into `tmp`, when
+        the caller gives them; the floats are the same either way."""
+        u, w, chi1 = _chi_first(theta, out[:3], tmp)
+        yx = np.multiply(np.multiply(chi1, self._neg_lam, tmp), self.tau.d1, out[3])
+        denom = np.add(_ONE, np.multiply(self._s_lam, yx, tmp), out[4])
+        return np.divide(_ONE, denom, dot), (u, w, chi1, yx, denom)
 
     def rest(self, u, w, chi1, yx, denom, out=(None,) * 5):
         """(x_dot, d theta_dot / d theta, d theta_dot / d r,
         d x_dot / d theta, d x_dot / d r) from the terms of `speed`,
-        written into the five arrays of `out` when it gives them."""
-        lam, s, s_lam = self._lam, self._s, self._s_lam
+        written into the five arrays of `out` when it gives them.
+
+        With dy = dy_x and dd = d(1 + s lambda y_x), the derivatives are
+        -dd / denom^2 and (dy denom - y_x dd) / denom^2.  They are formed
+        from -dy_x/dtheta, -dd/dtheta and -dd/dr, which saves five
+        negations; as negation is exact, every float is the one the signed
+        terms give."""
+        lam, s = self._lam, self._s
         chi2 = _chi_second(u, w)
         denom2 = denom ** 2
-        dy_dth = -chi2 * lam * self.tau.d1
-        dy_dr = -chi1 * self._dtau_dr
-        dden_dth = s_lam * dy_dth
-        dden_dr = s * (-yx + lam * dy_dr)
+        neg_dy_dth = chi2 * lam * self.tau.d1
+        dy_dr = chi1 * self._neg_dlam_tau
+        neg_dd_dth = self._s_lam * neg_dy_dth
+        neg_dd_dr = s * (yx - lam * dy_dr)
         return (np.divide(yx, denom, out=out[0]),
-                np.divide(-dden_dth, denom2, out=out[1]),
-                np.divide(-dden_dr, denom2, out=out[2]),
-                np.divide(dy_dth * denom - yx * dden_dth, denom2, out=out[3]),
-                np.divide(dy_dr * denom - yx * dden_dr, denom2, out=out[4]))
+                np.divide(neg_dd_dth, denom2, out=out[1]),
+                np.divide(neg_dd_dr, denom2, out=out[2]),
+                np.divide(yx * neg_dd_dth - neg_dy_dth * denom, denom2, out=out[3]),
+                np.divide(dy_dr * denom + yx * neg_dd_dr, denom2, out=out[4]))
 
     def __call__(self, theta):
-        th_dot, terms = self.speed(theta)
+        th_dot, terms = self.speed(theta % TWO_PI)
         return (th_dot,) + self.rest(*terms)
 
 
@@ -288,8 +316,9 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = _THRESHOLD_ROWS):
     (-lambda^2 tau'(r)) with 0 <= chi' <= chi'(pi), so both of its
     extrema lie on the row theta = pi.  That row is sampled at `grid`
     values of r and each extremum is refined by a local zoom in r.  s0 is
-    (1 - 1e-4) times the largest s with alpha_s ^ dalpha_s > 0 there; s1
-    is (1 - 1e-4) times the largest s with 1/2 <= theta_dot <= 2 there, at
+    (1 - 1e-4) times the largest s with alpha_s ^ dalpha_s > 0 there: 1/neg
+    for the largest value neg of -lambda_theta(Y); s1 is (1 - 1e-4) times
+    the largest s with 1/2 <= theta_dot <= 2 there, at
     most s0.  A twist support between two samples gets the samples of its
     own span.  tau' == 0 yields the scan cap for both.  Raises
     GridTooCoarse when a threshold fails the test on the sampled row.
@@ -320,7 +349,7 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = _THRESHOLD_ROWS):
     pos = refine(+1.0)
 
     def below(limit):
-        return S_SCAN_CAP if limit <= 0.0 else 1.0 / limit * (1.0 - 1e-4)
+        return S_SCAN_CAP if limit <= 0.0 else 1.0 / limit * (1.0 - _THRESHOLD_MARGIN)
 
     # contactness: 1 + s lam_y > 0  <=>  s < 1/neg
     s0 = below(neg)
@@ -333,6 +362,17 @@ def contact_threshold(spec: MappingTorusSpec, grid: int = _THRESHOLD_ROWS):
             s1 < S_SCAN_CAP and not (q1.min() >= 0.5 and q1.max() <= 2.0)):
         raise GridTooCoarse(f"thresholds s0={s0}, s1={s1} fail the lattice test")
     return s0, s1
+
+
+def theta_speed_bound(s, s0: float):
+    """The largest theta_dot = 1 / (1 + s lambda_theta(Y)) of alpha_s for
+    each s below s0: 1 / (1 - s neg), with neg the largest value of
+    -lambda_theta(Y), on the row theta = pi, read back from the contact
+    threshold s0 = (1 - 1e-4) / neg of `contact_threshold`.  A threshold at
+    the scan cap means lambda_theta(Y) >= 0, and theta_dot is at most 1."""
+    if s0 >= S_SCAN_CAP:
+        return np.ones_like(np.asarray(s, float))
+    return 1.0 / (1.0 - np.asarray(s, float) * ((1.0 - _THRESHOLD_MARGIN) / s0))
 
 
 def return_map_and_time(spec: MappingTorusSpec, start, s):
@@ -394,29 +434,19 @@ def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float):
     field, step _RK4_DT (oracle companion to the closed form; angles left
     unreduced).
 
-    The field depends on the state only through r, so stage evaluations at
-    an unchanged r reuse the cached velocity; the integration is bit-exact
+    The field depends on the state only through r, and its r entry is 0.0,
+    so r never changes and every stage of every step has the velocity at
+    the start: it is evaluated once, and the integration is bit-exact
     against a stage-by-stage field query.
     """
     y = np.asarray(state, float)
     n = max(1, int(round(abs(t) / _RK4_DT)))
     hstep = t / n
-    cache_r = None
-    cache_v = None
-
-    def f(yy):
-        nonlocal cache_r, cache_v
-        if cache_r is None or yy[1] != cache_r:
-            cache_r = yy[1]
-            cache_v = solid_torus_reeb(profiles, yy, s)
-        return cache_v
-
+    v = solid_torus_reeb(profiles, y, s)
+    # k1 = k2 = k3 = k4 = v, summed in the RK4's order
+    inc = hstep / 6.0 * (v + 2 * v + 2 * v + v)
     for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * hstep * k1)
-        k3 = f(y + 0.5 * hstep * k2)
-        k4 = f(y + hstep * k3)
-        y = y + hstep / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = y + inc
     return tuple(y)
 
 

@@ -126,10 +126,25 @@ def test_criterion_05_katok_finsler_floors():
     _ok(5, "genus-2 floors and the c_2 * katok chain identity")
 
 
+def _square_outer_ellipse_ratio():
+    """vol(outer Loewner ellipse) / vol(K) of the square: pi/2, the largest
+    over planar symmetric bodies."""
+    square = StarBody.from_points([[1, 1], [-1, 1], [-1, -1], [1, -1]], n=720)
+    return outer_loewner(square).volume / volume(square, "exact2d")
+
+
+def _triangle_reflection_ratio():
+    """vol(reflection body) / vol(K) of a triangle with a vertex at the
+    origin: 4, the largest over planar convex bodies."""
+    d = 1e-9
+    tri = StarBody.from_points(
+        [[1.0, 0.0], [0.0, 1.0], [-d / SQ2, -d / SQ2]], n=2 ** 14)
+    return volume(reflection_body(tri), "exact2d") / volume(tri, "exact2d")
+
+
 def test_criterion_06_convex_sharp_cases():
     rng = np.random.default_rng(61803)
-    square = StarBody.from_points([[1, 1], [-1, 1], [-1, -1], [1, -1]], n=720)
-    ratio = outer_loewner(square).volume / volume(square, "exact2d")
+    ratio = _square_outer_ellipse_ratio()
     assert abs(ratio - math.pi / 2) < 1e-4
 
     for _ in range(100):
@@ -140,10 +155,7 @@ def test_criterion_06_convex_sharp_cases():
         assert np.all(r_e <= body.radial * (1 + tol))
         assert np.all(body.radial <= SQ2 * r_e * (1 + tol))
 
-    d = 1e-9
-    tri = StarBody.from_points(
-        [[1.0, 0.0], [0.0, 1.0], [-d / SQ2, -d / SQ2]], n=2 ** 14)
-    refl_ratio = volume(reflection_body(tri), "exact2d") / volume(tri, "exact2d")
+    refl_ratio = _triangle_reflection_ratio()
     assert abs(refl_ratio - 4.0) < 1e-6
     for _ in range(1000):
         body = random_convex_polygon(rng)
@@ -165,6 +177,24 @@ def test_criterion_06_convex_sharp_cases():
     prod = volume(ell_body, "exact2d") * volume(polar_dual(ell_body), "exact2d")
     assert abs(prod / w2sq - 1.0) < 1e-3
     _ok(6, "outer-ellipse ratio, John sandwich, Rogers-Shephard, Santalo")
+
+
+def test_finsler_floors_from_the_sharp_planar_ratios():
+    # the floors are Katok's bound over the square roots of the sharp
+    # planar ratios: the outer-ellipse ratio pi/2 gives the reversible
+    # floor, and the reflection-body ratio 4 halves it for the general one
+    ellipse, reflection = _square_outer_ellipse_ratio(), _triangle_reflection_ratio()
+    assert abs(ellipse - math.pi / 2) < 1e-4 and abs(reflection - 4.0) < 1e-6
+    # sqrt halves a ratio's relative error; these bound it with room
+    rel_ellipse, rel_reflection = 1e-4 / (math.pi / 2), 1e-6 / 4.0
+    for genus in range(2, 6):
+        reversible = katok_bound(genus) / math.sqrt(ellipse)
+        assert finsler_floor(genus, True) == pytest.approx(
+            reversible, rel=rel_ellipse, abs=0.0)
+        assert finsler_floor(genus, False) == pytest.approx(
+            reversible / math.sqrt(reflection),
+            rel=rel_ellipse + rel_reflection, abs=0.0)
+    _ok("F", "Finsler floors = katok / sqrt(pi/2), then / sqrt(4), genus 2-5")
 
 
 def test_criterion_07_reeb_solid_torus():

@@ -105,6 +105,11 @@ def test_tracer_binds_every_name_and_leaves_output_unchanged():
                 if span[0] == "entropy_estimators.gamma_plus"
                 and str(span[5]).startswith("reeb_mapping_torus")]
     assert len(mt_gamma) == 1
+    # the solid torus's Gamma is the closed form of its steepest shear, in
+    # the sweep and in `estimate`: no other gamma_plus runs, and no sampled
+    # solid-torus Jacobian products
+    assert sum(span[0] == "entropy_estimators.gamma_plus" for span in tracer.spans) == 1
+    assert not any(span[0] == "reeb_collapse.st_jacobian" for span in tracer.spans)
     # and takes its return times and images for every s and start in one
     # return-map call, not one per (s, start)
     assert sum(span[0] == "reeb_collapse.return_map" for span in tracer.spans) == 1

@@ -168,6 +168,15 @@ def test_gamma_over_budget_is_usage_error(args):
     _one_line_error(res, 1, "exceeds the budget of 1000000 state steps")
 
 
+def test_gamma_reeb_budget_message_counts_its_128_states():
+    # the closed form keeps the budget and the words of the sampled estimate
+    res = run_cli("estimate", "--system", "reeb-solid-torus", "--what", "gamma",
+                  "--horizon", "7813")
+    assert res.returncode == 1
+    assert res.stderr == ("usage error: gamma over 7813 steps of 128 states exceeds "
+                          "the budget of 1000000 state steps\n")
+
+
 def test_estimate_htop_counts_not_monotone_in_delta_exit_0():
     # greedy counts at delta 0.3 exceed those at 0.29 at T = 3 here (82 > 81);
     # each delta is searched from scratch, so that is valid output
@@ -398,6 +407,13 @@ def test_collapse_over_gamma_budget_fails_before_any_work(monkeypatch, capsys):
     (("collapse", "--s-min", "4", "--s-max", "4.9", "--steps", "2",
       "--returns", "4", "--horizon", "8", "--grid", "16"),
      "s = 4.9 is above the contact threshold s0 = 4.832107648821965 of k_twists 1"),
+    # below s0, but theta_dot reaches 1,865 at s = 4.83, which the RK4 step
+    # 0.02 does not resolve: it printed gamma_est 1.40997 against 0.287061
+    # from 500 or 5,000 steps
+    (("collapse", "--s-min", "1", "--s-max", "4.83", "--steps", "2",
+      "--returns", "4", "--horizon", "8", "--grid", "16"),
+     "s = 4.83 has the theta-speed bound 1865.21, above 4: the RK4 step 1/50 "
+     "does not resolve the mapping-torus flow of k_twists 1 there"),
 ])
 def test_validation_failure_is_one_line(args, text):
     _one_line_error(run_cli(*args), 2, text)

@@ -224,8 +224,9 @@ def test_step_jacobian_equals_the_fused_rk4_bit_for_bit(k, s, m):
 # tracemalloc peak of one step_jacobian call at m = 6144 (MB of 2**20
 # bytes): 2.96 with the fused RK4 on all six rows, 3.66 in blocks of
 # steps, which hold the field's terms and the rest of the field at every
-# stage of a block (one step here).  The bound is a tenth above the
-# latter; one block of all 50 steps would hold 195 MB.
+# stage of a block (one step here), and 3.48 once the passes borrow their
+# scratch from those buffers.  The bound is a tenth above 3.66; one block
+# of all 50 steps would hold 195 MB.
 MT_STEP_PEAK_BOUND = 1.1 * 3.66 * 2 ** 20
 
 
