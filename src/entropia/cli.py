@@ -136,7 +136,6 @@ _LAYER_ERRORS = [
     (".entropy_bounds", "EstimateBudgetExceeded", 1),
     (".entropy_bounds", "EstimatorError", 2),
     (".reeb_collapse.forms", "FormsError", 2),
-    (".reeb_collapse.profiles", "ProfileError", 2),
 ]
 
 
@@ -561,6 +560,9 @@ def collapse(config, s_min, s_max, steps, twists, returns, horizon, grid, spec):
 
 _SYSTEMS = ("cat", "rotation", "doubling")
 
+# the s of the solid torus that estimate --system reeb-solid-torus runs on
+_SOLID_TORUS_S = 0.05
+
 
 @_options(_Option("--system", [*_SYSTEMS, "reeb-solid-torus", "hyperbolic"], "cat"),
           _Option("--what", ["htop", "hvol", "gamma"], "gamma"),
@@ -601,24 +603,19 @@ def estimate(config, system, what, horizon, delta, cloud):
     elif what == "gamma":
         # the solid torus's cocycle is a power of one shear at each state
         from .entropy_bounds import GAMMA_STATES
-        from .reeb_collapse import build_profiles
         from .reeb_collapse.sweep import solid_torus_gamma
 
-        est = solid_torus_gamma(build_profiles(), 0.05, horizon, GAMMA_STATES,
-                                config.seed)
+        est = solid_torus_gamma(_SOLID_TORUS_S, horizon, GAMMA_STATES, config.seed)
     else:
         from . import entropy_estimators as ee
 
         if not 1 <= horizon <= 8:
             raise UsageError(f"htop needs --horizon from 1 to 8, got {horizon}")
         if system == "reeb-solid-torus":
-            from .reeb_collapse import build_profiles
-            from .reeb_collapse.sweep import solid_torus_system
+            from .reeb_collapse.sweep import ST_CHART_DIAMETER, solid_torus_system
 
-            profiles = build_profiles()
-            sys_ = solid_torus_system(profiles, s=0.05)
-            # its chart metric: two angles mod 2 pi and r in [0, r_eps]
-            diameter = math.hypot(math.pi, math.pi, profiles.r_eps)
+            sys_ = solid_torus_system(_SOLID_TORUS_S)
+            diameter = ST_CHART_DIAMETER
         else:
             sys_ = {"cat": ee.cat_system, "doubling": ee.doubling_system,
                     "rotation": lambda: ee.rotation_system(0.37)}[system]()

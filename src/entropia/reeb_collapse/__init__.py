@@ -19,11 +19,6 @@ from .forms import (
     solid_torus_reeb,
     solid_torus_volume,
 )
-from .profiles import (
-    ProfileFunctions,
-    ProfileValidationError,
-    build_profiles,
-)
 from .sweep import collapse_sweep, mapping_torus_system, solid_torus_system
 
 __all__ = [
@@ -32,7 +27,5 @@ __all__ = [
     "collapse_volumes", "contact_threshold", "mapping_torus_volume",
     "normalize_form", "return_map_and_time", "solid_torus_flow",
     "solid_torus_flow_rk4", "solid_torus_reeb", "solid_torus_volume",
-    "ProfileFunctions", "ProfileValidationError",
-    "build_profiles", "collapse_sweep", "mapping_torus_system",
-    "solid_torus_system",
+    "collapse_sweep", "mapping_torus_system", "solid_torus_system",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import MAX_TWISTS
 from .duals import _STEP_CLIP, Dual, product, smooth_step_on
-from .profiles import ProfileFunctions
+from . import profiles
 
 TWO_PI = 2.0 * math.pi
 
@@ -411,7 +411,7 @@ def mapping_torus_volume(spec: MappingTorusSpec, s: float,
 
 # --------------------------------------------------------------- solid torus
 
-def solid_torus_reeb(profiles: ProfileFunctions, state, s: float):
+def solid_torus_reeb(state, s: float):
     """Reeb velocity of sigma_s = g dtheta + s f dx at (theta, r, x):
     (-f'/h, 0, g'/(s h)), and (0, 0, 1/(2s)) on the core circle."""
     theta, r, x = state
@@ -421,15 +421,15 @@ def solid_torus_reeb(profiles: ProfileFunctions, state, s: float):
     return np.array([ang[0], 0.0, fib[0] / s])
 
 
-def solid_torus_flow(profiles: ProfileFunctions, state, t: float, s: float):
+def solid_torus_flow(state, t: float, s: float):
     """Closed-form linear flow on the invariant torus {r = const}:
     (theta, r, x), angles left unreduced."""
     theta, r, x = state
-    vel = solid_torus_reeb(profiles, state, s)
+    vel = solid_torus_reeb(state, s)
     return theta + vel[0] * t, r, x + vel[2] * t
 
 
-def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float):
+def solid_torus_flow_rk4(state, t: float, s: float):
     """(theta, r, x) by fixed-step RK4 integration of the solid-torus Reeb
     field, step _RK4_DT (oracle companion to the closed form; angles left
     unreduced).
@@ -442,7 +442,7 @@ def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float):
     y = np.asarray(state, float)
     n = max(1, int(round(abs(t) / _RK4_DT)))
     hstep = t / n
-    v = solid_torus_reeb(profiles, y, s)
+    v = solid_torus_reeb(y, s)
     # k1 = k2 = k3 = k4 = v, summed in the RK4's order
     inc = hstep / 6.0 * (v + 2 * v + 2 * v + v)
     for _ in range(n):
@@ -450,7 +450,7 @@ def solid_torus_flow_rk4(profiles: ProfileFunctions, state, t: float, s: float):
     return tuple(y)
 
 
-def solid_torus_volume(profiles: ProfileFunctions, s: float) -> float:
+def solid_torus_volume(s: float) -> float:
     """int sigma_s ^ dsigma_s = s (2 pi)^2 int h dr.
 
     int h dr is a composite Gauss-Legendre rule, _GL_NODES nodes on each
@@ -458,7 +458,7 @@ def solid_torus_volume(profiles: ProfileFunctions, s: float) -> float:
     one evaluation of h covers every node.
     """
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    edges = profiles.breakpoints
+    edges = profiles.BREAKPOINTS
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     val = float(half @ (profiles.h(mid[:, None] + half[:, None] * x) @ w))
@@ -470,8 +470,8 @@ def solid_torus_volume(profiles: ProfileFunctions, s: float) -> float:
 # a huge s overflows the volumes, s^2 or the squared residuals: the checks
 # below report that, so numpy's overflow warnings are silenced
 @np.errstate(over="ignore", invalid="ignore")
-def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
-                     s_list, grid: int = 256, fit_tol: float = 0.01):
+def collapse_volumes(spec: MappingTorusSpec, s_list, grid: int = 256,
+                     fit_tol: float = 0.01):
     """Volume table of the glued form over a sweep of s.
 
     Returns (rows, fit) where rows have s, vol_mt, vol_st, vol_total and
@@ -484,7 +484,7 @@ def collapse_volumes(spec: MappingTorusSpec, profiles: ProfileFunctions,
     if np.any(s_arr <= 0):
         raise FormsError("s values must be positive")
     # solid_torus_volume is linear in s: one quadrature serves every s
-    vol_st_unit = solid_torus_volume(profiles, 1.0)
+    vol_st_unit = solid_torus_volume(1.0)
     rows = []
     for s in s_arr:
         vol_mt = mapping_torus_volume(spec, s, grid)

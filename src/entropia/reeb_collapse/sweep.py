@@ -1,6 +1,8 @@
 """Collapse sweep: volumes, return times, and normalized norm growth of
 the glued contact forms over a range of s."""
 
+import math
+
 import numpy as np
 
 from ..entropy_bounds import check_gamma_budget, gamma_linear
@@ -10,6 +12,7 @@ from .forms import (
     TWO_PI,
     AboveContactThreshold,
     AboveSpeedCap,
+    FormsError,
     MappingTorusField,
     MappingTorusSpec,
     NoContactThreshold,
@@ -19,7 +22,12 @@ from .forms import (
     return_map_and_time,
     theta_speed_bound,
 )
-from .profiles import ProfileFunctions, build_profiles
+from . import profiles
+
+# the solid-torus sampler's radii ST_R_LOW + ST_R_SPAN u, u in [0, 1), and
+# the `_chart_metric` distance that no two of its states reach
+ST_R_LOW, ST_R_SPAN = 0.05, 0.9 * profiles.R_EPS
+ST_CHART_DIAMETER = math.hypot(math.pi, math.pi, ST_R_SPAN)
 
 # RK4 steps of the mapping-torus time-one map (step 0.02)
 _MT_STEPS = 50
@@ -44,7 +52,7 @@ def _chart_metric(a, b):
     return np.sqrt(d0 ** 2 + (a[..., 1] - b[..., 1]) ** 2 + d2 ** 2)
 
 
-def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
+def solid_torus_system(s: float) -> DiscreteSystem:
     """Time-one map of the solid-torus Reeb flow as a DiscreteSystem;
     states (theta, r, x) with angles in [0, 2 pi), analytic Jacobian (a
     shear in r)."""
@@ -68,7 +76,7 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
     def sampler(m, rng):
         st = np.empty((m, 3))
         st[:, 0] = rng.random(m) * TWO_PI
-        st[:, 1] = 0.05 + 0.9 * rng.random(m) * profiles.r_eps
+        st[:, 1] = ST_R_LOW + ST_R_SPAN * rng.random(m)
         st[:, 2] = rng.random(m) * TWO_PI
         return st
 
@@ -77,12 +85,11 @@ def solid_torus_system(profiles: ProfileFunctions, s: float) -> DiscreteSystem:
                           name=f"reeb_solid_torus(s={s})")
 
 
-def solid_torus_gamma(profiles: ProfileFunctions, s, horizon: int,
-                      n_states: int, seed: int = 0):
-    """Gamma_+ of `solid_torus_system(profiles, s)` in closed form, for
-    the `n_states` states that `gamma_plus` would draw with `seed`; s is
-    one value, or a 1-D array of values that share those states, which
-    gives a list of estimates.
+def solid_torus_gamma(s, horizon: int, n_states: int, seed: int = 0):
+    """Gamma_+ of `solid_torus_system(s)` in closed form, for the
+    `n_states` states that `gamma_plus` would draw with `seed`; s is one
+    value, or a 1-D array of values that share those states, which gives a
+    list of estimates.
 
     The time-one Jacobian at radius r is the shear I + v e_r^T with
     v = (ang'(r), 0, fib'(r) / s), so its n-th power is I + n v e_r^T,
@@ -91,7 +98,7 @@ def solid_torus_gamma(profiles: ProfileFunctions, s, horizon: int,
     steepest sampled shear, which `gamma_linear` takes.  v is read off one
     `step_jacobian` call at s = 1, whose x row holds fib'(r) itself, and
     fib'(r) / s is the x row at s bit for bit."""
-    system = solid_torus_system(profiles, 1.0)
+    system = solid_torus_system(1.0)
     jac = system.step_jacobian(system.sampler(n_states, np.random.default_rng(seed)))[1]
     s_values = np.atleast_1d(np.asarray(s, float))
     steepest = np.hypot(jac[:, 0, 1], jac[:, 2, 1] / s_values[:, None]).max(axis=1)
@@ -267,7 +274,8 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
     Returns (rows, fit, meta).  Deterministic given (spec, seed).
     Without s_list the sweep runs up to the contact threshold s1; a spec
     whose threshold is the scan cap (k_twists 0) raises NoContactThreshold.
-    After the volumes, an s above s0 raises AboveContactThreshold, and an s
+    After the volumes, an s above s0 raises AboveContactThreshold, an s at
+    which the solid torus's x speed overflows raises FormsError, and an s
     whose theta-speed bound passes _MT_SPEED_CAP (every s <= s1 is within
     it) raises AboveSpeedCap.  The Gamma of every s comes from one
     `gamma_plus` over the stacked mapping torus (its rows equal those of one
@@ -278,7 +286,6 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
     """
     n_s = n_steps if s_list is None else len(s_list)
     check_gamma_budget(gamma_horizon, n_s * gamma_states)
-    profiles = build_profiles()
     s0, s1 = contact_threshold(spec)
     if s_list is None:
         if s1 >= S_SCAN_CAP:
@@ -286,11 +293,13 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
                 f"k_twists {spec.k_twists}: no contact threshold to sweep up "
                 "to (the scan cap); pass s_list")
         s_list = list(np.linspace(s1 / n_steps, s1, n_steps))
-    rows, fit = collapse_volumes(spec, profiles, s_list, grid=grid,
-                                 fit_tol=fit_tol)
+    rows, fit = collapse_volumes(spec, s_list, grid=grid, fit_tol=fit_tol)
     if s0 < S_SCAN_CAP and rows[-1]["s"] > s0:
         raise AboveContactThreshold(f"s = {rows[-1]['s']} is above the contact "
                                     f"threshold s0 = {s0} of k_twists {spec.k_twists}")
+    if rows[0]["s"] < profiles.X_SPEED_PEAK / np.finfo(float).max:
+        raise FormsError(f"s = {rows[0]['s']} is too small: the solid torus's x "
+                         "speed g'/(s h) or its r derivative leaves the float range")
     s_values = np.array([row["s"] for row in rows])
     bound = theta_speed_bound(s_values, s0)
     if bound[-1] > _MT_SPEED_CAP:
@@ -306,7 +315,7 @@ def collapse_sweep(spec: MappingTorusSpec, s_list=None, *, n_steps: int,
     ], axis=1)
     g_mt = gamma_plus(mapping_torus_system(spec, s_values), gamma_horizon,
                       gamma_states, seed)
-    g_st = solid_torus_gamma(profiles, s_values, gamma_horizon, gamma_states, seed)
+    g_st = solid_torus_gamma(s_values, gamma_horizon, gamma_states, seed)
     times, images = return_map_and_time(spec, starts, s_values[:, None])
     for row, mt, st, t in zip(rows, g_mt, g_st, times):
         row["T_s_min"] = float(t.min())

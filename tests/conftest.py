@@ -10,10 +10,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def child_env():
     """Environment for a child interpreter: this checkout's src/ first on
     PYTHONPATH, ahead of any inherited value, so subprocesses import the
-    package under test without an install or an exported PYTHONPATH."""
+    package under test without an install or an exported PYTHONPATH; and a
+    numpy RuntimeWarning raised as an error, as pyproject.toml has it in
+    process, so that a warning fails the test instead of printing past the
+    exit contract."""
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ,
-                PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+                PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])),
+                PYTHONWARNINGS="error::RuntimeWarning")
 
 
 @pytest.fixture

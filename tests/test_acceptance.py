@@ -53,8 +53,8 @@ from entropia.finsler_volume import (
 )
 from entropia.reeb_collapse import (
     MappingTorusSpec,
-    build_profiles,
     contact_threshold,
+    profiles,
     return_map_and_time,
     solid_torus_flow,
     solid_torus_flow_rk4,
@@ -198,26 +198,25 @@ def test_finsler_floors_from_the_sharp_planar_ratios():
 
 
 def test_criterion_07_reeb_solid_torus():
-    profiles = build_profiles()
     s = 0.05
     # closed form vs RK4 at t = 100
     start = (0.3, 0.5, 1.1)
-    exact = solid_torus_flow(profiles, start, 100.0, s)
-    rk4 = solid_torus_flow_rk4(profiles, start, 100.0, s)
+    exact = solid_torus_flow(start, 100.0, s)
+    rk4 = solid_torus_flow_rk4(start, 100.0, s)
     assert np.max(np.abs(np.array(exact) - np.array(rk4))) <= 1e-8
     # Reeb defining equations to 1e-10
     rng = np.random.default_rng(7)
     for _ in range(200):
         r = rng.uniform(1e-3, 1.0)
-        vth, vr, vx = solid_torus_reeb(profiles, (0.0, r, 0.0), s)
+        vth, vr, vx = solid_torus_reeb((0.0, r, 0.0), s)
         ra = np.array([r])
         assert abs(profiles.g(ra)[0] * vth + s * profiles.f(ra)[0] * vx - 1) < 1e-10
         assert abs(profiles.gp(ra)[0] * vth + s * profiles.fp(ra)[0] * vx) < 1e-10
         assert vr == 0.0
     # boundary and core velocities exact
-    assert np.allclose(solid_torus_reeb(profiles, (0, 1.0, 0), s),
+    assert np.allclose(solid_torus_reeb((0, 1.0, 0), s),
                        [1.0, 0.0, 0.0], atol=1e-14)
-    assert np.allclose(solid_torus_reeb(profiles, (0, 0.0, 0), s),
+    assert np.allclose(solid_torus_reeb((0, 0.0, 0), s),
                        [0.0, 0.0, 1.0 / (2 * s)], atol=1e-14)
     _ok(7, "solid-torus flow: RK4 oracle, Reeb equations, boundary/core")
 

@@ -291,6 +291,11 @@ def test_config_digest_golden(args, digest):
     (("collapse", "--hor", "8"), "No such option '--hor'"),
     (("constants", "--format", "json"), "No such option '--format'"),
     ((), "Missing command"),
+    # the solid torus's sampler draws r in [0.05, 0.95): no two states are
+    # hypot(pi, pi, 0.9) = 4.53312 apart, and every count would be 1
+    (("estimate", "--system", "reeb-solid-torus", "--what", "htop", "--delta",
+      "4.54", "--horizon", "2", "--cloud", "300"),
+     "--delta 4.54 is at or above the reeb-solid-torus chart's diameter 4.53312"),
 ])
 def test_usage_error_is_one_line(args, text):
     _one_line_error(run_cli(*args), 1, text)
@@ -414,6 +419,15 @@ def test_collapse_over_gamma_budget_fails_before_any_work(monkeypatch, capsys):
       "--returns", "4", "--horizon", "8", "--grid", "16"),
      "s = 4.83 has the theta-speed bound 1865.21, above 4: the RK4 step 1/50 "
      "does not resolve the mapping-torus flow of k_twists 1 there"),
+    # the solid torus's x speed g'/(s h) has an r derivative up to 5.52, past
+    # the float range divided by s = 1e-310: no numpy overflow warning
+    (("collapse", "--s-min", "1e-310", "--s-max", "1e-300", "--steps", "2",
+      "--returns", "1", "--horizon", "8", "--grid", "8"),
+     "s = 1e-310 is too small: the solid torus's x speed g'/(s h) or its r "
+     "derivative leaves the float range"),
+    (("--format", "json", "collapse", "--s-min", "1e-310", "--s-max", "1e-300",
+      "--steps", "2", "--returns", "1", "--horizon", "8", "--grid", "8"),
+     "s = 1e-310 is too small"),
 ])
 def test_validation_failure_is_one_line(args, text):
     _one_line_error(run_cli(*args), 2, text)

@@ -25,7 +25,6 @@ from entropia.entropy_estimators import (
     time_change_bound,
     torus_metric,
 )
-from entropia.reeb_collapse import build_profiles
 from entropia.reeb_collapse.sweep import solid_torus_system
 
 CAT_ENTROPY = math.log((3 + math.sqrt(5)) / 2)  # 0.9624...
@@ -63,8 +62,7 @@ def test_gamma_long_horizon_no_overflow():
 
 
 def test_gamma_solid_torus_tends_to_zero(rng):
-    profiles = build_profiles()
-    sys = solid_torus_system(profiles, s=0.05)
+    sys = solid_torus_system(s=0.05)
     short = gamma_plus(sys, horizon=25, n_states=64, seed=2)
     long = gamma_plus(sys, horizon=200, n_states=64, seed=2)
     assert long.value <= 1e-2

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from entropia import entropy_estimators as ee
-from entropia.reeb_collapse import build_profiles
 from entropia.reeb_collapse.sweep import solid_torus_system
 
 
@@ -42,8 +41,7 @@ CASES = [
                  [0.35], 4, 300, 4, id="cat-x-rotation-4d"),
     pytest.param(lambda: ee.suspension_cat_system(0.3), [0.4, 0.3], 4, 300, 5,
                  id="suspension-3d"),
-    pytest.param(lambda: solid_torus_system(build_profiles(),
-                                            s=0.05),
+    pytest.param(lambda: solid_torus_system(s=0.05),
                  [0.3, 0.2], 5, 250, 6, id="solid-torus"),
     pytest.param(ee.cat_system, [0.6], 5, 150, 7, id="wrap-1-cell"),
     pytest.param(ee.doubling_system, [0.4], 6, 150, 8, id="wrap-2-cells"),

@@ -16,13 +16,12 @@ from entropia.entropy_estimators import (
     rotation_system,
     suspension_cat_system,
 )
-from entropia.reeb_collapse import build_profiles
 from entropia.reeb_collapse.sweep import solid_torus_system
 
 
 def _solid_torus():
     # the system of `entropia estimate --system reeb-solid-torus`
-    return solid_torus_system(build_profiles(), s=0.05)
+    return solid_torus_system(s=0.05)
 
 
 def _rotation():

@@ -23,7 +23,7 @@ from entropia.entropy_estimators import (
     suspension_cat_system,
     union_system,
 )
-from entropia.reeb_collapse import MappingTorusSpec, build_profiles
+from entropia.reeb_collapse import MappingTorusSpec
 from entropia.reeb_collapse import sweep
 from entropia.reeb_collapse.forms import MappingTorusField, _chi_first, _chi_second
 from entropia.reeb_collapse.sweep import mapping_torus_system, solid_torus_system
@@ -252,8 +252,7 @@ SYSTEMS = {
     "cat_union_id": lambda: union_system(
         [cat_system(), _linear_torus_system(np.eye(2), "id")]),
     "suspension_cat": lambda: suspension_cat_system(0.3),
-    "solid_torus": lambda: solid_torus_system(
-        build_profiles(), 0.05),
+    "solid_torus": lambda: solid_torus_system(0.05),
     "mapping_torus": lambda: mapping_torus_system(
         MappingTorusSpec(k_twists=3), 0.4),
 }

@@ -9,12 +9,12 @@ from entropia.reeb_collapse import (
     FormsError,
     MappingTorusSpec,
     NoReturn,
-    build_profiles,
     collapse_volumes,
     contact_threshold,
     mapping_torus_system,
     mapping_torus_volume,
     normalize_form,
+    profiles,
     return_map_and_time,
     solid_torus_flow,
     solid_torus_flow_rk4,
@@ -33,80 +33,114 @@ TWO_PI = 2 * math.pi
 
 
 @pytest.fixture(scope="module")
-def dim3():
-    return build_profiles()
-
-
-@pytest.fixture(scope="module")
 def spec():
     return MappingTorusSpec(k_twists=1)
 
 
 # ---------------------------------------------------------------- profiles
 
-def test_build_profiles_dim3_h_near_zero(dim3):
+def test_profiles_dim3_h_near_zero():
     r = np.linspace(1e-6, 0.05, 500)
-    assert np.max(np.abs(dim3.h(r) - r * (2 + r ** 4))) < 1e-10
+    assert np.max(np.abs(profiles.h(r) - r * (2 + r ** 4))) < 1e-10
+
+
+# Constructions with infinitely flat contact have derivatives below the
+# double-precision floor within ~0.5% of the flat endpoint; strict sign
+# checks stop just short of it.
+_FLAT_SKIN = 0.995
+
+
+def test_profiles_dim3_properties():
+    # every property the collapse needs of the one profile family, on a
+    # dense grid of (0, 1]
+    r = np.linspace(1e-9, 1.0, 10_000)
+    f, g, h = profiles._fgh(r)
+    assert np.all(f.d1 < 0.0), "f' must be negative on (0, 1]"
+    near1 = r >= 0.9
+    assert np.max(np.abs(f.v[near1] - (2.0 - r[near1]))) < 1e-12, "f = 2 - r near 1"
+    near0 = r <= 0.1
+    assert np.max(np.abs(f.v[near0] - (2.0 - r[near0] ** 4))) < 1e-12, \
+        "f = 2 - r^4 near 0"
+    inner = (r > 0.0) & (r <= _FLAT_SKIN)
+    assert np.all(g.d1[inner] > 0.0), "g' must be positive on (0, 1)"
+    assert np.all(g.d1 >= 0.0), "g' must be nonnegative"
+    g1 = profiles._g_dual(np.array([1.0]))
+    assert (abs(g1.v[0] - 1.0) < 1e-12 and abs(g1.d1[0]) < 1e-12
+            and abs(g1.d2[0]) < 1e-12), "g flat-one at 1"
+    assert np.max(np.abs(g.v[near0] - r[near0] ** 2 / 2)) < 1e-12, "g = r^2/2 near 0"
+    small = r <= 0.05
+    assert np.max(np.abs(h[small] - r[small] * (2.0 + r[small] ** 4))) < 1e-10, \
+        "h = r(2 + r^4) near 0"
+    assert np.all(h > 0.0), "h must be positive on (0, 1]"
+
+
+def test_x_speed_peak_bounds_the_x_speed_and_its_derivative():
+    # X_SPEED_PEAK is a rounded-up maximum: above every sampled value, and
+    # within 1e-7 relative of the largest
+    r = np.linspace(1e-9, profiles.R_EPS, 100_001)
+    _, fib, _, d_fib = profiles.speeds_and_derivatives(r)
+    peak = max(np.abs(fib).max(), np.abs(d_fib).max())
+    assert peak < profiles.X_SPEED_PEAK < peak * (1 + 1e-7)
 
 
 # ---------------------------------------------------------------- solid torus
 
-def test_reeb_boundary_is_page_rotation(dim3):
-    v = solid_torus_reeb(dim3, (0.3, 1.0, 0.7), s=0.05)
+def test_reeb_boundary_is_page_rotation():
+    v = solid_torus_reeb((0.3, 1.0, 0.7), s=0.05)
     assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_reeb_core_velocity(dim3):
+def test_reeb_core_velocity():
     s = 0.07
-    v = solid_torus_reeb(dim3, (0.0, 0.0, 0.0), s)
+    v = solid_torus_reeb((0.0, 0.0, 0.0), s)
     assert np.allclose(v, [0.0, 0.0, 1.0 / (2 * s)], atol=1e-12)
     # limit along r -> 0 agrees with the core formula
-    v_near = solid_torus_reeb(dim3, (0.0, 1e-7, 0.0), s)
+    v_near = solid_torus_reeb((0.0, 1e-7, 0.0), s)
     assert abs(v_near[2] - 1.0 / (2 * s)) < 1e-6
 
 
-def test_reeb_defining_equations(dim3):
+def test_reeb_defining_equations():
     # sigma_s(R) = 1 and dsigma_s(R, .) = 0 on the coordinate basis:
     # g(r) thdot + s f(r) xdot = 1 and g' thdot + s f' xdot = 0
     rng = np.random.default_rng(5)
     s = 0.04
     for _ in range(50):
         r = rng.uniform(1e-3, 1.0)
-        th, rr, x = solid_torus_reeb(dim3, (0.0, r, 0.0), s)
+        th, rr, x = solid_torus_reeb((0.0, r, 0.0), s)
         ra = np.array([r])
-        alpha_of_r = dim3.g(ra)[0] * th + s * dim3.f(ra)[0] * x
-        dalpha_of_r = dim3.gp(ra)[0] * th + s * dim3.fp(ra)[0] * x
+        alpha_of_r = profiles.g(ra)[0] * th + s * profiles.f(ra)[0] * x
+        dalpha_of_r = profiles.gp(ra)[0] * th + s * profiles.fp(ra)[0] * x
         assert abs(alpha_of_r - 1.0) < 1e-10
         assert abs(dalpha_of_r) < 1e-10
         assert rr == 0.0
 
 
-def test_flow_preserves_r_and_t0_identity(dim3):
+def test_flow_preserves_r_and_t0_identity():
     st = (0.3, 0.6, 1.1)
-    out = solid_torus_flow(dim3, st, 0.0, s=0.05)
+    out = solid_torus_flow(st, 0.0, s=0.05)
     assert np.allclose(out, st)
-    out = solid_torus_flow(dim3, st, 57.0, s=0.05)
+    out = solid_torus_flow(st, 57.0, s=0.05)
     assert out[1] == st[1]
 
 
-def test_flow_closed_form_vs_rk4(dim3):
+def test_flow_closed_form_vs_rk4():
     # ODE oracle: fixed-step RK4 against the linear closed form at t = 100
     s = 0.05
     st = (0.3, 0.5, 1.1)
-    exact = solid_torus_flow(dim3, st, 100.0, s)
-    rk4 = solid_torus_flow_rk4(dim3, st, 100.0, s)
+    exact = solid_torus_flow(st, 100.0, s)
+    rk4 = solid_torus_flow_rk4(st, 100.0, s)
     err = np.max(np.abs(np.array(exact) - np.array(rk4)))
     assert err <= 1e-8
 
 
-def test_solid_torus_volume_quadrature_vs_mc(dim3):
+def test_solid_torus_volume_quadrature_vs_mc():
     # sigma_s ^ dsigma_s = s h dr dtheta dx: MC oracle of the 3-form integral
     s = 0.03
-    vol = solid_torus_volume(dim3, s)
+    vol = solid_torus_volume(s)
     rng = np.random.default_rng(11)
     n = 200_000
     r = rng.random(n)
-    vals = s * dim3.h(r) * TWO_PI ** 2
+    vals = s * profiles.h(r) * TWO_PI ** 2
     mc = float(vals.mean())
     se = float(vals.std() / math.sqrt(n))
     assert abs(vol - mc) <= 3 * se
@@ -427,10 +461,10 @@ def test_mapping_torus_volume_equals_the_meshgrid_sum(k, s, grid):
     assert mapping_torus_volume(spec, s, grid) == want
 
 
-def test_collapse_volumes_slope_and_residual(spec, dim3):
+def test_collapse_volumes_slope_and_residual(spec):
     _, s1 = contact_threshold(spec)
     s_list = [s1 * (k + 1) / 8 for k in range(8)]
-    rows, fit = collapse_volumes(spec, dim3, s_list)
+    rows, fit = collapse_volumes(spec, s_list)
     assert fit["residual"] < 0.01
     assert abs(fit["a"] - fit["a_predicted"]) / fit["a_predicted"] < 0.05
     assert fit["curvature_ratio"] < 0.05
@@ -439,29 +473,29 @@ def test_collapse_volumes_slope_and_residual(spec, dim3):
     assert abs(v[s_list[3]] / v[s_list[7]] - 0.5) < 0.02
 
 
-def test_collapse_volumes_prediction_terms(spec, dim3):
+def test_collapse_volumes_prediction_terms(spec):
     # leading coefficient = 2 pi * page area + (2 pi)^2 int h
-    h_int, _ = integrate.quad(lambda r: dim3.h(np.array([r]))[0], 0, 1)
-    _, fit = collapse_volumes(spec, dim3, [0.001, 0.002, 0.004])
+    h_int, _ = integrate.quad(lambda r: profiles.h(np.array([r]))[0], 0, 1)
+    _, fit = collapse_volumes(spec, [0.001, 0.002, 0.004])
     pred = TWO_PI * (TWO_PI * 2.0) + TWO_PI ** 2 * h_int
     assert abs(fit["a_predicted"] - pred) < 1e-9
 
 
 @pytest.mark.parametrize("s_max", [1e300, 1e160])
-def test_collapse_volumes_overflow_is_forms_error(spec, dim3, s_max):
+def test_collapse_volumes_overflow_is_forms_error(spec, s_max):
     # s^2 (and at 1e300 the volumes) leave the float range: the check
     # comes before the least-squares fit, whose SVD would not converge
     with pytest.raises(VolumeOverflow, match="leaves the float range"):
-        collapse_volumes(spec, dim3, [1e-3, s_max], grid=16)
+        collapse_volumes(spec, [1e-3, s_max], grid=16)
 
 
-def test_gluing_collar_match(spec, dim3):
+def test_gluing_collar_match(spec):
     # near r = 1 the solid-torus form reads dtheta + s (2-r) dx, matching
     # the mapping-torus form on the collar to 1e-10
     r = np.linspace(0.9975, 1.0, 50)
     s = 0.02
-    assert np.max(np.abs(dim3.g(r) - 1.0)) < 1e-10
-    assert np.max(np.abs(s * dim3.f(r) - s * (2.0 - r))) < 1e-10
+    assert np.max(np.abs(profiles.g(r) - 1.0)) < 1e-10
+    assert np.max(np.abs(s * profiles.f(r) - s * (2.0 - r))) < 1e-10
     # mapping-torus side: tau' = 0 on [1, 1.3], so alpha_s = dtheta + s(2-r)dx
     assert np.max(np.abs(spec.tau_prime(np.linspace(1.0, 1.25, 50)))) == 0.0
 
@@ -477,14 +511,14 @@ def test_contact_positivity_up_to_threshold(spec):
         assert np.all(spec.contact_density(s, th, rr) > 0.0)
 
 
-def test_contact_density_exact_identity(spec, dim3):
+def test_contact_density_exact_identity(spec):
     # sigma_s ^ dsigma_s = s h dr^dtheta^dx exactly: cross-check the
     # 1-form coefficients at random radii
     rng = np.random.default_rng(9)
     s = 0.03
     r = rng.uniform(0.01, 1.0, size=200)
-    lhs = dim3.g(r) * dim3.fp(r) * (-s) + s * dim3.f(r) * dim3.gp(r)
-    assert np.max(np.abs(lhs - s * dim3.h(r))) < 1e-12
+    lhs = profiles.g(r) * profiles.fp(r) * (-s) + s * profiles.f(r) * profiles.gp(r)
+    assert np.max(np.abs(lhs - s * profiles.h(r))) < 1e-12
 
 
 # ---------------------------------------------------------------- normalize

@@ -3,12 +3,13 @@ solid-torus volume, page returns, contact thresholds and the volume table.
 
 The goldens were recorded from the code in which chi', h and the
 solid-torus speeds each had several definitions (a Dual chain next to a
-closed form, one h per ProfileFunctions method).  The solid-torus
-arithmetic keeps its order of operations, so it is pinned exactly; the
-page quantities now take chi' in closed form and are pinned at 1e-13
-relative.  The solid-torus volume and the volume table are recorded from
-the composite Gauss-Legendre rule over the profile breakpoints, and an
-adaptive quadrature checks that rule at 1e-14 relative.
+closed form, one h per method of a since removed profile class).  The
+solid-torus arithmetic keeps its order of operations, so it is pinned
+exactly; the page quantities now take chi' in closed form and are pinned
+at 1e-13 relative.  The solid-torus volume and the volume table are
+recorded from the composite Gauss-Legendre rule over the profile
+breakpoints, and an adaptive quadrature checks that rule at 1e-14
+relative.
 """
 
 import numpy as np
@@ -17,9 +18,9 @@ from scipy import integrate
 
 from entropia.reeb_collapse import (
     MappingTorusSpec,
-    build_profiles,
     collapse_volumes,
     contact_threshold,
+    profiles,
     return_map_and_time,
     solid_torus_reeb,
     solid_torus_system,
@@ -99,13 +100,8 @@ TAU3 = [
 ]
 
 
-@pytest.fixture(scope="module")
-def dim3():
-    return build_profiles()
-
-
-def test_solid_torus_system_exact(dim3):
-    sys = solid_torus_system(dim3, 0.05)
+def test_solid_torus_system_exact():
+    sys = solid_torus_system(0.05)
     states = np.array(ST_STATES)
     assert np.array_equal(sys.time_one(states), np.array(ST_STEP))
     assert np.array_equal(sys.time_one_jacobian(states)[1].reshape(-1, 9),
@@ -113,12 +109,12 @@ def test_solid_torus_system_exact(dim3):
 
 
 @pytest.mark.parametrize("r", sorted(REEB))
-def test_solid_torus_reeb_exact(dim3, r):
-    assert solid_torus_reeb(dim3, (0.5, r, 1.0), 0.05).tolist() == REEB[r]
+def test_solid_torus_reeb_exact(r):
+    assert solid_torus_reeb((0.5, r, 1.0), 0.05).tolist() == REEB[r]
 
 
-def test_solid_torus_volume_exact(dim3):
-    assert solid_torus_volume(dim3, 1.0) == ST_VOLUME
+def test_solid_torus_volume_exact():
+    assert solid_torus_volume(1.0) == ST_VOLUME
 
 
 def _triples(d):
@@ -130,11 +126,11 @@ def test_tau_dual_exact():
     assert _triples(tau) == TAU3
 
 
-def test_solid_torus_volume_matches_adaptive_quadrature(dim3):
-    val, _ = integrate.quad(lambda r: dim3.h(np.array([r]))[0], 0.0, dim3.r_eps,
-                            points=dim3.breakpoints[1:-1], epsabs=0.0,
-                            epsrel=1.2e-14, limit=4000)
-    np.testing.assert_allclose(solid_torus_volume(dim3, 1.0),
+def test_solid_torus_volume_matches_adaptive_quadrature():
+    val, _ = integrate.quad(lambda r: profiles.h(np.array([r]))[0], 0.0,
+                            profiles.R_EPS, points=profiles.BREAKPOINTS[1:-1],
+                            epsabs=0.0, epsrel=1.2e-14, limit=4000)
+    np.testing.assert_allclose(solid_torus_volume(1.0),
                                (2.0 * np.pi) ** 2 * val, rtol=1e-14, atol=0.0)
 
 
@@ -151,8 +147,8 @@ def test_contact_threshold(k):
                                THRESHOLDS[k], rtol=RTOL, atol=0.0)
 
 
-def test_collapse_volumes(dim3):
-    rows, fit = collapse_volumes(MappingTorusSpec(), dim3, VOLUME_S)
+def test_collapse_volumes():
+    rows, fit = collapse_volumes(MappingTorusSpec(), VOLUME_S)
     assert [row.keys() for row in rows] == [row.keys() for row in VOLUME_ROWS]
     for row, want in zip(rows, VOLUME_ROWS):
         np.testing.assert_allclose(list(row.values()), list(want.values()),

@@ -16,7 +16,6 @@ from entropia.reeb_collapse.sweep import (
     solid_torus_gamma,
     solid_torus_system,
 )
-from entropia.reeb_collapse import build_profiles
 
 
 def test_mapping_torus_system_jacobian_validates():
@@ -25,8 +24,7 @@ def test_mapping_torus_system_jacobian_validates():
 
 
 def test_solid_torus_system_jacobian_validates():
-    profiles = build_profiles()
-    sys = solid_torus_system(profiles, 0.05)
+    sys = solid_torus_system(0.05)
     assert sys.validate_jacobian(60, seed=0, tol=1e-4) < 1e-4
 
 
@@ -231,12 +229,11 @@ def test_collapse_sweep_budget_counts_every_s(monkeypatch):
 @pytest.mark.parametrize("n_states", [24, 128])
 def test_solid_torus_gamma_matches_gamma_plus(n_states):
     # the closed form against the sampled cocycle it replaces
-    profiles = build_profiles()
     for s in (0.001, 0.01, 0.05, 0.3, 1.0):
         for horizon in (8, 16, 48, 400):
             for seed in range(3):
-                closed = solid_torus_gamma(profiles, s, horizon, n_states, seed)
-                sampled = gamma_plus(solid_torus_system(profiles, s), horizon,
+                closed = solid_torus_gamma(s, horizon, n_states, seed)
+                sampled = gamma_plus(solid_torus_system(s), horizon,
                                      n_states, seed)
                 assert (closed.horizon, closed.samples) == (float(horizon), n_states)
                 assert closed.value == pytest.approx(sampled.value, rel=1e-12, abs=0.0)
@@ -246,12 +243,11 @@ def test_solid_torus_gamma_matches_gamma_plus(n_states):
 def test_solid_torus_gamma_of_many_s_equals_each_s_alone():
     # one derivative evaluation serves every s: the same floats as one s
     # at a time, each from the x row fib'(r) / s of its own system
-    profiles = build_profiles()
     s_values = [0.001, 0.05, 0.3, 2.0]
-    stacked = solid_torus_gamma(profiles, np.array(s_values), 16, 24, 3)
-    assert stacked == [solid_torus_gamma(profiles, s, 16, 24, 3) for s in s_values]
-    assert solid_torus_gamma(profiles, s_values[:1], 16, 24, 3) == stacked[:1]
-    system = solid_torus_system(profiles, 0.3)
+    stacked = solid_torus_gamma(np.array(s_values), 16, 24, 3)
+    assert stacked == [solid_torus_gamma(s, 16, 24, 3) for s in s_values]
+    assert solid_torus_gamma(s_values[:1], 16, 24, 3) == stacked[:1]
+    system = solid_torus_system(0.3)
     jac = system.step_jacobian(system.sampler(24, np.random.default_rng(3)))[1]
     u = float(np.hypot(jac[:, 0, 1], jac[:, 2, 1]).max())
     assert stacked[2] == entropy_bounds.gamma_linear(((1.0, u), (0.0, 1.0)), 16, 24)
@@ -259,9 +255,8 @@ def test_solid_torus_gamma_of_many_s_equals_each_s_alone():
 
 def test_solid_torus_gamma_keeps_the_budget_of_its_states():
     # 24 states may run past the 7,812 steps that 128 states may
-    profiles = build_profiles()
     horizon = GAMMA_BUDGET // 128 + 1
     assert horizon * 24 <= GAMMA_BUDGET
-    assert solid_torus_gamma(profiles, 0.05, horizon, 24).samples == 24
+    assert solid_torus_gamma(0.05, horizon, 24).samples == 24
     with pytest.raises(BudgetExceeded, match=f"gamma over {horizon} steps of 128 states"):
-        solid_torus_gamma(profiles, 0.05, horizon, 128)
+        solid_torus_gamma(0.05, horizon, 128)
